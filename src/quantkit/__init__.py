@@ -33,9 +33,7 @@ from .quantizer import (
     dequantize,
     fit_group_size,
     quantize_activation,
-    quantize_group,
     quantize_weight,
-    scale_factor,
 )
 from .report import EvalSummary, TaskResult, aggregate_accuracy
 from .synth import SynthConfig, generate, inject_walls
@@ -74,11 +72,9 @@ __all__ = [
     "parse_layer_name",
     "profile_model",
     "quantize_activation",
-    "quantize_group",
     "quantize_weight",
     "read_model",
     "reference_matmul_fp",
-    "scale_factor",
     "sweep_group_size",
     "write_model",
 ]

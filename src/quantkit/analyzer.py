@@ -125,14 +125,19 @@ def layer_max_abs(w: np.ndarray) -> float:
     return float(np.abs(_as_weight(w)).max())
 
 
+def _squared_error_sum(w: np.ndarray, grouping: GroupingScheme, params: QuantParams) -> float:
+    """Sum over all elements of the squared quantize/dequantize error, in float64."""
+    err = w.astype(np.float64) - dequantize(quantize_weight(w, grouping, params))
+    return float(np.sum(np.square(err)))
+
+
 def layer_rmse(w: np.ndarray, grouping: GroupingScheme, params: QuantParams) -> float:
     """RMSE between the weights and their quantize/dequantize image.
 
     Root of the mean over all N*M elements, accumulated in float64.
     """
     w = _as_weight(w)
-    err = w.astype(np.float64) - dequantize(quantize_weight(w, grouping, params))
-    return float(np.sqrt(np.mean(np.square(err))))
+    return float(np.sqrt(_squared_error_sum(w, grouping, params) / w.size))
 
 
 def detect_walls(w: np.ndarray, cfg: WallDetectorConfig) -> list[int]:

@@ -1,14 +1,15 @@
-"""Quantized matrix multiplication with an exact integer core.
+"""Quantized matrix multiplication with an exact core.
 
-The int8 codes are multiplied and accumulated in integer arithmetic
-(int32 when the reduction depth guarantees no overflow, int64 otherwise),
-so the kernel itself introduces no rounding: all error in a quantized
-product comes from quantizing the operands.  Scales are applied as an
-epilogue, row scales then column scales, which is the factored evaluation
-of the rank-1 outer product of the two scale vectors.  Per-group weights
-rescale each group's partial sum before the column epilogue; group
-partial sums are combined in float64 in ascending group order so results
-are reproducible.
+The int8 codes are cast to float64 once and multiplied with float64
+BLAS.  Every partial sum is an integer no larger than depth * qmax_w *
+qmax_a <= depth * 127^2, far below 2^53 for any depth that fits in
+memory, so the products are exact in any summation order and the kernel
+itself introduces no rounding: all error in a quantized product comes
+from quantizing the operands.  One loop serves both grouping modes: each
+group of g input columns is multiplied, rescaled by its weight scales and
+added into a float64 accumulator in ascending group order, then the
+column scales are applied.  Per-channel is the single-group case, so a
+per-group weight with g = M gives the same bits as per-channel.
 """
 
 from __future__ import annotations
@@ -16,12 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .quantizer import AXIS_COLUMN, AXIS_ROW, QuantizedTensor
-
-_INT32_MAX = 2**31 - 1
-
-
-def _acc_dtype(depth: int, qmax_w: int, qmax_a: int) -> np.dtype:
-    return np.dtype(np.int32) if depth * qmax_w * qmax_a <= _INT32_MAX else np.dtype(np.int64)
 
 
 def _check_operands(wq: QuantizedTensor, aq: QuantizedTensor) -> None:
@@ -35,47 +30,43 @@ def _check_operands(wq: QuantizedTensor, aq: QuantizedTensor) -> None:
         )
 
 
+def _matmul(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
+    n, m = wq.values.shape
+    g = wq.grouping.resolved_group_size(m)
+    w = wq.values.astype(np.float64)
+    a = aq.values.astype(np.float64)
+    w_scales = wq.scales.astype(np.float64).reshape(n, m // g)
+    acc = np.zeros((n, a.shape[1]), dtype=np.float64)
+    for k in range(m // g):
+        cols = slice(k * g, (k + 1) * g)
+        acc += (w[:, cols] @ a[cols]) * w_scales[:, k, None]
+    return acc * aq.scales.astype(np.float64)[None, :]
+
+
 def matmul_per_channel(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
     """Multiply per-channel quantized weight (N x M) and activation (M x P).
 
-    Returns the dequantized float64 product: the exact integer
-    accumulation scaled by s_w[i] * s_a[j] per output element.
+    Returns the dequantized float64 product: the exact code product
+    scaled by s_w[i] * s_a[j] per output element.
     """
     _check_operands(wq, aq)
     if wq.grouping.is_per_group:
         raise ValueError("weight operand is per-group; use matmul_per_group")
-    m = wq.values.shape[1]
-    acc_dtype = _acc_dtype(m, wq.qmax, aq.qmax)
-    acc = wq.values.astype(acc_dtype) @ aq.values.astype(acc_dtype)
-    out = acc.astype(np.float64) * wq.scales.astype(np.float64)[:, None]
-    return out * aq.scales.astype(np.float64)[None, :]
+    return _matmul(wq, aq)
 
 
 def matmul_per_group(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
     """Multiply a per-group quantized weight by a per-channel activation.
 
-    Each group of g columns is accumulated exactly in integers, rescaled
-    by its own weight scale, and added into a float64 accumulator; the
-    column scales are applied last.  With g = M this is bit-identical to
+    Each group of g columns is multiplied exactly, rescaled by its own
+    weight scale, and added into a float64 accumulator; the column scales
+    are applied last.  With g = M this is bit-identical to
     :func:`matmul_per_channel`.
     """
     _check_operands(wq, aq)
     if not wq.grouping.is_per_group:
         raise ValueError("weight operand is per-channel; use matmul_per_channel")
-    n, m = wq.values.shape
-    p = aq.values.shape[1]
-    g = wq.grouping.group_size
-    acc_dtype = _acc_dtype(g, wq.qmax, aq.qmax)
-    w_scales = wq.scales.astype(np.float64)
-
-    acc = np.zeros((n, p), dtype=np.float64)
-    for k in range(m // g):
-        part = (
-            wq.values[:, k * g : (k + 1) * g].astype(acc_dtype)
-            @ aq.values[k * g : (k + 1) * g, :].astype(acc_dtype)
-        )
-        acc += part.astype(np.float64) * w_scales[:, k][:, None]
-    return acc * aq.scales.astype(np.float64)[None, :]
+    return _matmul(wq, aq)
 
 
 def reference_matmul_fp(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -83,7 +74,7 @@ def reference_matmul_fp(w: np.ndarray, a: np.ndarray) -> np.ndarray:
 
     Every output element is accumulated over the inner index in ascending
     order, independent of any BLAS backend, so the result is reproducible
-    and usable as an oracle for the integer kernels.
+    and usable as an oracle for the quantized kernels.
     """
     w = np.asarray(w)
     a = np.asarray(a)

@@ -15,14 +15,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analyzer import LayerMetrics, profile_model
+from .analyzer import LayerMetrics, _squared_error_sum, profile_model
 from .model_store import ModelManifest, TensorRecord
 from .quantizer import (
     GroupingScheme,
     QuantParams,
     QuantizedTensor,
     AXIS_ROW,
-    dequantize,
     fit_group_size,
     quantize_weight,
 )
@@ -135,19 +134,14 @@ def _select(metrics: list[LayerMetrics], cfg: PlanConfig) -> set[str]:
     return set(cfg.explicit)
 
 
-def build_plan(
-    metrics: list[LayerMetrics],
-    cfg: PlanConfig,
-    layer_cols: Mapping[str, int] | None = None,
-) -> QuantPlan:
+def build_plan(metrics: list[LayerMetrics], cfg: PlanConfig) -> QuantPlan:
     """Assign per-group(g) to selected layers and per-channel to the rest.
 
-    Column counts come from the metrics (or the ``layer_cols`` override);
-    when a selected layer's count is known and the group size does not
-    divide it, the size falls back to the largest divisor and the layer
-    is listed in the plan's fallbacks.  When the count is unknown the
-    requested size is kept and apply_plan resolves the fallback against
-    the actual tensor.
+    Column counts come from the metrics; when a selected layer's count is
+    known and the group size does not divide it, the size falls back to
+    the largest divisor and the layer is listed in the plan's fallbacks.
+    When the count is unknown the requested size is kept and apply_plan
+    resolves the fallback against the actual tensor.
     """
     if not metrics:
         raise ValueError("metrics must be non-empty")
@@ -158,10 +152,9 @@ def build_plan(
         if m.name not in selected:
             assignments[m.name] = GroupingScheme.per_channel()
             continue
-        cols = m.cols if layer_cols is None else layer_cols.get(m.name, m.cols)
         g = cfg.group_size
-        if cols is not None:
-            g = fit_group_size(cols, cfg.group_size)
+        if m.cols is not None:
+            g = fit_group_size(m.cols, cfg.group_size)
             if g != cfg.group_size:
                 fallbacks[m.name] = g
         assignments[m.name] = GroupingScheme.per_group(g)
@@ -296,10 +289,10 @@ def sweep_group_size(
         for name in selected:
             w = tensors[name]
             scheme = GroupingScheme.per_group(fit_group_size(w.shape[1], g))
-            err = w.astype(np.float64) - dequantize(quantize_weight(w, scheme, params))
-            per_layer[name] = float(np.sqrt(np.mean(np.square(err))))
-            total_sq += float(np.sum(np.square(err)))
-            total_elems += err.size
+            sse = _squared_error_sum(w, scheme, params)
+            per_layer[name] = float(np.sqrt(sse / w.size))
+            total_sq += sse
+            total_elems += w.size
         aggregate = float(np.sqrt(total_sq / total_elems)) if total_elems else 0.0
         rows.append(SweepRow(group_size=g, per_layer_rmse=per_layer, aggregate_rmse=aggregate))
     return rows

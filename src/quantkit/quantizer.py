@@ -179,20 +179,6 @@ def _round_half_away(x: np.ndarray) -> np.ndarray:
     return np.copysign(np.floor(np.abs(x) + 0.5), x)
 
 
-def scale_factor(max_abs: float, params: QuantParams) -> float:
-    """Scale mapping [-max_abs, max_abs] onto the integer grid: max_abs / qmax.
-
-    An all-zero group has no range to map; 1.0 is returned so that the
-    zero codes dequantize to zero without a division by zero anywhere.
-    Computed in float32 to match the stored scale arrays.
-    """
-    if not np.isfinite(max_abs) or max_abs < 0:
-        raise ValueError(f"max_abs must be finite and non-negative, got {max_abs!r}")
-    if max_abs == 0:
-        return 1.0
-    return float(np.float32(max_abs) / np.float32(params.qmax))
-
-
 def _scales_from_amax(amax: np.ndarray, params: QuantParams) -> np.ndarray:
     scales = amax.astype(np.float32) / np.float32(params.qmax)
     scales[amax == 0] = np.float32(1.0)
@@ -203,20 +189,6 @@ def _encode(x: np.ndarray, elem_scales: np.ndarray, params: QuantParams) -> np.n
     # Division in float64; clamp because x/s can land at qmax + ulp.
     q = _round_half_away(x.astype(np.float64) / elem_scales)
     return np.clip(q, -params.qmax, params.qmax).astype(np.int8)
-
-
-def quantize_group(values: np.ndarray, params: QuantParams) -> tuple[np.ndarray, float]:
-    """Quantize one scale group: q_i = round(v_i / s), ties away from zero.
-
-    Returns the int8 codes and the group scale s = max|v| / qmax.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("expected a non-empty 1-D vector")
-    _check_finite(v)
-    s = scale_factor(float(np.abs(v).max()), params)
-    q = _encode(v, np.float64(s), params)
-    return q, s
 
 
 def quantize_weight(

@@ -65,3 +65,23 @@ def matmul_descending_k(w, a):
     for k in reversed(range(w64.shape[1])):
         out += w64[:, k : k + 1] * a64[k : k + 1, :]
     return out
+
+
+def matmul_grouped_int64(w_codes, w_scales, a_codes, a_scales):
+    """Quantized product accumulated group by group in int64.
+
+    ``w_scales`` is (N,) for per-channel or (N, G) for G equal column
+    groups.  Each group's code product is summed in int64, rescaled by
+    its weight scales and added into a float64 accumulator in ascending
+    group order; the activation column scales are applied last.
+    """
+    w = np.asarray(w_codes, dtype=np.int64)
+    a = np.asarray(a_codes, dtype=np.int64)
+    n, m = w.shape
+    s_w = np.asarray(w_scales, dtype=np.float64).reshape(n, -1)
+    g = m // s_w.shape[1]
+    out = np.zeros((n, a.shape[1]), dtype=np.float64)
+    for k in range(s_w.shape[1]):
+        part = w[:, k * g : (k + 1) * g] @ a[k * g : (k + 1) * g, :]
+        out += part.astype(np.float64) * s_w[:, k : k + 1]
+    return out * np.asarray(a_scales, dtype=np.float64)[None, :]

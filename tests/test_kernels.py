@@ -1,12 +1,16 @@
-"""Integer matmul kernels against the float64 reference.
+"""Quantized matmul kernels against the float64 and int64 references.
 
-The integer core is exact, so a quantized product must match the
-reference product of the dequantized operands up to float reassociation;
-any larger deviation is a kernel bug, not quantization error.
+Both kernels run one group loop that accumulates the int8 codes exactly
+in float64, so a quantized product must equal the grouped int64 oracle
+byte for byte and match the reference product of the dequantized
+operands up to float reassociation; any larger deviation is a kernel
+bug, not quantization error.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantkit import (
     GroupingScheme,
@@ -18,9 +22,8 @@ from quantkit import (
     quantize_weight,
     reference_matmul_fp,
 )
-from quantkit.kernels import _acc_dtype
 
-from oracles import matmul_descending_k
+from oracles import matmul_descending_k, matmul_grouped_int64
 
 P8 = QuantParams(8)
 
@@ -161,22 +164,45 @@ class TestPerGroupKernel:
             matmul_per_group(wq, aq)
 
 
+class TestExactAgainstIntegerOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 48),
+        p=st.integers(1, 6),
+        bits=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        wall=st.booleans(),
+    )
+    def test_both_kernels_equal_grouped_int64_oracle(self, n, m, p, bits, seed, wall):
+        rng = np.random.default_rng(seed)
+        walls = (int(rng.integers(m)),) if wall else ()
+        w, a = random_operands(rng, n, m, p, wall_columns=walls)
+        # Column magnitudes over six decades spread the group scales far
+        # enough apart that the order of adding group partials shows.
+        w *= (10.0 ** rng.uniform(-3, 3, m)).astype(np.float32)
+        params = QuantParams(bits)
+        aq = quantize_activation(a, params)
+        wq = quantize_weight(w, GroupingScheme.per_channel(), params)
+        expected = matmul_grouped_int64(wq.values, wq.scales, aq.values, aq.scales)
+        assert matmul_per_channel(wq, aq).tobytes() == expected.tobytes()
+        for g in (d for d in range(1, m + 1) if m % d == 0):
+            wq = quantize_weight(w, GroupingScheme.per_group(g), params)
+            expected = matmul_grouped_int64(wq.values, wq.scales, aq.values, aq.scales)
+            assert matmul_per_group(wq, aq).tobytes() == expected.tobytes()
+
+
 class TestAccumulatorWidth:
-    def test_int32_when_depth_allows(self):
-        assert _acc_dtype(2**16, 127, 127) == np.dtype(np.int32)
-
-    def test_widens_to_int64_beyond(self):
-        # 2^18 * 127^2 overflows a signed 32-bit accumulator
-        assert _acc_dtype(2**18, 127, 127) == np.dtype(np.int64)
-
     def test_extreme_codes_at_width_boundary_stay_exact(self):
-        # All codes at +/-qmax with m around the int32 boundary; the result
-        # must equal the closed form n_pos - n_neg times qmax^2.
-        m = 2**12
+        # All codes at +/-qmax with m = 2^18, where 2^18 * 127^2 exceeds a
+        # signed 32-bit accumulator.  Column 0 is negative in its first half
+        # and cancels exactly; column 1 sums to the closed form m * qmax^2.
+        m = 2**18
         wq = quantize_weight(np.full((1, m), 5.0, dtype=np.float32), GroupingScheme.per_channel(), P8)
-        a = np.full((m, 1), 7.0, dtype=np.float32)
-        a[: m // 2] *= -1
+        a = np.full((m, 2), 7.0, dtype=np.float32)
+        a[: m // 2, 0] *= -1
         aq = quantize_activation(a, P8)
         out = matmul_per_channel(wq, aq)
-        expected = 0.0  # half the codes cancel the other half exactly
-        assert out[0, 0] == expected
+        assert out[0, 0] == 0.0
+        sw, sa = float(wq.scales[0]), float(aq.scales[1])
+        assert out[0, 1] == (float(m * 127 * 127) * sw) * sa

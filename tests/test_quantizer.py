@@ -16,9 +16,7 @@ from quantkit import (
     dequantize,
     fit_group_size,
     quantize_activation,
-    quantize_group,
     quantize_weight,
-    scale_factor,
 )
 
 from oracles import scalar_quantize_dequantize
@@ -65,59 +63,71 @@ class TestGroupingScheme:
         assert m % fit_group_size(m, g) == 0
 
 
+def quantize_row(values, grouping=GroupingScheme.per_channel()):
+    """Quantize a 1 x k weight row; returns its codes and scales as arrays."""
+    qt = quantize_weight(np.array([values], dtype=np.float64), grouping, P8)
+    return qt.values[0], qt.scales
+
+
 class TestScaleFactor:
+    """The scale s = max|w| / qmax, computed in float32, of a weight row."""
+
     def test_llama3_70b_max_abs(self):
         # 93 is the observed first-block V max of an outlier-prone 70B
         # checkpoint; the quotient is forced by the scale formula.
-        assert scale_factor(93.0, P8) == pytest.approx(93.0 / 127.0, rel=1e-6)
-        assert scale_factor(93.0, P8) == pytest.approx(0.732283, abs=1e-6)
+        _, s = quantize_row([93.0])
+        assert s[0] == pytest.approx(93.0 / 127.0, rel=1e-6)
+        assert s[0] == pytest.approx(0.732283, abs=1e-6)
 
     def test_zero_max_abs_degenerates_to_one(self):
-        assert scale_factor(0.0, P8) == 1.0
+        # An all-zero group gets scale 1.0 next to a normally scaled group.
+        _, s = quantize_row([0.0, 0.0, 3.0, -1.0], GroupingScheme.per_group(2))
+        assert s.tolist() == [[1.0, np.float32(3.0) / np.float32(127)]]
 
     def test_qmax_cancels(self):
-        assert scale_factor(127.0, P8) == 1.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            scale_factor(-1.0, P8)
+        _, s = quantize_row([127.0, 1.0])
+        assert s[0] == 1.0
 
     def test_nan_rejected(self):
+        # A NaN confined to one group must not become that group's scale.
         with pytest.raises(ValueError):
-            scale_factor(float("nan"), P8)
+            quantize_row([1.0, 2.0, float("nan"), 4.0], GroupingScheme.per_group(2))
 
 
 class TestQuantizeGroup:
+    """One scale group, quantized as a 1 x k per-channel weight row."""
+
     def test_worked_example(self):
         # 0.5 / fl32(1/127) = 63.5000002, away from zero -> 64.
-        q, s = quantize_group(np.array([-1.0, 0.0, 0.5]), P8)
-        assert s == scale_factor(1.0, P8)
+        q, s = quantize_row([-1.0, 0.0, 0.5])
+        assert s[0] == np.float32(1) / np.float32(127)
         assert q.tolist() == [-127, 0, 64]
 
     def test_all_zero_vector(self):
-        q, s = quantize_group(np.zeros(5), P8)
-        assert s == 1.0
+        q, s = quantize_row([0.0] * 5)
+        assert s[0] == 1.0
         assert q.tolist() == [0, 0, 0, 0, 0]
 
     def test_endpoint_maps_to_qmax(self):
-        q, s = quantize_group(np.array([127.0]), P8)
+        q, s = quantize_row([127.0])
         assert q.tolist() == [127]
-        assert q[0] * s == 127.0  # scale is exactly 1 here, so dequant is exact
+        assert q[0] * s[0] == 127.0  # scale is exactly 1 here, so dequant is exact
 
     def test_endpoint_dequant_within_half_scale(self):
-        q, s = quantize_group(np.array([0.1, -0.03]), P8)
+        q, s = quantize_row([0.1, -0.03])
         assert q[0] == 127
-        assert abs(q[0] * s - 0.1) <= s / 2
+        assert abs(q[0] * float(s[0]) - 0.1) <= s[0] / 2
 
-    @pytest.mark.parametrize("bad", [np.array([1.0, np.nan]), np.array([np.inf])])
+    @pytest.mark.parametrize("bad", [[1.0, np.nan], [np.inf]])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
-            quantize_group(bad, P8)
+            quantize_row(bad)
 
     def test_error_bounded_by_half_scale(self):
         rng = np.random.default_rng(11)
         v = rng.normal(0, 3, 257)
-        q, s = quantize_group(v, P8)
+        q, s = quantize_row(v)
+        s = float(s[0])
         assert np.all(np.abs(v - q * s) <= s / 2 + 1e-6 * s)
 
 
@@ -230,7 +240,7 @@ class TestQuantizeActivation:
         a = np.zeros((4, 1), dtype=np.float32)
         a[2, 0] = 1.0
         qt = quantize_activation(a, P8)
-        assert qt.scales.tolist() == [scale_factor(1.0, P8)]
+        assert qt.scales.tolist() == [np.float32(1) / np.float32(127)]
         assert qt.values[:, 0].tolist() == [0, 0, 127, 0]
 
     def test_transpose_matches_weight_quantization(self):
