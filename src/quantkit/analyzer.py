@@ -15,13 +15,14 @@ import io
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .model_store import ModelManifest, atomic_write_text, parse_layer_name
-from .quantizer import GroupingScheme, QuantParams, dequantize, quantize_weight
+from .quantizer import GroupingScheme, QuantParams, fit_group_size
+from .quantizer import _as_matrix, _encode_into, _scales_from_amax
 
 # First-block V-matrix weight maxima observed in public checkpoints.  The
 # 70B LLaMA3 family sits roughly three orders of magnitude above the
@@ -81,7 +82,7 @@ class WallDetectorConfig:
     def resolve_threshold(self, w: np.ndarray) -> float:
         if self.magnitude_threshold is not None:
             return float(self.magnitude_threshold)
-        rms = float(np.sqrt(np.mean(np.square(w.astype(np.float64)))))
+        rms = float(np.sqrt(np.mean(np.square(w.astype(np.float64, copy=False)))))
         return self.rms_multiplier * rms
 
 
@@ -91,6 +92,7 @@ class LayerMetrics:
 
     ``cols`` is the layer's input dimension when known (profiles computed
     from tensors carry it; profiles parsed back from CSV do not).
+    ``group_rmse`` maps extra requested group sizes to per-group RMSE.
     """
 
     layer_index: int
@@ -101,6 +103,7 @@ class LayerMetrics:
     bits: int
     wall_columns: list[int]
     cols: int | None = None
+    group_rmse: dict[int, float] = field(default_factory=dict)
 
     @property
     def block(self) -> int:
@@ -111,24 +114,47 @@ class LayerMetrics:
         return parse_layer_name(self.name)[1]
 
 
-def _as_weight(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w)
-    if w.ndim != 2 or 0 in w.shape:
-        raise ValueError("expected a non-empty 2-D weight matrix")
-    if not np.isfinite(w).all():
-        raise ValueError("weight contains NaN or Inf")
-    return w
+def _wall_columns(absw: np.ndarray, w: np.ndarray, cfg: WallDetectorConfig) -> list[int]:
+    counts = (absw > cfg.resolve_threshold(w)).sum(axis=0)
+    return [int(j) for j in np.nonzero(counts >= cfg.row_fraction * w.shape[0])[0]]
+
+
+def _profile_layer(
+    w: np.ndarray,
+    groupings: Sequence[GroupingScheme],
+    params: QuantParams,
+    wall_cfg: WallDetectorConfig | None = None,
+) -> tuple[float, list[int] | None, list[float]]:
+    """One pass over a layer: max_abs, wall columns (None without a config)
+    and, per grouping, the float64 squared-error sum of quantize_weight ->
+    dequantize, to the bit.  Group maxima are reduced once per size from the
+    largest computed divisor size; all schemes share one float64 buffer.
+    """
+    w = _as_matrix(w, "weight")
+    n, m = w.shape
+    for grouping in groupings:
+        grouping.validate_for(m)
+    absw = np.abs(w)
+    w64 = w.astype(np.float64, copy=False)
+    walls = None if wall_cfg is None else _wall_columns(absw, w64, wall_cfg)
+    amax: dict[int, np.ndarray] = {}
+    for g in sorted({grouping.resolved_group_size(m) for grouping in groupings}):
+        base = max((f for f in amax if g % f == 0), default=None)
+        amax[g] = (absw if base is None else amax[base]).reshape(n, m // g, -1).max(axis=2)
+    buf = np.empty((n, m))
+    sse = {}
+    for g, group_amax in amax.items():
+        scales = _scales_from_amax(group_amax, params).astype(np.float64)[:, :, None]
+        x = w64.reshape(n, m // g, g)
+        err = _encode_into(buf.reshape(x.shape), x, scales, params)
+        np.subtract(x, np.multiply(err, scales, out=err), out=err)  # codes -> error in place
+        sse[g] = float(np.sum(np.square(buf, out=buf)))
+    return float(absw.max()), walls, [sse[gr.resolved_group_size(m)] for gr in groupings]
 
 
 def layer_max_abs(w: np.ndarray) -> float:
     """Largest absolute value in the matrix."""
-    return float(np.abs(_as_weight(w)).max())
-
-
-def _squared_error_sum(w: np.ndarray, grouping: GroupingScheme, params: QuantParams) -> float:
-    """Sum over all elements of the squared quantize/dequantize error, in float64."""
-    err = w.astype(np.float64) - dequantize(quantize_weight(w, grouping, params))
-    return float(np.sum(np.square(err)))
+    return float(np.abs(_as_matrix(w, "weight")).max())
 
 
 def layer_rmse(w: np.ndarray, grouping: GroupingScheme, params: QuantParams) -> float:
@@ -136,8 +162,8 @@ def layer_rmse(w: np.ndarray, grouping: GroupingScheme, params: QuantParams) -> 
 
     Root of the mean over all N*M elements, accumulated in float64.
     """
-    w = _as_weight(w)
-    return float(np.sqrt(_squared_error_sum(w, grouping, params) / w.size))
+    (sse,) = _profile_layer(w, [grouping], params)[2]
+    return float(np.sqrt(sse / np.size(w)))
 
 
 def detect_walls(w: np.ndarray, cfg: WallDetectorConfig) -> list[int]:
@@ -146,19 +172,22 @@ def detect_walls(w: np.ndarray, cfg: WallDetectorConfig) -> list[int]:
     Returned ascending.  Invariant under row permutation; equivariant
     under column permutation.  An all-zero tensor yields an empty list.
     """
-    w = _as_weight(w)
-    threshold = cfg.resolve_threshold(w)
-    counts = (np.abs(w) > threshold).sum(axis=0)
-    needed = cfg.row_fraction * w.shape[0]
-    return [int(j) for j in np.nonzero(counts >= needed)[0]]
+    w = _as_matrix(w, "weight")
+    return _wall_columns(np.abs(w), w, cfg)
 
 
-def _thread_workers() -> int:
-    raw = os.environ.get("QUANTKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _map_layers(fn: Callable, items: Iterable, max_workers: int | None = None) -> list:
+    """[fn(x) for x in items] on max_workers threads (default QUANTKIT_THREADS, else 1)."""
+    workers = max_workers
+    if workers is None:
+        try:
+            workers = int(os.environ.get("QUANTKIT_THREADS", ""))
+        except ValueError:
+            workers = 1
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def profile_model(
@@ -168,9 +197,11 @@ def profile_model(
     params: QuantParams,
     wall_cfg: WallDetectorConfig | None = None,
     max_workers: int | None = None,
+    group_sizes: Sequence[int] = (),
 ) -> list[LayerMetrics]:
     """Profile every layer of a model, ordered by layer index.
 
+    Each ``group_sizes`` entry adds a ``group_rmse`` value per layer.
     Layers are independent, so profiling runs on up to ``max_workers``
     threads (default: the QUANTKIT_THREADS environment variable, else 1);
     the output order is always the layer-index order regardless of
@@ -189,41 +220,38 @@ def profile_model(
 
     def profile_one(rec) -> LayerMetrics:
         w = tensors[rec.name]
+        extra = [GroupingScheme.per_group(fit_group_size(w.shape[1], g)) for g in group_sizes]
+        max_abs, walls, sse = _profile_layer(w, [grouping, *extra], params, wall_cfg)
+        rmse = [float(np.sqrt(x / w.size)) for x in sse]  # as layer_rmse computes it
         return LayerMetrics(
             layer_index=manifest.layer_index(rec.name),
             name=rec.name,
-            max_abs=layer_max_abs(w),
-            rmse=layer_rmse(w, grouping, params),
+            max_abs=max_abs,
+            rmse=rmse[0],
             grouping=grouping,
             bits=params.bits,
-            wall_columns=detect_walls(w, wall_cfg),
+            wall_columns=walls,
             cols=rec.shape[1],
+            group_rmse=dict(zip(group_sizes, rmse[1:])),
         )
 
-    workers = max_workers if max_workers is not None else _thread_workers()
-    if workers <= 1:
-        return [profile_one(rec) for rec in records]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(profile_one, records))
+    return _map_layers(profile_one, records, max_workers)
 
 
-def _fmt(x: float) -> str:
+def csv_float(x: float) -> str:
+    """Float text for CSVs: the shortest string that reads back exactly."""
     return repr(float(x))
 
 
-def metrics_csv_text(
-    metrics: list[LayerMetrics], group_rmse: Mapping[int, list[float]] | None = None
-) -> str:
-    """Render per-channel metrics (plus optional per-group RMSE columns) as CSV.
+def metrics_csv_text(metrics: list[LayerMetrics]) -> str:
+    """Render per-channel metrics (plus their ``group_rmse`` columns) as CSV.
 
     Columns: layer_index,name,block,kind,max_abs,rmse_pc,rmse_g{g}...,wall_count
     with one rmse_g column per group size, ascending.
     """
-    group_rmse = group_rmse or {}
-    sizes = sorted(group_rmse)
-    for g, col in group_rmse.items():
-        if len(col) != len(metrics):
-            raise ValueError(f"rmse column for group size {g} has wrong length")
+    sizes = sorted(metrics[0].group_rmse) if metrics else []
+    if any(sorted(m.group_rmse) != sizes for m in metrics):
+        raise ValueError("every layer must carry RMSE for the same group sizes")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -231,21 +259,17 @@ def metrics_csv_text(
         + [f"rmse_g{g}" for g in sizes]
         + ["wall_count"]
     )
-    for i, m in enumerate(metrics):
+    for m in metrics:
         writer.writerow(
-            [m.layer_index, m.name, m.block, m.kind, _fmt(m.max_abs), _fmt(m.rmse)]
-            + [_fmt(group_rmse[g][i]) for g in sizes]
+            [m.layer_index, m.name, m.block, m.kind, csv_float(m.max_abs), csv_float(m.rmse)]
+            + [csv_float(m.group_rmse[g]) for g in sizes]
             + [len(m.wall_columns)]
         )
     return buf.getvalue()
 
 
-def write_metrics_csv(
-    path: str | os.PathLike,
-    metrics: list[LayerMetrics],
-    group_rmse: Mapping[int, list[float]] | None = None,
-) -> None:
-    atomic_write_text(path, metrics_csv_text(metrics, group_rmse))
+def write_metrics_csv(path: str | os.PathLike, metrics: list[LayerMetrics]) -> None:
+    atomic_write_text(path, metrics_csv_text(metrics))
 
 
 def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:

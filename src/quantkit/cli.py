@@ -33,10 +33,6 @@ def _parse_str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
@@ -69,13 +65,7 @@ def cmd_synth(args) -> int:
     if args.per_layer_wall_columns:
         overrides["shared_wall_columns"] = False
     cfg_kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    if "wall_blocks" in cfg_kwargs:
-        cfg_kwargs["wall_blocks"] = tuple(cfg_kwargs["wall_blocks"])
-    if "wall_kinds" in cfg_kwargs:
-        cfg_kwargs["wall_kinds"] = tuple(cfg_kwargs["wall_kinds"])
-    if "wall_magnitude" in cfg_kwargs:
-        cfg_kwargs["wall_magnitude"] = tuple(cfg_kwargs["wall_magnitude"])
-    cfg = synth.SynthConfig(**cfg_kwargs)
+    cfg = synth.SynthConfig(**cfg_kwargs)  # converts the list settings to tuples
 
     manifest, tensors = synth.generate(cfg)
     model_store.write_model(manifest, tensors, args.out)
@@ -101,20 +91,10 @@ def cmd_analyze(args) -> int:
     manifest, tensors = model_store.read_model(args.model)
     params = quantizer.QuantParams(args.bits)
     wall_cfg = _wall_cfg_from_args(args)
-    metrics = analyzer.profile_model(
-        manifest, tensors, quantizer.GroupingScheme.per_channel(), params, wall_cfg
-    )
-    group_rmse = {}
-    for g in _parse_int_list(args.group_sizes or ""):
-        column = []
-        for m in metrics:
-            w = tensors[m.name]
-            scheme = quantizer.GroupingScheme.per_group(
-                quantizer.fit_group_size(w.shape[1], g)
-            )
-            column.append(analyzer.layer_rmse(w, scheme, params))
-        group_rmse[g] = column
-    analyzer.write_metrics_csv(args.out, metrics, group_rmse)
+    sizes = _parse_int_list(args.group_sizes or "")
+    pc = quantizer.GroupingScheme.per_channel()
+    metrics = analyzer.profile_model(manifest, tensors, pc, params, wall_cfg, group_sizes=sizes)
+    analyzer.write_metrics_csv(args.out, metrics)
     print(f"wrote {len(metrics)} layer rows to {args.out}")
     if args.plot_json:
         analyzer.write_plot_data_json(args.plot_json, metrics)
@@ -127,22 +107,12 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _plan_config_from_args(args) -> planner.PlanConfig:
+    common = {"group_size": args.group_size, "bits": args.bits}
     if args.top_k is not None:
-        return planner.PlanConfig(top_k=args.top_k, group_size=args.group_size, bits=args.bits)
+        return planner.PlanConfig(top_k=args.top_k, **common)
     if args.layers is not None:
-        return planner.PlanConfig(
-            explicit=tuple(_parse_str_list(args.layers)),
-            group_size=args.group_size,
-            bits=args.bits,
-        )
-    threshold = (
-        args.max_abs_threshold
-        if args.max_abs_threshold is not None
-        else planner.DEFAULT_MAX_ABS_THRESHOLD
-    )
-    return planner.PlanConfig(
-        max_abs_threshold=threshold, group_size=args.group_size, bits=args.bits
-    )
+        return planner.PlanConfig(explicit=tuple(_parse_str_list(args.layers)), **common)
+    return planner.PlanConfig(max_abs_threshold=args.max_abs_threshold, **common)
 
 
 def cmd_plan(args) -> int:
@@ -182,8 +152,8 @@ def cmd_sweep(args) -> int:
     writer.writerow(["group_size", "aggregate_rmse"] + selected)
     for row in rows:
         writer.writerow(
-            [row.group_size, _fmt(row.aggregate_rmse)]
-            + [_fmt(row.per_layer_rmse[name]) for name in selected]
+            [row.group_size, analyzer.csv_float(row.aggregate_rmse)]
+            + [analyzer.csv_float(row.per_layer_rmse[name]) for name in selected]
         )
     text = buf.getvalue()
     if args.out:
@@ -284,8 +254,8 @@ def _add_selection_flags(sub: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--max-abs-threshold",
         type=float,
-        default=None,
-        help="select layers with max_abs at or above this value (default 2.0)",
+        default=planner.DEFAULT_MAX_ABS_THRESHOLD,
+        help="select layers with max_abs at or above this value (default %(default)s)",
     )
     group.add_argument("--top-k", type=int, default=None, help="select the k highest-RMSE layers")
     group.add_argument("--layers", default=None, help="explicit comma-separated layer names")

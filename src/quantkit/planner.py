@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analyzer import LayerMetrics, _squared_error_sum, profile_model
+from .analyzer import LayerMetrics, _map_layers, _profile_layer, profile_model
 from .model_store import ModelManifest, TensorRecord
 from .quantizer import (
     GroupingScheme,
@@ -167,11 +167,6 @@ def scale_record_name(name: str) -> str:
     return name + SCALE_SUFFIX
 
 
-def _scales_2d(qt: QuantizedTensor) -> np.ndarray:
-    scales = qt.scales
-    return scales.reshape(-1, 1) if scales.ndim == 1 else scales
-
-
 def apply_plan(
     manifest: ModelManifest,
     tensors: Mapping[str, np.ndarray],
@@ -213,7 +208,7 @@ def apply_plan(
             g = fit_group_size(rec.shape[1], scheme.group_size)
             scheme = GroupingScheme.per_group(g)
         qt = quantize_weight(tensors[rec.name], scheme, params)
-        scales = _scales_2d(qt).astype(np.float32)
+        scales = qt.scales.reshape(rec.shape[0], -1)
         sname = scale_record_name(rec.name)
         out_records.append(
             TensorRecord(
@@ -281,18 +276,18 @@ def sweep_group_size(
     selected = build_plan(metrics, selection).selected_layers()
 
     unique_sizes = list(dict.fromkeys(int(g) for g in sizes))
+
+    def layer_sse(name: str) -> list[float]:
+        m = tensors[name].shape[1]
+        schemes = [GroupingScheme.per_group(fit_group_size(m, g)) for g in unique_sizes]
+        return _profile_layer(tensors[name], schemes, params)[2]
+
+    sse = _map_layers(layer_sse, selected)
+    elems = [tensors[name].size for name in selected]
     rows = []
-    for g in unique_sizes:
-        per_layer: dict[str, float] = {}
-        total_sq = 0.0
-        total_elems = 0
-        for name in selected:
-            w = tensors[name]
-            scheme = GroupingScheme.per_group(fit_group_size(w.shape[1], g))
-            sse = _squared_error_sum(w, scheme, params)
-            per_layer[name] = float(np.sqrt(sse / w.size))
-            total_sq += sse
-            total_elems += w.size
+    for i, g in enumerate(unique_sizes):
+        per_layer = {name: float(np.sqrt(s[i] / e)) for name, s, e in zip(selected, sse, elems)}
+        total_sq, total_elems = sum(s[i] for s in sse), sum(elems)
         aggregate = float(np.sqrt(total_sq / total_elems)) if total_elems else 0.0
         rows.append(SweepRow(group_size=g, per_layer_rmse=per_layer, aggregate_rmse=aggregate))
     return rows

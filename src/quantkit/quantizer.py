@@ -159,36 +159,47 @@ class QuantizedTensor:
             raise ValueError(
                 f"scale shape {self.scales.shape} does not match grouping/axis (expected {expect})"
             )
-        if self.scales.size and float(self.scales.min()) <= 0.0:
-            raise ValueError("scale factors must be positive")
-        if self.values.size and int(np.abs(self.values.astype(np.int64)).max()) > params.qmax:
+        s, q = self.scales, self.values
+        if s.size and not 0.0 < float(s.min()) <= float(s.max()) < np.inf:
+            raise ValueError("scale factors must be positive and finite")
+        if q.size and not -params.qmax <= int(q.min()) <= int(q.max()) <= params.qmax:
             raise ValueError(f"quantized values exceed qmax={params.qmax}")
 
-    @property
-    def qmax(self) -> int:
-        return QuantParams(self.bits).qmax
 
-
-def _check_finite(x: np.ndarray) -> None:
+def _as_matrix(x: np.ndarray, what: str) -> np.ndarray:
+    x = np.asarray(x)
+    if x.ndim != 2 or 0 in x.shape:
+        raise ValueError(f"{what} must be a non-empty 2-D matrix")
     if not np.isfinite(x).all():
-        raise ValueError("input contains NaN or Inf")
-
-
-def _round_half_away(x: np.ndarray) -> np.ndarray:
-    # Ties away from zero; numpy's round() would round half to even.
-    return np.copysign(np.floor(np.abs(x) + 0.5), x)
+        raise ValueError(f"{what} contains NaN or Inf")
+    return x
 
 
 def _scales_from_amax(amax: np.ndarray, params: QuantParams) -> np.ndarray:
+    """float32 scales amax / qmax, 1.0 for all-zero groups; no inf or 0 scales."""
+    if amax.dtype.itemsize > 4 and float(amax.max()) > float(np.finfo(np.float32).max):
+        raise ValueError(f"max_abs {float(amax.max())!r} exceeds the float32 range of scales")
     scales = amax.astype(np.float32) / np.float32(params.qmax)
-    scales[amax == 0] = np.float32(1.0)
+    if not scales.all():
+        scales[amax == 0] = np.float32(1.0)
+        if not scales.all():
+            bad = float(amax[scales == 0].max())
+            raise ValueError(f"nonzero max_abs {bad!r} underflows its float32 scale to 0")
     return scales
 
 
-def _encode(x: np.ndarray, elem_scales: np.ndarray, params: QuantParams) -> np.ndarray:
-    # Division in float64; clamp because x/s can land at qmax + ulp.
-    q = _round_half_away(x.astype(np.float64) / elem_scales)
-    return np.clip(q, -params.qmax, params.qmax).astype(np.int8)
+def _encode_into(
+    out: np.ndarray, x: np.ndarray, scales: np.ndarray, params: QuantParams
+) -> np.ndarray:
+    """Codes of x / scales (float64, ties away from zero, clamped to [-qmax, qmax]
+    because x/s can land at qmax + ulp), written into ``out``, which must not alias x.
+    """
+    np.divide(x, scales, out=out)
+    np.abs(out, out=out)
+    out += 0.5
+    np.floor(out, out=out)
+    np.minimum(out, params.qmax, out=out)
+    return np.copysign(out, x, out=out)
 
 
 def quantize_weight(
@@ -201,18 +212,15 @@ def quantize_weight(
     each.  Per-group with g = M produces the same codes and scale values
     as per-channel.
     """
-    w = np.asarray(w)
-    if w.ndim != 2 or 0 in w.shape:
-        raise ValueError("weight must be a non-empty 2-D matrix")
-    _check_finite(w)
+    w = _as_matrix(w, "weight")
     n, m = w.shape
     grouping.validate_for(m)
     g = grouping.resolved_group_size(m)
 
-    amax = np.abs(w).reshape(n, m // g, g).max(axis=2)
-    scales = _scales_from_amax(amax, params)
-    elem_scales = np.repeat(scales.astype(np.float64), g, axis=1)
-    q = _encode(w, elem_scales, params)
+    w3 = w.reshape(n, m // g, g)
+    scales = _scales_from_amax(np.abs(w3).max(axis=2), params)
+    codes = _encode_into(np.empty(w3.shape), w3, scales.astype(np.float64)[:, :, None], params)
+    q = codes.reshape(n, m).astype(np.int8)
 
     if not grouping.is_per_group:
         scales = scales.reshape(n)
@@ -221,13 +229,10 @@ def quantize_weight(
 
 def quantize_activation(a: np.ndarray, params: QuantParams) -> QuantizedTensor:
     """Quantize an M x P activation matrix with one scale per column."""
-    a = np.asarray(a)
-    if a.ndim != 2 or 0 in a.shape:
-        raise ValueError("activation must be a non-empty 2-D matrix")
-    _check_finite(a)
-    amax = np.abs(a).max(axis=0)
-    scales = _scales_from_amax(amax, params)
-    q = _encode(a, scales.astype(np.float64)[None, :], params)
+    a = _as_matrix(a, "activation")
+    scales = _scales_from_amax(np.abs(a).max(axis=0), params)
+    codes = _encode_into(np.empty(a.shape), a, scales.astype(np.float64)[None, :], params)
+    q = codes.astype(np.int8)
     return QuantizedTensor(q, scales, GroupingScheme.per_channel(), params.bits, AXIS_COLUMN)
 
 

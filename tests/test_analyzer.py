@@ -1,7 +1,11 @@
 """Layer profiling tests: max-abs, RMSE against the scalar oracle, walls."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantkit import (
     GroupingScheme,
@@ -9,16 +13,19 @@ from quantkit import (
     QuantParams,
     SynthConfig,
     WallDetectorConfig,
+    dequantize,
     detect_walls,
     generate,
     inject_walls,
     layer_max_abs,
     layer_rmse,
     profile_model,
+    quantize_weight,
 )
 from quantkit.analyzer import (
     REFERENCE_V0_MAX_ABS,
     REFERENCE_WORST_LAYER_MAX_ABS,
+    _profile_layer,
     metrics_csv_text,
     read_metrics_csv,
     write_metrics_csv,
@@ -102,6 +109,75 @@ class TestLayerRmse:
         rng = np.random.default_rng(6)
         w = rng.normal(0, 1, (8, 24)).astype(np.float32)
         assert layer_rmse(w, GroupingScheme.per_group(24), P8) == layer_rmse(w, PC, P8)
+
+
+def public_path_sse(w, grouping, params):
+    """Squared-error sum through quantize_weight -> dequantize, in float64."""
+    err = w.astype(np.float64) - dequantize(quantize_weight(w, grouping, params))
+    return float(np.sum(np.square(err)))
+
+
+WALL_CONFIGS = [
+    WallDetectorConfig(),
+    WallDetectorConfig(rms_multiplier=2.0, row_fraction=0.5),
+    WallDetectorConfig.absolute(5.0, row_fraction=0.25),
+]
+
+
+class TestFusedProfileCore:
+    """The one-pass layer profile equals the public per-scheme path exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        m=st.sampled_from([1, 6, 8, 12, 24, 30, 32, 48]),
+        bits=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        walls=st.integers(0, 3),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        wall_cfg=st.sampled_from(WALL_CONFIGS),
+        data=st.data(),
+    )
+    def test_matches_public_path_and_scalar_oracle(
+        self, n, m, bits, seed, walls, dtype, wall_cfg, data
+    ):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(0, 0.5, (n, m)).astype(dtype)
+        columns = rng.choice(m, size=min(walls, m), replace=False)
+        if len(columns):
+            w = inject_walls(w, columns, (20.0, 100.0), seed=seed)
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        # Random subsets of divisors: nested (8, 16, 32 of 32) and
+        # non-nested (6, 8 of 24) sizes, duplicates and per-channel.
+        sizes = data.draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=5))
+        schemes = [GroupingScheme.per_group(g) for g in sizes] + [PC]
+        params = QuantParams(bits)
+
+        max_abs, got_walls, sse = _profile_layer(w, schemes, params, wall_cfg)
+
+        assert repr(max_abs) == repr(layer_max_abs(w))
+        assert got_walls == detect_walls(w, wall_cfg)
+        assert [repr(x) for x in sse] == [
+            repr(public_path_sse(w, scheme, params)) for scheme in schemes
+        ]
+        for scheme, x in zip(schemes, sse):
+            g = scheme.resolved_group_size(m)
+            assert np.sqrt(x / w.size) == pytest.approx(scalar_rmse(w, g, bits), rel=1e-12)
+
+    def test_walls_skipped_without_config(self):
+        w = np.full((2, 4), 127.0, dtype=np.float32)
+        max_abs, walls, sse = _profile_layer(w, [PC], P8)
+        assert (max_abs, walls, sse) == (127.0, None, [0.0])
+
+    def test_non_dividing_size_rejected(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            _profile_layer(np.ones((2, 6), dtype=np.float32), [GroupingScheme.per_group(4)], P8)
+
+    def test_non_finite_rejected(self):
+        w = np.ones((2, 4), dtype=np.float32)
+        w[1, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            _profile_layer(w, [PC], P8)
 
 
 class TestDetectWalls:
@@ -227,10 +303,15 @@ class TestProfileModel:
 
 class TestCsvAndPlotData:
     def test_csv_header_and_row_count(self, csv_metrics):
-        text = metrics_csv_text(csv_metrics, {4: [m.rmse for m in csv_metrics]})
+        text = metrics_csv_text([replace(m, group_rmse={4: m.rmse}) for m in csv_metrics])
         lines = text.strip().split("\n")
         assert lines[0] == "layer_index,name,block,kind,max_abs,rmse_pc,rmse_g4,wall_count"
         assert len(lines) == 1 + 14
+
+    def test_layers_with_different_group_sizes_rejected(self, csv_metrics):
+        mixed = [replace(csv_metrics[0], group_rmse={4: 0.1})] + csv_metrics[1:]
+        with pytest.raises(ValueError, match="same group sizes"):
+            metrics_csv_text(mixed)
 
     def test_csv_round_trip_preserves_planning_fields(self, csv_metrics, tmp_path):
         write_metrics_csv(tmp_path / "m.csv", csv_metrics)

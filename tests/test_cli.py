@@ -219,6 +219,26 @@ class TestExitCodes:
         assert "check-matmul" in result.stdout
 
 
+class TestThreadCountIndependence:
+    def test_analyze_and_sweep_bytes_equal_across_thread_counts(self, tmp_path, monkeypatch):
+        m = str(tmp_path / "m")
+        assert main(["synth", "--blocks", "3", "--dim", "32", "--seed", "2",
+                     "--wall-blocks", "0,2", "--out", m]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QUANTKIT_THREADS", threads)
+            csv_path = tmp_path / f"r{threads}.csv"
+            plot = tmp_path / f"plot{threads}.json"
+            sweep = tmp_path / f"s{threads}.csv"
+            assert main(["analyze", m, "--out", str(csv_path), "--group-sizes", "8,16,32",
+                         "--plot-json", str(plot)]) == 0
+            assert main(["sweep", m, "--sizes", "8,16,32", "--out", str(sweep)]) == 0
+            outputs.append([p.read_bytes() for p in (csv_path, plot, sweep)])
+        assert outputs[0] == outputs[1]
+        header = outputs[0][0].decode().split("\n")[0]
+        assert header.endswith("rmse_pc,rmse_g8,rmse_g16,rmse_g32,wall_count")
+
+
 class TestDeterminism:
     def test_pipeline_artifacts_are_byte_identical_across_runs(self, tmp_path):
         d1 = tmp_path / "run1"

@@ -6,6 +6,8 @@ frozen here; the reference shares the contract but not the vectorized
 code path.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -323,6 +325,79 @@ class TestQuantizedTensorInvariants:
             QuantizedTensor(
                 values=np.zeros((1, 2), dtype=np.int8),
                 scales=np.zeros(1, dtype=np.float32),
+                grouping=GroupingScheme.per_channel(),
+                bits=8,
+                axis="row",
+            )
+
+    def test_min_code_rejected_at_eight_bits(self):
+        # -128 fits int8 but lies outside the symmetric range [-127, 127].
+        with pytest.raises(ValueError, match="qmax"):
+            QuantizedTensor(
+                values=np.array([[-128, 0]], dtype=np.int8),
+                scales=np.ones(1, dtype=np.float32),
+                grouping=GroupingScheme.per_channel(),
+                bits=8,
+                axis="row",
+            )
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_symmetric_endpoints_accepted(self, bits):
+        qmax = QuantParams(bits).qmax
+        qt = QuantizedTensor(
+            values=np.array([[-qmax, qmax]], dtype=np.int8),
+            scales=np.ones(1, dtype=np.float32),
+            grouping=GroupingScheme.per_channel(),
+            bits=bits,
+            axis="row",
+        )
+        assert qt.values.tolist() == [[-qmax, qmax]]
+
+
+class TestScaleRange:
+    """Scales are float32: inputs whose scales would overflow or underflow are rejected."""
+
+    def test_magnitude_above_float32_max_rejected(self):
+        w = np.array([[1e39, 1.0]], dtype=np.float64)
+        with pytest.raises(ValueError, match="float32 range"):
+            quantize_weight(w, GroupingScheme.per_channel(), P8)
+
+    def test_activation_magnitude_above_float32_max_rejected(self):
+        a = np.array([[1.0], [-4e38]], dtype=np.float64)
+        with pytest.raises(ValueError, match="float32 range"):
+            quantize_activation(a, P8)
+
+    def test_float32_max_itself_is_accepted(self):
+        top = float(np.finfo(np.float32).max)
+        qt = quantize_weight(np.array([[top, -top]]), GroupingScheme.per_channel(), P8)
+        assert qt.values.tolist() == [[127, -127]]
+        assert np.isfinite(dequantize(qt)).all()
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            np.array([[1e-50, 0.0]], dtype=np.float64),  # amax itself underflows float32
+            np.array([[1e-44, 0.0]], dtype=np.float32),  # denormal amax / 127 underflows
+        ],
+    )
+    def test_underflowing_scale_rejected(self, w):
+        # A clear error, not a divide-by-zero warning on the way to one.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="underflows"):
+                quantize_weight(w, GroupingScheme.per_group(1), P8)
+
+    def test_zero_group_next_to_underflow_names_underflow(self):
+        w = np.array([[0.0, 1e-50]], dtype=np.float64)
+        with pytest.raises(ValueError, match="underflows"):
+            quantize_weight(w, GroupingScheme.per_channel(), P8)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_scales_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QuantizedTensor(
+                values=np.zeros((2, 2), dtype=np.int8),
+                scales=np.array([1.0, bad], dtype=np.float32),
                 grouping=GroupingScheme.per_channel(),
                 bits=8,
                 axis="row",
