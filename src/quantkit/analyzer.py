@@ -88,21 +88,19 @@ class WallDetectorConfig:
 
 @dataclass
 class LayerMetrics:
-    """Profile of one layer under a given grouping and bit width.
+    """Per-channel profile of one layer at one bit width.
 
-    ``cols`` is the layer's input dimension when known (profiles computed
-    from tensors carry it; profiles parsed back from CSV do not).
-    ``group_rmse`` maps extra requested group sizes to per-group RMSE.
+    ``cols`` is the layer's input dimension; ``group_rmse`` maps extra
+    requested group sizes to per-group RMSE.
     """
 
     layer_index: int
     name: str
+    cols: int
+    bits: int
     max_abs: float
     rmse: float
-    grouping: GroupingScheme
-    bits: int
     wall_columns: list[int]
-    cols: int | None = None
     group_rmse: dict[int, float] = field(default_factory=dict)
 
     @property
@@ -193,13 +191,12 @@ def _map_layers(fn: Callable, items: Iterable, max_workers: int | None = None) -
 def profile_model(
     manifest: ModelManifest,
     tensors: Mapping[str, np.ndarray],
-    grouping: GroupingScheme,
     params: QuantParams,
     wall_cfg: WallDetectorConfig | None = None,
     max_workers: int | None = None,
     group_sizes: Sequence[int] = (),
 ) -> list[LayerMetrics]:
-    """Profile every layer of a model, ordered by layer index.
+    """Profile every layer of a model per-channel, ordered by layer index.
 
     Each ``group_sizes`` entry adds a ``group_rmse`` value per layer.
     Layers are independent, so profiling runs on up to ``max_workers``
@@ -221,17 +218,17 @@ def profile_model(
     def profile_one(rec) -> LayerMetrics:
         w = tensors[rec.name]
         extra = [GroupingScheme.per_group(fit_group_size(w.shape[1], g)) for g in group_sizes]
-        max_abs, walls, sse = _profile_layer(w, [grouping, *extra], params, wall_cfg)
+        schemes = [GroupingScheme.per_channel(), *extra]
+        max_abs, walls, sse = _profile_layer(w, schemes, params, wall_cfg)
         rmse = [float(np.sqrt(x / w.size)) for x in sse]  # as layer_rmse computes it
         return LayerMetrics(
             layer_index=manifest.layer_index(rec.name),
             name=rec.name,
+            cols=rec.shape[1],
+            bits=params.bits,
             max_abs=max_abs,
             rmse=rmse[0],
-            grouping=grouping,
-            bits=params.bits,
             wall_columns=walls,
-            cols=rec.shape[1],
             group_rmse=dict(zip(group_sizes, rmse[1:])),
         )
 
@@ -246,8 +243,8 @@ def csv_float(x: float) -> str:
 def metrics_csv_text(metrics: list[LayerMetrics]) -> str:
     """Render per-channel metrics (plus their ``group_rmse`` columns) as CSV.
 
-    Columns: layer_index,name,block,kind,max_abs,rmse_pc,rmse_g{g}...,wall_count
-    with one rmse_g column per group size, ascending.
+    Columns: layer_index,name,block,kind,cols,bits,max_abs,rmse_pc,rmse_g{g}...,
+    wall_count with one rmse_g column per group size, ascending.
     """
     sizes = sorted(metrics[0].group_rmse) if metrics else []
     if any(sorted(m.group_rmse) != sizes for m in metrics):
@@ -255,13 +252,14 @@ def metrics_csv_text(metrics: list[LayerMetrics]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
-        ["layer_index", "name", "block", "kind", "max_abs", "rmse_pc"]
+        ["layer_index", "name", "block", "kind", "cols", "bits", "max_abs", "rmse_pc"]
         + [f"rmse_g{g}" for g in sizes]
         + ["wall_count"]
     )
     for m in metrics:
         writer.writerow(
-            [m.layer_index, m.name, m.block, m.kind, csv_float(m.max_abs), csv_float(m.rmse)]
+            [m.layer_index, m.name, m.block, m.kind, m.cols, m.bits]
+            + [csv_float(m.max_abs), csv_float(m.rmse)]
             + [csv_float(m.group_rmse[g]) for g in sizes]
             + [len(m.wall_columns)]
         )
@@ -275,8 +273,7 @@ def write_metrics_csv(path: str | os.PathLike, metrics: list[LayerMetrics]) -> N
 def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
     """Parse a metrics CSV back into per-channel LayerMetrics.
 
-    The CSV stores only the wall count, so wall_columns comes back empty;
-    the input dimension is likewise not stored (cols=None).
+    The CSV stores only the wall count, so wall_columns comes back empty.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -289,15 +286,15 @@ def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
                 LayerMetrics(
                     layer_index=int(row["layer_index"]),
                     name=row["name"],
+                    cols=int(row["cols"]),
+                    bits=int(row["bits"]),
                     max_abs=float(row["max_abs"]),
                     rmse=float(row["rmse_pc"]),
-                    grouping=GroupingScheme.per_channel(),
-                    bits=8,
                     wall_columns=[],
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed metrics row: {row!r}") from exc
+            raise ValueError(f"malformed metrics row ({exc!r}): {row!r}") from exc
     return sorted(metrics, key=lambda m: m.layer_index)
 
 

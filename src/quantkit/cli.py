@@ -92,8 +92,7 @@ def cmd_analyze(args) -> int:
     params = quantizer.QuantParams(args.bits)
     wall_cfg = _wall_cfg_from_args(args)
     sizes = _parse_int_list(args.group_sizes or "")
-    pc = quantizer.GroupingScheme.per_channel()
-    metrics = analyzer.profile_model(manifest, tensors, pc, params, wall_cfg, group_sizes=sizes)
+    metrics = analyzer.profile_model(manifest, tensors, params, wall_cfg, group_sizes=sizes)
     analyzer.write_metrics_csv(args.out, metrics)
     print(f"wrote {len(metrics)} layer rows to {args.out}")
     if args.plot_json:
@@ -106,8 +105,7 @@ def cmd_analyze(args) -> int:
 # plan / quantize / sweep
 # ---------------------------------------------------------------------------
 
-def _plan_config_from_args(args) -> planner.PlanConfig:
-    common = {"group_size": args.group_size, "bits": args.bits}
+def _plan_config_from_args(args, **common) -> planner.PlanConfig:
     if args.top_k is not None:
         return planner.PlanConfig(top_k=args.top_k, **common)
     if args.layers is not None:
@@ -117,7 +115,7 @@ def _plan_config_from_args(args) -> planner.PlanConfig:
 
 def cmd_plan(args) -> int:
     metrics = analyzer.read_metrics_csv(args.metrics)
-    cfg = _plan_config_from_args(args)
+    cfg = _plan_config_from_args(args, group_size=args.group_size)
     plan = planner.build_plan(metrics, cfg)
     model_store.atomic_write_text(args.out, plan.to_json_text())
     selected = len(plan.selected_layers())
@@ -143,8 +141,8 @@ def cmd_sweep(args) -> int:
     sizes = _parse_int_list(args.sizes)
     if not sizes:
         raise ValueError("--sizes must name at least one group size")
-    cfg = _plan_config_from_args(args)
-    rows = planner.sweep_group_size(manifest, tensors, cfg, sizes)
+    params = quantizer.QuantParams(args.bits)
+    rows = planner.sweep_group_size(manifest, tensors, _plan_config_from_args(args), sizes, params)
 
     selected = sorted(rows[0].per_layer_rmse, key=manifest.layer_index) if rows else []
     buf = io.StringIO()
@@ -304,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-size", type=int, default=16,
                    help="group size for selected layers (desk-scale default 16; "
                         "use 1024 at full model scale)")
-    p.add_argument("--bits", type=int, default=8)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("quantize", help="apply a plan to a model")
@@ -319,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="sweep CSV path (stdout when omitted)")
     _add_selection_flags(p)
     p.add_argument("--bits", type=int, default=8)
-    p.set_defaults(func=cmd_sweep, group_size=16)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("check-matmul", help="integer kernel self-test against the fp64 oracle")
     p.add_argument("--seed", type=int, default=0)

@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .quantizer import GroupingScheme
+from .quantizer import GroupingScheme, QuantParams
 
 MANIFEST_VERSION = 1
 
@@ -66,8 +66,8 @@ class TensorRecord:
     """One tensor's entry in the manifest.
 
     ``byte_offset`` is assigned by ``ModelManifest.assemble``; quantized
-    records carry ``scale_ref`` (name of the companion scale tensor),
-    ``grouping`` and ``bits``.
+    (non-aux int8) records carry ``scale_ref`` (name of the companion aux
+    fp32 scale tensor), ``grouping`` and ``bits``.
     """
 
     name: str
@@ -134,6 +134,25 @@ class TensorRecord:
         )
 
 
+def _check_quantized(rec: TensorRecord, by_name: Mapping[str, TensorRecord]) -> None:
+    """A non-aux int8 record needs a grouping that tiles its columns, valid
+    bits, and a scale_ref naming an aux fp32 record of shape (N, M/g)."""
+    try:
+        if None in (rec.grouping, rec.bits, rec.scale_ref):
+            raise ValueError("must carry grouping, bits and scale_ref")
+        rec.grouping.validate_for(rec.shape[1])
+        QuantParams(rec.bits)
+        scale = by_name.get(rec.scale_ref)
+        if scale is None or not scale.aux or scale.dtype != "fp32":
+            raise ValueError(f"scale_ref {rec.scale_ref!r} does not name an aux fp32 record")
+        n, m = rec.shape
+        expect = (n, m // rec.grouping.resolved_group_size(m))
+        if scale.shape != expect:
+            raise ValueError(f"scale record has shape {scale.shape}, expected {expect}")
+    except ValueError as exc:
+        raise ValueError(f"quantized record {rec.name!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ModelManifest:
     """Ordered tensor directory for one model file pair."""
@@ -145,14 +164,17 @@ class ModelManifest:
         if self.blocks < 1:
             raise ValueError("blocks must be positive")
         object.__setattr__(self, "records", tuple(self.records))
-        names = [r.name for r in self.records]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValueError(f"duplicate record names: {dupes}")
+        by_name: dict[str, TensorRecord] = {}
+        dupes = set()
+        for rec in self.records:
+            if rec.name in by_name:
+                dupes.add(rec.name)
+            by_name[rec.name] = rec
+        if dupes:
+            raise ValueError(f"duplicate record names: {sorted(dupes)}")
+        object.__setattr__(self, "_by_name", by_name)
         layer_names = {r.name for r in self.records if not r.aux}
-        expected = {
-            layer_name(b, kind) for b in range(self.blocks) for kind in KIND_ORDER
-        }
+        expected = {layer_name(b, kind) for b in range(self.blocks) for kind in KIND_ORDER}
         if layer_names != expected:
             missing = sorted(expected - layer_names)
             extra = sorted(layer_names - expected)
@@ -160,6 +182,9 @@ class ModelManifest:
                 f"non-aux records must be exactly the {KINDS_PER_BLOCK * self.blocks} "
                 f"canonical layers; missing={missing[:5]} extra={extra[:5]}"
             )
+        for rec in self.records:
+            if not rec.aux and rec.dtype == "int8":
+                _check_quantized(rec, by_name)
 
     @classmethod
     def assemble(cls, blocks: int, records: list[TensorRecord]) -> "ModelManifest":
@@ -176,10 +201,7 @@ class ModelManifest:
         return sum(r.nbytes for r in self.records)
 
     def record(self, name: str) -> TensorRecord:
-        for rec in self.records:
-            if rec.name == name:
-                return rec
-        raise KeyError(name)
+        return self._by_name[name]
 
     def layer_index(self, name: str) -> int:
         parsed = parse_layer_name(name)

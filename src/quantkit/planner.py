@@ -10,7 +10,7 @@ serializable to JSON for reproducible application.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,7 +49,6 @@ class PlanConfig:
     top_k: int | None = None
     explicit: tuple[str, ...] | None = None
     group_size: int = DEFAULT_GROUP_SIZE
-    bits: int = 8
 
     def __post_init__(self):
         modes = sum(x is not None for x in (self.max_abs_threshold, self.top_k, self.explicit))
@@ -59,7 +58,6 @@ class PlanConfig:
             raise ValueError("top_k must be non-negative")
         if self.group_size < 1:
             raise ValueError("group_size must be positive")
-        QuantParams(self.bits)
 
 
 @dataclass
@@ -78,10 +76,7 @@ class QuantPlan:
 
     @property
     def per_group_fraction(self) -> float:
-        if not self.assignments:
-            return 0.0
-        selected = sum(1 for s in self.assignments.values() if s.is_per_group)
-        return selected / len(self.assignments)
+        return len(self.selected_layers()) / len(self.assignments) if self.assignments else 0.0
 
     def selected_layers(self) -> list[str]:
         return [name for name, s in self.assignments.items() if s.is_per_group]
@@ -137,14 +132,17 @@ def _select(metrics: list[LayerMetrics], cfg: PlanConfig) -> set[str]:
 def build_plan(metrics: list[LayerMetrics], cfg: PlanConfig) -> QuantPlan:
     """Assign per-group(g) to selected layers and per-channel to the rest.
 
-    Column counts come from the metrics; when a selected layer's count is
-    known and the group size does not divide it, the size falls back to
-    the largest divisor and the layer is listed in the plan's fallbacks.
-    When the count is unknown the requested size is kept and apply_plan
-    resolves the fallback against the actual tensor.
+    The bit width comes from the metrics, which must agree on it.  When
+    the group size does not divide a selected layer's column count, the
+    size falls back to the largest divisor and the layer is listed in the
+    plan's fallbacks.
     """
     if not metrics:
         raise ValueError("metrics must be non-empty")
+    bits = sorted({m.bits for m in metrics})
+    if len(bits) != 1:
+        raise ValueError(f"metrics mix bit widths {bits}; a plan has one")
+    params = QuantParams(bits[0])
     selected = _select(metrics, cfg)
     assignments: dict[str, GroupingScheme] = {}
     fallbacks: dict[str, int] = {}
@@ -152,14 +150,12 @@ def build_plan(metrics: list[LayerMetrics], cfg: PlanConfig) -> QuantPlan:
         if m.name not in selected:
             assignments[m.name] = GroupingScheme.per_channel()
             continue
-        g = cfg.group_size
-        if m.cols is not None:
-            g = fit_group_size(m.cols, cfg.group_size)
-            if g != cfg.group_size:
-                fallbacks[m.name] = g
+        g = fit_group_size(m.cols, cfg.group_size)
+        if g != cfg.group_size:
+            fallbacks[m.name] = g
         assignments[m.name] = GroupingScheme.per_group(g)
     return QuantPlan(
-        assignments=assignments, group_size=cfg.group_size, bits=cfg.bits, fallbacks=fallbacks
+        assignments=assignments, group_size=cfg.group_size, bits=params.bits, fallbacks=fallbacks
     )
 
 
@@ -171,17 +167,16 @@ def apply_plan(
     manifest: ModelManifest,
     tensors: Mapping[str, np.ndarray],
     plan: QuantPlan,
-    params: QuantParams | None = None,
 ) -> tuple[ModelManifest, dict[str, np.ndarray]]:
-    """Quantize every layer under its assigned scheme.
+    """Quantize every layer under its assigned scheme, exactly as written.
 
     Produces an int8 record per layer followed by an aux fp32 record
     holding its scales (per-channel scales stored as an (N, 1) column);
     aux records of the source model pass through unchanged.  The plan
-    must cover exactly the model's layers.
+    must cover exactly the model's layers, and each per-group size must
+    divide its layer's column count.
     """
-    if params is None:
-        params = QuantParams(plan.bits)
+    params = QuantParams(plan.bits)
     layer_names = {rec.name for rec in manifest.layer_records()}
     plan_names = set(plan.assignments)
     if layer_names != plan_names:
@@ -204,21 +199,14 @@ def apply_plan(
                 "already quantized"
             )
         scheme = plan.assignments[rec.name]
-        if scheme.is_per_group:
-            g = fit_group_size(rec.shape[1], scheme.group_size)
-            scheme = GroupingScheme.per_group(g)
-        qt = quantize_weight(tensors[rec.name], scheme, params)
+        try:
+            qt = quantize_weight(tensors[rec.name], scheme, params)
+        except ValueError as exc:
+            raise ValueError(f"layer {rec.name!r}: {exc}") from None
         scales = qt.scales.reshape(rec.shape[0], -1)
         sname = scale_record_name(rec.name)
         out_records.append(
-            TensorRecord(
-                name=rec.name,
-                shape=rec.shape,
-                dtype="int8",
-                scale_ref=sname,
-                grouping=scheme,
-                bits=params.bits,
-            )
+            replace(rec, dtype="int8", scale_ref=sname, grouping=scheme, bits=params.bits)
         )
         out_records.append(TensorRecord(name=sname, shape=scales.shape, dtype="fp32", aux=True))
         out_tensors[rec.name] = qt.values
@@ -229,19 +217,18 @@ def apply_plan(
 def read_quantized_layer(
     manifest: ModelManifest, tensors: Mapping[str, np.ndarray], name: str
 ) -> QuantizedTensor:
-    """Rebuild a QuantizedTensor from a quantized model's records."""
+    """Rebuild a QuantizedTensor from a quantized model's records.
+
+    The manifest has already checked the layer's grouping, bits and scales.
+    """
     rec = manifest.record(name)
-    if rec.dtype != "int8" or rec.scale_ref is None or rec.grouping is None:
+    if rec.aux or rec.dtype != "int8":
         raise ValueError(f"record {name!r} is not a quantized layer")
     scales = tensors[rec.scale_ref]
     if not rec.grouping.is_per_group:
         scales = scales.reshape(-1)
     return QuantizedTensor(
-        values=tensors[name],
-        scales=scales,
-        grouping=rec.grouping,
-        bits=rec.bits if rec.bits is not None else 8,
-        axis=AXIS_ROW,
+        values=tensors[name], scales=scales, grouping=rec.grouping, bits=rec.bits, axis=AXIS_ROW
     )
 
 
@@ -259,7 +246,7 @@ def sweep_group_size(
     tensors: Mapping[str, np.ndarray],
     selection: PlanConfig,
     sizes: Sequence[int],
-    params: QuantParams | None = None,
+    params: QuantParams = QuantParams(),
 ) -> list[SweepRow]:
     """Per-group RMSE of the selected layers at each group size.
 
@@ -270,9 +257,7 @@ def sweep_group_size(
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    if params is None:
-        params = QuantParams(selection.bits)
-    metrics = profile_model(manifest, tensors, GroupingScheme.per_channel(), params)
+    metrics = profile_model(manifest, tensors, params)
     selected = build_plan(metrics, selection).selected_layers()
 
     unique_sizes = list(dict.fromkeys(int(g) for g in sizes))

@@ -146,11 +146,8 @@ class QuantizedTensor:
         params = QuantParams(self.bits)
         n, m = self.values.shape
         if self.axis == AXIS_ROW:
-            if self.grouping.is_per_group:
-                self.grouping.validate_for(m)
-                expect = (n, m // self.grouping.group_size)
-            else:
-                expect = (n,)
+            self.grouping.validate_for(m)
+            expect = (n, m // self.grouping.group_size) if self.grouping.is_per_group else (n,)
         else:
             if self.grouping.is_per_group:
                 raise ValueError("column-wise tensors are per-channel only")
@@ -237,12 +234,14 @@ def quantize_activation(a: np.ndarray, params: QuantParams) -> QuantizedTensor:
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    """Reconstruct float values as code * scale, in float64."""
+    """Reconstruct float values as code * scale, in float64.
+
+    Row scales broadcast over the (N, G, g) code view; per-channel is G = 1.
+    """
     q = qt.values.astype(np.float64)
     s = qt.scales.astype(np.float64)
     if qt.axis == AXIS_ROW:
-        if qt.grouping.is_per_group:
-            g = qt.values.shape[1] // qt.scales.shape[1]
-            return q * np.repeat(s, g, axis=1)
-        return q * s[:, None]
+        n, m = q.shape
+        s = s.reshape(n, -1, 1)
+        return (q.reshape(n, s.shape[1], -1) * s).reshape(n, m)
     return q * s[None, :]

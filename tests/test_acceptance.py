@@ -43,7 +43,7 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 def default_model():
     """The default 80-block wall-injected synthetic model and its profile."""
     manifest, tensors = generate(SynthConfig())
-    metrics = profile_model(manifest, tensors, PC, QuantParams(8))
+    metrics = profile_model(manifest, tensors, QuantParams(8))
     return manifest, tensors, metrics
 
 
@@ -132,7 +132,7 @@ def test_criterion_4_wall_layers_dominate_quantization_error():
     """Wall layers' per-channel RMSE >= 10x the median clean RMSE, < 5 s."""
     start = time.perf_counter()
     manifest, tensors = generate(SynthConfig())
-    metrics = profile_model(manifest, tensors, PC, QuantParams(8))
+    metrics = profile_model(manifest, tensors, QuantParams(8))
     wall = [m for m in metrics if m.max_abs >= WALL_THRESHOLD]
     clean_rmse = [m.rmse for m in metrics if m.max_abs < WALL_THRESHOLD]
     median_clean = float(np.median(clean_rmse))

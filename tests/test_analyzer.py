@@ -47,7 +47,7 @@ def small_model():
 def csv_metrics():
     cfg = SynthConfig(blocks=2, dim=16, wall_blocks=(0,), wall_columns_per_layer=1, seed=3)
     manifest, tensors = generate(cfg)
-    return profile_model(manifest, tensors, PC, P8)
+    return profile_model(manifest, tensors, P8)
 
 
 class TestLayerMaxAbs:
@@ -249,19 +249,19 @@ class TestDetectWalls:
 class TestProfileModel:
     def test_one_block_model_has_seven_entries(self):
         manifest, tensors = generate(SynthConfig(blocks=1, dim=8, wall_blocks=(), seed=1))
-        metrics = profile_model(manifest, tensors, PC, P8)
+        metrics = profile_model(manifest, tensors, P8)
         assert len(metrics) == 7
         assert [m.layer_index for m in metrics] == list(range(7))
 
     def test_ordering_matches_layer_index(self, small_model):
         manifest, tensors = small_model
-        metrics = profile_model(manifest, tensors, PC, P8)
+        metrics = profile_model(manifest, tensors, P8)
         assert [m.layer_index for m in metrics] == list(range(28))
         assert [m.name for m in metrics] == [r.name for r in manifest.layer_records()]
 
     def test_wall_layers_dominate_clean_rmse(self, small_model):
         manifest, tensors = small_model
-        metrics = profile_model(manifest, tensors, PC, P8)
+        metrics = profile_model(manifest, tensors, P8)
         wall = [m.rmse for m in metrics if m.max_abs >= 50]
         clean = [m.rmse for m in metrics if m.max_abs < 50]
         assert len(wall) == 10
@@ -270,33 +270,33 @@ class TestProfileModel:
     def test_clean_model_stays_below_robust_reference_regime(self):
         cfg = SynthConfig(blocks=2, dim=64, wall_blocks=(), seed=0)
         manifest, tensors = generate(cfg)
-        metrics = profile_model(manifest, tensors, PC, P8)
+        metrics = profile_model(manifest, tensors, P8)
         assert max(m.max_abs for m in metrics) < 1.0  # sub-1.0 like robust checkpoints
 
     def test_rerun_is_identical(self, small_model):
         manifest, tensors = small_model
-        a = profile_model(manifest, tensors, PC, P8)
-        b = profile_model(manifest, tensors, PC, P8)
+        a = profile_model(manifest, tensors, P8)
+        b = profile_model(manifest, tensors, P8)
         assert a == b
 
     def test_threaded_profile_matches_serial(self, small_model):
         manifest, tensors = small_model
-        serial = profile_model(manifest, tensors, PC, P8, max_workers=1)
-        threaded = profile_model(manifest, tensors, PC, P8, max_workers=4)
+        serial = profile_model(manifest, tensors, P8, max_workers=1)
+        threaded = profile_model(manifest, tensors, P8, max_workers=4)
         assert serial == threaded
 
     def test_thread_env_var_caps_workers(self, small_model, monkeypatch):
         manifest, tensors = small_model
-        baseline = profile_model(manifest, tensors, PC, P8)
+        baseline = profile_model(manifest, tensors, P8)
         monkeypatch.setenv("QUANTKIT_THREADS", "3")
-        assert profile_model(manifest, tensors, PC, P8) == baseline
+        assert profile_model(manifest, tensors, P8) == baseline
         monkeypatch.setenv("QUANTKIT_THREADS", "not-a-number")
-        assert profile_model(manifest, tensors, PC, P8) == baseline
+        assert profile_model(manifest, tensors, P8) == baseline
 
     def test_block_and_kind_derived_from_name(self):
         m = LayerMetrics(
-            layer_index=12, name="blocks.1.gate", max_abs=1.0, rmse=0.1,
-            grouping=PC, bits=8, wall_columns=[],
+            layer_index=12, name="blocks.1.gate", cols=64, bits=8, max_abs=1.0, rmse=0.1,
+            wall_columns=[],
         )
         assert (m.block, m.kind) == (1, "gate")
 
@@ -305,7 +305,9 @@ class TestCsvAndPlotData:
     def test_csv_header_and_row_count(self, csv_metrics):
         text = metrics_csv_text([replace(m, group_rmse={4: m.rmse}) for m in csv_metrics])
         lines = text.strip().split("\n")
-        assert lines[0] == "layer_index,name,block,kind,max_abs,rmse_pc,rmse_g4,wall_count"
+        assert lines[0] == (
+            "layer_index,name,block,kind,cols,bits,max_abs,rmse_pc,rmse_g4,wall_count"
+        )
         assert len(lines) == 1 + 14
 
     def test_layers_with_different_group_sizes_rejected(self, csv_metrics):
@@ -319,6 +321,19 @@ class TestCsvAndPlotData:
         assert [m.name for m in loaded] == [m.name for m in csv_metrics]
         assert [m.max_abs for m in loaded] == [m.max_abs for m in csv_metrics]
         assert [m.rmse for m in loaded] == [m.rmse for m in csv_metrics]
+
+    def test_csv_round_trip_keeps_cols_and_bits(self, csv_metrics, tmp_path):
+        four_bit = [replace(m, bits=4) for m in csv_metrics]
+        write_metrics_csv(tmp_path / "m.csv", four_bit)
+        loaded = read_metrics_csv(tmp_path / "m.csv")
+        assert [(m.cols, m.bits) for m in loaded] == [(16, 4)] * len(csv_metrics)
+
+    def test_csv_without_cols_and_bits_rejected(self, csv_metrics, tmp_path):
+        lines = metrics_csv_text(csv_metrics).splitlines()
+        old = [",".join(line.split(",")[:4] + line.split(",")[6:]) for line in lines]
+        (tmp_path / "old.csv").write_text("\n".join(old) + "\n")
+        with pytest.raises(ValueError, match="malformed metrics row.*'cols'"):
+            read_metrics_csv(tmp_path / "old.csv")
 
     def test_plot_data_shape(self, csv_metrics, tmp_path):
         from quantkit.analyzer import plot_data_json_text

@@ -1,12 +1,14 @@
 """End-to-end CLI tests driving the synth/analyze/plan/quantize pipeline."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import quantkit
 from quantkit import GroupingScheme, dequantize, read_model
 from quantkit.cli import main
 from quantkit.planner import read_quantized_layer
@@ -43,7 +45,9 @@ class TestSynthAnalyze:
               "--wall-blocks", "0", "--out", m])
         assert main(["analyze", m, "--out", r, "--group-sizes", "4,8"]) == 0
         header = (tmp_path / "r.csv").read_text().split("\n")[0]
-        assert header == "layer_index,name,block,kind,max_abs,rmse_pc,rmse_g4,rmse_g8,wall_count"
+        assert header == (
+            "layer_index,name,block,kind,cols,bits,max_abs,rmse_pc,rmse_g4,rmse_g8,wall_count"
+        )
 
     def test_plot_json_emitted(self, tmp_path):
         m = str(tmp_path / "m")
@@ -109,9 +113,9 @@ class TestPlanQuantize:
         obj = json.loads((tmp_path / "p.json").read_text())
         assert sum(1 for a in obj["assignments"].values() if a["mode"] == "per_group") == 3
 
-    def test_non_dividing_group_size_resolved_at_quantize_time(self, tmp_path):
-        # plan built from CSV cannot see layer dims, so the requested size
-        # is kept; quantize applies the largest-divisor fallback
+    def test_non_dividing_group_size_resolved_at_plan_time(self, tmp_path):
+        # the CSV carries each layer's column count, so plan applies the
+        # largest-divisor fallback and records it; quantize uses it as written
         m = str(tmp_path / "m")
         r = str(tmp_path / "r.csv")
         p = str(tmp_path / "p.json")
@@ -122,10 +126,36 @@ class TestPlanQuantize:
         assert main(["plan", r, "--max-abs-threshold", "2.0", "--group-size", "24",
                      "--out", p]) == 0
         obj = json.loads((tmp_path / "p.json").read_text())
-        assert obj["assignments"]["blocks.0.q"]["group_size"] == 24
+        assert obj["assignments"]["blocks.0.q"]["group_size"] == 16
+        assert obj["fallbacks"]["blocks.0.q"] == 16
         assert main(["quantize", m, "--plan", p, "--out", mq]) == 0
         qmanifest, _ = read_model(mq)
         assert qmanifest.record("blocks.0.q").grouping == GroupingScheme.per_group(16)
+
+    def test_hand_edited_non_dividing_plan_is_rejected(self, tmp_path, capsys):
+        m, r, p, mq = run_pipeline(tmp_path, blocks=4)
+        obj = json.loads((tmp_path / "p.json").read_text())
+        obj["assignments"]["blocks.0.k"] = {"mode": "per_group", "group_size": 24}
+        (tmp_path / "p.json").write_text(json.dumps(obj))
+        assert main(["quantize", m, "--plan", p, "--out", str(tmp_path / "mq2")]) == 1
+        err = capsys.readouterr().err
+        assert "blocks.0.k" in err and "24" in err
+
+    def test_bits_flow_from_analyze_through_quantize(self, tmp_path):
+        m = str(tmp_path / "m")
+        r = str(tmp_path / "r.csv")
+        p = str(tmp_path / "p.json")
+        mq = str(tmp_path / "mq")
+        main(["synth", "--blocks", "2", "--dim", "32", "--wall-blocks", "0",
+              "--seed", "5", "--out", m])
+        assert main(["analyze", m, "--bits", "4", "--out", r]) == 0
+        assert main(["plan", r, "--max-abs-threshold", "2.0", "--out", p]) == 0
+        assert json.loads((tmp_path / "p.json").read_text())["bits"] == 4
+        assert main(["quantize", m, "--plan", p, "--out", mq]) == 0
+        qmanifest, qtensors = read_model(mq)
+        for rec in qmanifest.layer_records():
+            assert rec.bits == 4
+            assert int(np.abs(qtensors[rec.name]).max()) <= 7
 
     def test_selection_flags_mutually_exclusive(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -210,10 +240,12 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_console_script_entry_point(self, tmp_path):
-        # exercise the installed subprocess path once
+        # exercise the subprocess path once, on the package these tests import
+        src = os.path.dirname(os.path.dirname(quantkit.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         result = subprocess.run(
             [sys.executable, "-m", "quantkit.cli", "check-matmul", "--instances", "3"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert "check-matmul" in result.stdout

@@ -7,6 +7,7 @@ import pytest
 
 from quantkit import (
     KIND_ORDER,
+    GroupingScheme,
     ModelManifest,
     TensorRecord,
     layer_index_of,
@@ -28,6 +29,20 @@ def tiny_model(blocks=1, dim=4, seed=0):
             records.append(TensorRecord(name=name, shape=(dim, dim), dtype="fp32"))
             tensors[name] = rng.normal(0, 1, (dim, dim)).astype(np.float32)
     return ModelManifest.assemble(blocks, records), tensors
+
+
+def write_quantized_tiny_model(stem):
+    """tiny_model with blocks.0.q stored as int8 per-group(2) codes plus an
+    aux (4, 2) scale record; returns the manifest as parsed JSON."""
+    manifest, tensors = tiny_model()
+    q = TensorRecord(name="blocks.0.q", shape=(4, 4), dtype="int8", scale_ref="blocks.0.q.s",
+                     grouping=GroupingScheme.per_group(2), bits=8)
+    scales = TensorRecord(name="blocks.0.q.s", shape=(4, 2), dtype="fp32", aux=True)
+    records = [q if r.name == q.name else r for r in manifest.records] + [scales]
+    tensors[q.name] = np.ones((4, 4), dtype=np.int8)
+    tensors[scales.name] = np.ones((4, 2), dtype=np.float32)
+    write_model(ModelManifest.assemble(1, records), tensors, stem)
+    return json.loads(open(manifest_path(stem), encoding="utf-8").read())
 
 
 class TestNaming:
@@ -219,6 +234,41 @@ class TestReadErrors:
         (tmp_path / "m.manifest.json").write_text(json.dumps(obj))
         with pytest.raises(ValueError, match="version"):
             read_model(tmp_path / "m")
+
+
+class TestQuantizedRecordContract:
+    def test_valid_quantized_model_reads_back(self, tmp_path):
+        write_quantized_tiny_model(tmp_path / "q")
+        manifest, _ = read_model(tmp_path / "q")
+        assert manifest.record("blocks.0.q").scale_ref == "blocks.0.q.s"
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            pytest.param("scale_ref", "blocks.0.q.missing", "does not name", id="dangling"),
+            pytest.param("scale_ref", "blocks.0.k", "does not name", id="scale_ref_not_aux"),
+            pytest.param("grouping", {"mode": "per_group", "group_size": 1},
+                         r"shape \(4, 2\), expected \(4, 4\)", id="per_group_scale_shape"),
+            pytest.param("grouping", {"mode": "per_channel"}, r"expected \(4, 1\)",
+                         id="per_channel_scale_shape"),
+            pytest.param("grouping", {"mode": "per_group", "group_size": 3}, "does not divide",
+                         id="group_does_not_tile"),
+            pytest.param("bits", 9, "bits", id="bits_out_of_range"),
+            pytest.param("grouping", None, "must carry", id="missing_grouping"),
+            pytest.param("bits", None, "must carry", id="missing_bits"),
+            pytest.param("scale_ref", None, "must carry", id="missing_scale_ref"),
+        ],
+    )
+    def test_broken_quantized_record_rejected_on_read(self, tmp_path, field, value, match):
+        obj = write_quantized_tiny_model(tmp_path / "q")
+        rec = next(r for r in obj["records"] if r["name"] == "blocks.0.q")
+        if value is None:
+            del rec[field]
+        else:
+            rec[field] = value
+        (tmp_path / "q.manifest.json").write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=match):
+            read_model(tmp_path / "q")
 
 
 class TestManifestJson:

@@ -1,5 +1,7 @@
 """Mixed-grouping plan construction, application, and group-size sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,7 @@ def wall_model():
 @pytest.fixture(scope="module")
 def wall_metrics(wall_model):
     manifest, tensors = wall_model
-    return profile_model(manifest, tensors, PC, P8)
+    return profile_model(manifest, tensors, P8)
 
 
 class TestBuildPlan:
@@ -49,7 +51,7 @@ class TestBuildPlan:
 
     def test_clean_model_yields_all_per_channel(self):
         manifest, tensors = generate(SynthConfig(blocks=2, dim=16, wall_blocks=(), seed=2))
-        metrics = profile_model(manifest, tensors, PC, P8)
+        metrics = profile_model(manifest, tensors, P8)
         plan = build_plan(metrics, PlanConfig(max_abs_threshold=2.0))
         assert plan.selected_layers() == []
         assert plan.per_group_fraction == 0.0
@@ -64,7 +66,7 @@ class TestBuildPlan:
         assert sorted(plan.selected_layers()) == sorted(expected)
 
     def test_top_k_ties_break_to_lower_layer_index(self):
-        metrics = profile_model(*generate(SynthConfig(blocks=1, dim=8, wall_blocks=(), seed=4)), PC, P8)
+        metrics = profile_model(*generate(SynthConfig(blocks=1, dim=8, wall_blocks=(), seed=4)), P8)
         for m in metrics:
             m.rmse = 1.0  # force a total tie
         plan = build_plan(metrics, PlanConfig(top_k=2))
@@ -108,6 +110,15 @@ class TestBuildPlan:
     def test_empty_metrics_rejected(self):
         with pytest.raises(ValueError):
             build_plan([], PlanConfig(max_abs_threshold=1.0))
+
+    def test_bits_come_from_the_metrics(self, wall_metrics):
+        four_bit = [replace(m, bits=4) for m in wall_metrics]
+        assert build_plan(four_bit, PlanConfig(max_abs_threshold=2.0)).bits == 4
+
+    def test_mixed_bits_metrics_rejected(self, wall_metrics):
+        mixed = [replace(wall_metrics[0], bits=4)] + wall_metrics[1:]
+        with pytest.raises(ValueError, match="bit widths"):
+            build_plan(mixed, PlanConfig(max_abs_threshold=2.0))
 
 
 class TestPlanJson:
@@ -182,6 +193,13 @@ class TestApplyPlan:
         with pytest.raises(ValueError) as err:
             apply_plan(manifest, tensors, plan)
         assert "blocks.0.q" in str(err.value) and "blocks.9.q" in str(err.value)
+
+    def test_non_dividing_assignment_names_the_layer(self, wall_model, wall_metrics):
+        manifest, tensors = wall_model
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
+        plan.assignments["blocks.2.o"] = GroupingScheme.per_group(24)
+        with pytest.raises(ValueError, match=r"'blocks\.2\.o': group size 24 does not divide"):
+            apply_plan(manifest, tensors, plan)
 
     def test_apply_is_deterministic_through_serialization(self, wall_model, wall_metrics, tmp_path):
         manifest, tensors = wall_model
