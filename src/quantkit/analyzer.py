@@ -20,8 +20,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model_store import ModelManifest, atomic_write_text, parse_layer_name
-from .quantizer import GroupingScheme, QuantParams, fit_group_size
+from .model_store import ModelManifest, TensorRecord, atomic_write_text, parse_layer_name
+from .quantizer import GroupingScheme, QuantParams
 from .quantizer import _as_matrix, _encode_into, _scales_from_amax
 
 # First-block V-matrix weight maxima observed in public checkpoints.  The
@@ -100,7 +100,7 @@ class LayerMetrics:
     bits: int
     max_abs: float
     rmse: float
-    wall_columns: list[int]
+    wall_count: int
     group_rmse: dict[int, float] = field(default_factory=dict)
 
     @property
@@ -174,18 +174,23 @@ def detect_walls(w: np.ndarray, cfg: WallDetectorConfig) -> list[int]:
     return _wall_columns(np.abs(w), w, cfg)
 
 
-def _map_layers(fn: Callable, items: Iterable, max_workers: int | None = None) -> list:
-    """[fn(x) for x in items] on max_workers threads (default QUANTKIT_THREADS, else 1)."""
-    workers = max_workers
-    if workers is None:
+def _map_layers(fn: Callable, records: Iterable[TensorRecord]) -> list:
+    """[fn(rec) for rec in records] on QUANTKIT_THREADS threads (default 1);
+    a ValueError from ``fn`` is re-raised with the layer's name in front."""
+    def named(rec: TensorRecord):
         try:
-            workers = int(os.environ.get("QUANTKIT_THREADS", ""))
-        except ValueError:
-            workers = 1
+            return fn(rec)
+        except ValueError as exc:
+            raise ValueError(f"layer {rec.name!r}: {exc}") from None
+
+    try:
+        workers = int(os.environ.get("QUANTKIT_THREADS", ""))
+    except ValueError:
+        workers = 1
     if workers <= 1:
-        return [fn(x) for x in items]
+        return [named(rec) for rec in records]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(named, records))
 
 
 def profile_model(
@@ -193,16 +198,15 @@ def profile_model(
     tensors: Mapping[str, np.ndarray],
     params: QuantParams,
     wall_cfg: WallDetectorConfig | None = None,
-    max_workers: int | None = None,
     group_sizes: Sequence[int] = (),
 ) -> list[LayerMetrics]:
     """Profile every layer of a model per-channel, ordered by layer index.
 
-    Each ``group_sizes`` entry adds a ``group_rmse`` value per layer.
-    Layers are independent, so profiling runs on up to ``max_workers``
-    threads (default: the QUANTKIT_THREADS environment variable, else 1);
-    the output order is always the layer-index order regardless of
-    completion order.
+    Each ``group_sizes`` entry adds a ``group_rmse`` value per layer; a
+    size that does not divide a layer's columns is an error naming the
+    layer.  Layers are independent, so profiling runs on up to
+    QUANTKIT_THREADS threads (default 1); the output order is always the
+    layer-index order regardless of completion order.
     """
     if wall_cfg is None:
         wall_cfg = WallDetectorConfig()
@@ -215,10 +219,10 @@ def profile_model(
             f"quantized?): {bad[:5]}"
         )
 
+    schemes = [GroupingScheme.per_channel(), *map(GroupingScheme.per_group, group_sizes)]
+
     def profile_one(rec) -> LayerMetrics:
         w = tensors[rec.name]
-        extra = [GroupingScheme.per_group(fit_group_size(w.shape[1], g)) for g in group_sizes]
-        schemes = [GroupingScheme.per_channel(), *extra]
         max_abs, walls, sse = _profile_layer(w, schemes, params, wall_cfg)
         rmse = [float(np.sqrt(x / w.size)) for x in sse]  # as layer_rmse computes it
         return LayerMetrics(
@@ -228,11 +232,11 @@ def profile_model(
             bits=params.bits,
             max_abs=max_abs,
             rmse=rmse[0],
-            wall_columns=walls,
+            wall_count=len(walls),
             group_rmse=dict(zip(group_sizes, rmse[1:])),
         )
 
-    return _map_layers(profile_one, records, max_workers)
+    return _map_layers(profile_one, records)
 
 
 def csv_float(x: float) -> str:
@@ -261,7 +265,7 @@ def metrics_csv_text(metrics: list[LayerMetrics]) -> str:
             [m.layer_index, m.name, m.block, m.kind, m.cols, m.bits]
             + [csv_float(m.max_abs), csv_float(m.rmse)]
             + [csv_float(m.group_rmse[g]) for g in sizes]
-            + [len(m.wall_columns)]
+            + [m.wall_count]
         )
     return buf.getvalue()
 
@@ -271,10 +275,7 @@ def write_metrics_csv(path: str | os.PathLike, metrics: list[LayerMetrics]) -> N
 
 
 def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
-    """Parse a metrics CSV back into per-channel LayerMetrics.
-
-    The CSV stores only the wall count, so wall_columns comes back empty.
-    """
+    """Parse a metrics CSV back into per-channel LayerMetrics (no group_rmse)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
@@ -290,7 +291,7 @@ def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
                     bits=int(row["bits"]),
                     max_abs=float(row["max_abs"]),
                     rmse=float(row["rmse_pc"]),
-                    wall_columns=[],
+                    wall_count=int(row["wall_count"]),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

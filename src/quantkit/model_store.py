@@ -5,7 +5,7 @@ A model stem ``m`` is stored as two files:
     m.manifest.json   UTF-8 JSON, keys sorted:
                       {"blocks": B, "records": [...], "version": 1}
     m.bin             raw little-endian values, row-major, concatenated
-                      in manifest record order
+                      in manifest record order with no gap
 
 Layer tensors are named ``blocks.{b}.{kind}`` with kind drawn from the
 fixed order (q, k, v, o, up, gate, down); a model with B blocks therefore
@@ -264,24 +264,23 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def _validate_layout(manifest: ModelManifest, blob_len: int) -> None:
-    spans = sorted((r.byte_offset, r.byte_offset + r.nbytes, r.name) for r in manifest.records)
-    prev_end = 0
-    prev_name = None
-    for start, end, name in spans:
-        if end > blob_len:
+def _check_layout(manifest: ModelManifest, blob_len: int) -> None:
+    """The one layout: records tile the blob in record order, each starting
+    where the one before ends, as ``ModelManifest.assemble`` places them."""
+    end = 0
+    for rec in manifest.records:
+        if rec.byte_offset != end:
             raise ValueError(
-                f"blob underrun for record {name!r}: needs bytes [{start}, {end}) "
-                f"but blob has {blob_len}"
+                f"record {rec.name!r} starts at byte {rec.byte_offset}, not {end} (a gap, an "
+                "overlap or out of record order); build manifests with ModelManifest.assemble"
             )
-        if start < prev_end:
-            raise ValueError(f"records {prev_name!r} and {name!r} overlap in the blob")
-        prev_end, prev_name = end, name
-    if manifest.blob_nbytes != blob_len:
-        raise ValueError(
-            f"blob length {blob_len} does not match the {manifest.blob_nbytes} bytes "
-            "the manifest describes"
-        )
+        end += rec.nbytes
+        if end > blob_len:
+            raise ValueError(f"blob underrun for record {rec.name!r}: needs {end} bytes, "
+                             f"blob has {blob_len}")
+    if end != blob_len:
+        raise ValueError(f"blob length {blob_len} does not match the {end} bytes the "
+                         "manifest describes")
 
 
 def _validate_tensors(manifest: ModelManifest, tensors: Mapping[str, np.ndarray]) -> None:
@@ -316,23 +315,18 @@ def write_model(
     pure and safe from concurrent contexts.
     """
     _validate_tensors(manifest, tensors)
-    expected = ModelManifest.assemble(manifest.blocks, list(manifest.records))
-    if expected.records != manifest.records:
-        raise ValueError(
-            "manifest byte offsets are not the contiguous record-order layout; "
-            "build manifests with ModelManifest.assemble"
-        )
-    blob = b"".join(
-        np.ascontiguousarray(tensors[rec.name], dtype=rec.numpy_dtype).tobytes(order="C")
-        for rec in manifest.records
-    )
+    _check_layout(manifest, manifest.blob_nbytes)
+    blob = b"".join(np.ascontiguousarray(tensors[rec.name]) for rec in manifest.records)
     text = json.dumps(manifest.to_json_dict(), sort_keys=True, indent=2) + "\n"
     atomic_write_text(manifest_path(path), text)
     atomic_write_bytes(blob_path(path), blob)
 
 
 def read_model(path: str | os.PathLike) -> tuple[ModelManifest, dict[str, np.ndarray]]:
-    """Inverse of :func:`write_model`; values round-trip bit-exactly."""
+    """Inverse of :func:`write_model`; values round-trip bit-exactly.
+
+    The blob is read once; the arrays are read-only views into it.
+    """
     mpath, bpath = manifest_path(path), blob_path(path)
     try:
         with open(mpath, "r", encoding="utf-8") as fh:
@@ -342,10 +336,10 @@ def read_model(path: str | os.PathLike) -> tuple[ModelManifest, dict[str, np.nda
     manifest = ModelManifest.from_json_dict(raw)
     with open(bpath, "rb") as fh:
         blob = fh.read()
-    _validate_layout(manifest, len(blob))
+    _check_layout(manifest, len(blob))
     tensors = {}
     for rec in manifest.records:
         flat = np.frombuffer(blob, dtype=rec.numpy_dtype, count=rec.shape[0] * rec.shape[1],
                              offset=rec.byte_offset)
-        tensors[rec.name] = flat.reshape(rec.shape).copy()
+        tensors[rec.name] = flat.reshape(rec.shape)
     return manifest, tensors

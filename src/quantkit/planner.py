@@ -252,27 +252,23 @@ def sweep_group_size(
 
     The layer set is selected once (from a per-channel profile) and
     reused for every size; duplicate sizes are dropped, first occurrence
-    order preserved.  The aggregate is the RMSE over all elements of all
-    selected layers together.
+    order preserved, and a size that does not divide a selected layer's
+    columns is an error naming the layer.  The aggregate is the RMSE over
+    all elements of all selected layers together.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
     metrics = profile_model(manifest, tensors, params)
-    selected = build_plan(metrics, selection).selected_layers()
+    chosen = _select(metrics, selection)
+    selected = [manifest.record(m.name) for m in metrics if m.name in chosen]
+    schemes = [GroupingScheme.per_group(g) for g in dict.fromkeys(int(g) for g in sizes)]
 
-    unique_sizes = list(dict.fromkeys(int(g) for g in sizes))
-
-    def layer_sse(name: str) -> list[float]:
-        m = tensors[name].shape[1]
-        schemes = [GroupingScheme.per_group(fit_group_size(m, g)) for g in unique_sizes]
-        return _profile_layer(tensors[name], schemes, params)[2]
-
-    sse = _map_layers(layer_sse, selected)
-    elems = [tensors[name].size for name in selected]
+    sse = _map_layers(lambda rec: _profile_layer(tensors[rec.name], schemes, params)[2], selected)
+    elems = [tensors[rec.name].size for rec in selected]
     rows = []
-    for i, g in enumerate(unique_sizes):
-        per_layer = {name: float(np.sqrt(s[i] / e)) for name, s, e in zip(selected, sse, elems)}
+    for i, scheme in enumerate(schemes):
+        per_layer = {rec.name: float(np.sqrt(s[i] / e)) for rec, s, e in zip(selected, sse, elems)}
         total_sq, total_elems = sum(s[i] for s in sse), sum(elems)
         aggregate = float(np.sqrt(total_sq / total_elems)) if total_elems else 0.0
-        rows.append(SweepRow(group_size=g, per_layer_rmse=per_layer, aggregate_rmse=aggregate))
+        rows.append(SweepRow(scheme.group_size, per_layer, aggregate))
     return rows

@@ -279,10 +279,12 @@ class TestProfileModel:
         b = profile_model(manifest, tensors, P8)
         assert a == b
 
-    def test_threaded_profile_matches_serial(self, small_model):
+    def test_threaded_profile_matches_serial(self, small_model, monkeypatch):
         manifest, tensors = small_model
-        serial = profile_model(manifest, tensors, P8, max_workers=1)
-        threaded = profile_model(manifest, tensors, P8, max_workers=4)
+        monkeypatch.setenv("QUANTKIT_THREADS", "1")
+        serial = profile_model(manifest, tensors, P8)
+        monkeypatch.setenv("QUANTKIT_THREADS", "4")
+        threaded = profile_model(manifest, tensors, P8)
         assert serial == threaded
 
     def test_thread_env_var_caps_workers(self, small_model, monkeypatch):
@@ -296,7 +298,7 @@ class TestProfileModel:
     def test_block_and_kind_derived_from_name(self):
         m = LayerMetrics(
             layer_index=12, name="blocks.1.gate", cols=64, bits=8, max_abs=1.0, rmse=0.1,
-            wall_columns=[],
+            wall_count=0,
         )
         assert (m.block, m.kind) == (1, "gate")
 
@@ -327,6 +329,11 @@ class TestCsvAndPlotData:
         write_metrics_csv(tmp_path / "m.csv", four_bit)
         loaded = read_metrics_csv(tmp_path / "m.csv")
         assert [(m.cols, m.bits) for m in loaded] == [(16, 4)] * len(csv_metrics)
+
+    def test_csv_round_trip_is_lossless(self, csv_metrics, tmp_path):
+        walled = [replace(m, wall_count=i % 5) for i, m in enumerate(csv_metrics)]
+        write_metrics_csv(tmp_path / "m.csv", walled)
+        assert read_metrics_csv(tmp_path / "m.csv") == walled
 
     def test_csv_without_cols_and_bits_rejected(self, csv_metrics, tmp_path):
         lines = metrics_csv_text(csv_metrics).splitlines()

@@ -49,6 +49,16 @@ class TestSynthAnalyze:
             "layer_index,name,block,kind,cols,bits,max_abs,rmse_pc,rmse_g4,rmse_g8,wall_count"
         )
 
+    def test_non_dividing_group_size_is_rejected(self, tmp_path, capsys):
+        m = str(tmp_path / "m")
+        main(["synth", "--blocks", "1", "--dim", "32", "--wall-blocks", "0",
+              "--seed", "1", "--out", m])
+        assert main(["analyze", m, "--out", str(tmp_path / "r.csv"),
+                     "--group-sizes", "16,24"]) == 1
+        err = capsys.readouterr().err
+        assert "layer 'blocks.0.q': group size 24 does not divide dimension 32" in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_plot_json_emitted(self, tmp_path):
         m = str(tmp_path / "m")
         main(["synth", "--blocks", "1", "--dim", "16", "--seed", "1",
@@ -175,6 +185,16 @@ class TestSweep:
         assert lines[0].startswith("group_size,aggregate_rmse,")
         assert len(lines) == 1 + 3
         assert [row.split(",")[0] for row in lines[1:]] == ["4", "8", "16"]
+
+    def test_non_dividing_size_is_rejected(self, tmp_path, capsys):
+        m = str(tmp_path / "m")
+        main(["synth", "--blocks", "1", "--dim", "32", "--wall-blocks", "0",
+              "--seed", "2", "--out", m])
+        capsys.readouterr()
+        assert main(["sweep", m, "--sizes", "16,24"]) == 1
+        captured = capsys.readouterr()
+        assert "layer 'blocks.0.q': group size 24 does not divide dimension 32" in captured.err
+        assert captured.out == ""
 
     def test_sweep_to_stdout(self, tmp_path, capsys):
         m = str(tmp_path / "m")

@@ -1,15 +1,21 @@
 """Container round-trip, determinism, and validation tests."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantkit import (
     KIND_ORDER,
     GroupingScheme,
     ModelManifest,
+    QuantPlan,
     TensorRecord,
+    apply_plan,
     layer_index_of,
     layer_name,
     parse_layer_name,
@@ -42,7 +48,8 @@ def write_quantized_tiny_model(stem):
     tensors[q.name] = np.ones((4, 4), dtype=np.int8)
     tensors[scales.name] = np.ones((4, 2), dtype=np.float32)
     write_model(ModelManifest.assemble(1, records), tensors, stem)
-    return json.loads(open(manifest_path(stem), encoding="utf-8").read())
+    with open(manifest_path(stem), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class TestNaming:
@@ -134,6 +141,16 @@ class TestWriteRead:
             tmp_path / "b.manifest.json"
         ).read_bytes()
 
+    def test_arrays_are_read_only_views_of_one_buffer(self, tmp_path):
+        manifest, tensors = tiny_model()
+        write_model(manifest, tensors, tmp_path / "m")
+        _, loaded = read_model(tmp_path / "m")
+        blob = loaded["blocks.0.q"].base.base
+        assert isinstance(blob, bytes) and len(blob) == manifest.blob_nbytes
+        for arr in loaded.values():
+            assert arr.base.base is blob
+            assert not arr.flags.writeable
+
     def test_int8_records_round_trip(self, tmp_path):
         manifest, tensors = tiny_model()
         records = list(manifest.records) + [
@@ -207,6 +224,16 @@ class TestReadErrors:
         obj["records"][1]["byte_offset"] = 10  # collides with record 0
         (tmp_path / "m.manifest.json").write_text(json.dumps(obj))
         with pytest.raises(ValueError, match="overlap"):
+            read_model(tmp_path / "m")
+
+    def test_out_of_record_order_tiling_rejected(self, tmp_path):
+        manifest, tensors = tiny_model()
+        write_model(manifest, tensors, tmp_path / "m")
+        obj = json.loads((tmp_path / "m.manifest.json").read_text())
+        first, second = obj["records"][:2]  # same size: the swap still tiles the blob
+        first["byte_offset"], second["byte_offset"] = second["byte_offset"], 0
+        (tmp_path / "m.manifest.json").write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="'blocks.0.q' starts at byte 64, not 0"):
             read_model(tmp_path / "m")
 
     def test_duplicate_names_rejected_on_read(self, tmp_path):
@@ -284,3 +311,51 @@ class TestManifestJson:
         stem = tmp_path / "model"
         assert manifest_path(stem).endswith("model.manifest.json")
         assert blob_path(stem).endswith("model.bin")
+
+
+def _divisors(m):
+    return [g for g in range(1, m + 1) if m % g == 0]
+
+
+def _file_bytes(stem):
+    with open(manifest_path(stem), "rb") as mf, open(blob_path(stem), "rb") as bf:
+        return mf.read(), bf.read()
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_fp_and_quantized_models_round_trip(self, data):
+        blocks = data.draw(st.integers(1, 3), label="blocks")
+        cols = data.draw(st.sampled_from([1, 3, 8, 12]), label="cols")
+        bits = data.draw(st.integers(2, 8), label="bits")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        records, tensors, assignments = [], {}, {}
+        for b in range(blocks):
+            for kind in KIND_ORDER:
+                name = layer_name(b, kind)
+                rows = data.draw(st.integers(1, 5), label=f"rows {name}")
+                records.append(TensorRecord(name=name, shape=(rows, cols), dtype="fp32"))
+                tensors[name] = rng.normal(0, 1, (rows, cols)).astype(np.float32)
+                g = data.draw(st.sampled_from([None] + _divisors(cols)), label=f"g {name}")
+                assignments[name] = (
+                    GroupingScheme.per_channel() if g is None else GroupingScheme.per_group(g)
+                )
+        manifest = ModelManifest.assemble(blocks, records)
+        quantized = apply_plan(manifest, tensors, QuantPlan(assignments, cols, bits))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            for label, (man, arrays) in {"fp": (manifest, tensors), "q": quantized}.items():
+                stem = os.path.join(tmp, label)
+                write_model(man, arrays, stem)
+                man2, arrays2 = read_model(stem)
+                assert man2 == man
+                assert arrays2.keys() == arrays.keys()
+                for name, arr in arrays.items():
+                    assert arrays2[name].dtype == arr.dtype
+                    assert arrays2[name].tobytes() == arr.tobytes()
+                write_model(man2, arrays2, stem + "-again")
+                assert _file_bytes(stem + "-again") == _file_bytes(stem)
+                fortran = {name: np.asfortranarray(arr) for name, arr in arrays.items()}
+                write_model(man, fortran, stem + "-fortran")
+                assert _file_bytes(stem + "-fortran") == _file_bytes(stem)
