@@ -193,6 +193,18 @@ def _map_layers(fn: Callable, records: Iterable[TensorRecord]) -> list:
         return list(pool.map(named, records))
 
 
+def _fp32_layer_records(manifest: ModelManifest) -> list[TensorRecord]:
+    """The model's layer records, which must all be fp32 to be profiled."""
+    records = manifest.layer_records()
+    bad = [r.name for r in records if r.dtype != "fp32"]
+    if bad:
+        raise ValueError(
+            f"profiling needs FP layer tensors; these are not fp32 (already "
+            f"quantized?): {bad[:5]}"
+        )
+    return records
+
+
 def profile_model(
     manifest: ModelManifest,
     tensors: Mapping[str, np.ndarray],
@@ -210,15 +222,7 @@ def profile_model(
     """
     if wall_cfg is None:
         wall_cfg = WallDetectorConfig()
-    records = manifest.layer_records()
-
-    bad = [r.name for r in records if r.dtype != "fp32"]
-    if bad:
-        raise ValueError(
-            f"profiling needs FP layer tensors; these are not fp32 (already "
-            f"quantized?): {bad[:5]}"
-        )
-
+    records = _fp32_layer_records(manifest)
     schemes = [GroupingScheme.per_channel(), *map(GroupingScheme.per_group, group_sizes)]
 
     def profile_one(rec) -> LayerMetrics:

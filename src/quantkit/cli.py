@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -44,6 +45,9 @@ def cmd_synth(args) -> int:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("synth config file must hold a JSON object")
+        unknown = sorted(set(loaded) - {f.name for f in dataclasses.fields(synth.SynthConfig)})
+        if unknown:
+            raise ValueError(f"unknown synth settings: {unknown}")
         cfg_kwargs.update(loaded)
     overrides = {
         "blocks": args.blocks,

@@ -1,14 +1,17 @@
 """Quantized matrix multiplication with an exact core.
 
-The int8 codes are cast to float64 once and multiplied with float64
-BLAS.  Every partial sum is an integer no larger than depth * qmax_w *
-qmax_a <= depth * 127^2, far below 2^53 for any depth that fits in
-memory, so the products are exact in any summation order and the kernel
-itself introduces no rounding: all error in a quantized product comes
-from quantizing the operands.  One loop serves both grouping modes: each
-group of g input columns is multiplied, rescaled by its weight scales and
-added into a float64 accumulator in ascending group order, then the
-column scales are applied.  Per-channel is the single-group case, so a
+The int8 codes are cast to float32 once and multiplied with float32
+BLAS.  Every partial sum of a product over ``depth`` inner columns is an
+integer no larger than depth * qmax_w * qmax_a, and a float32 significand
+holds every integer up to 2^24, so a float32 product over at most
+2^24 // (qmax_w * qmax_a) columns (1040 at 8 bits) is exact in any
+summation order.  One loop serves both grouping modes: each group of g
+input columns is multiplied in chunks of at most that depth, the chunk
+products are summed exactly in float64, rescaled by the group's weight
+scales and added into a float64 accumulator in ascending group order,
+then the column scales are applied.  The kernel itself therefore
+introduces no rounding: all error in a quantized product comes from
+quantizing the operands.  Per-channel is the single-group case, so a
 per-group weight with g = M gives the same bits as per-channel.
 """
 
@@ -16,7 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quantizer import AXIS_COLUMN, AXIS_ROW, QuantizedTensor
+from .quantizer import AXIS_COLUMN, AXIS_ROW, QuantizedTensor, _qmax
+
+# Every integer of magnitude up to 2^24 is exact in float32.
+_FLOAT32_EXACT = 2**24
 
 
 def _check_operands(wq: QuantizedTensor, aq: QuantizedTensor) -> None:
@@ -33,13 +39,21 @@ def _check_operands(wq: QuantizedTensor, aq: QuantizedTensor) -> None:
 def _matmul(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
     n, m = wq.values.shape
     g = wq.grouping.resolved_group_size(m)
-    w = wq.values.astype(np.float64)
-    a = aq.values.astype(np.float64)
+    depth = _FLOAT32_EXACT // (_qmax(wq.bits) * _qmax(aq.bits))
+    w = wq.values.astype(np.float32)
+    a = aq.values.astype(np.float32)
     w_scales = wq.scales.astype(np.float64).reshape(n, m // g)
     acc = np.zeros((n, a.shape[1]), dtype=np.float64)
+    first = min(g, depth)
+    # Column ranges, within a group, of the chunks after the first; empty
+    # unless g > depth.  Their products are summed in float64.
+    more = [(lo, min(lo + depth, g)) for lo in range(depth, g, depth)]
     for k in range(m // g):
-        cols = slice(k * g, (k + 1) * g)
-        acc += (w[:, cols] @ a[cols]) * w_scales[:, k, None]
+        s = k * g
+        part = w[:, s : s + first] @ a[s : s + first]
+        for lo, hi in more:
+            part = np.add(part, w[:, s + lo : s + hi] @ a[s + lo : s + hi], dtype=np.float64)
+        acc += part * w_scales[:, k, None]
     return acc * aq.scales.astype(np.float64)[None, :]
 
 
@@ -58,10 +72,11 @@ def matmul_per_channel(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
 def matmul_per_group(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
     """Multiply a per-group quantized weight by a per-channel activation.
 
-    Each group of g columns is multiplied exactly, rescaled by its own
-    weight scale, and added into a float64 accumulator; the column scales
-    are applied last.  With g = M this is bit-identical to
-    :func:`matmul_per_channel`.
+    Each group of g columns is multiplied exactly in float32, in chunks of
+    at most 2^24 // (qmax_w * qmax_a) columns whose integer products are
+    summed in float64, rescaled by its own weight scale, and added into a
+    float64 accumulator; the column scales are applied last.  With g = M
+    this is bit-identical to :func:`matmul_per_channel`.
     """
     _check_operands(wq, aq)
     if not wq.grouping.is_per_group:

@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .analyzer import LayerMetrics, _map_layers, _profile_layer, profile_model
+from .analyzer import (
+    LayerMetrics,
+    _fp32_layer_records,
+    _map_layers,
+    _profile_layer,
+    layer_max_abs,
+    layer_rmse,
+)
 from .model_store import ModelManifest, TensorRecord
 from .quantizer import (
     GroupingScheme,
@@ -99,7 +106,9 @@ class QuantPlan:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed plan JSON: {exc}") from exc
-        if not isinstance(obj, dict) or obj.get("version") != PLAN_VERSION:
+        if not isinstance(obj, dict):
+            raise ValueError(f"plan JSON must be an object, got {type(obj).__name__}")
+        if obj.get("version") != PLAN_VERSION:
             raise ValueError(f"unsupported plan version {obj.get('version')!r}")
         try:
             assignments = {
@@ -116,14 +125,24 @@ class QuantPlan:
             raise ValueError(f"malformed plan JSON: {exc}") from exc
 
 
-def _select(metrics: list[LayerMetrics], cfg: PlanConfig) -> set[str]:
+def _select(
+    names: Sequence[str],
+    cfg: PlanConfig,
+    max_abs: Callable[[], Sequence[float]],
+    rmse: Callable[[], Sequence[float]],
+) -> set[str]:
+    """The layers ``cfg`` selects from ``names``, which are in layer-index order.
+
+    ``max_abs()`` and ``rmse()`` give the layers' max_abs and per-channel
+    RMSE in the same order; each is called only by the mode that reads it.
+    """
     if cfg.max_abs_threshold is not None:
-        return {m.name for m in metrics if m.max_abs >= cfg.max_abs_threshold}
+        return {name for name, x in zip(names, max_abs()) if x >= cfg.max_abs_threshold}
     if cfg.top_k is not None:
-        ranked = sorted(metrics, key=lambda m: (-m.rmse, m.layer_index))
-        return {m.name for m in ranked[: cfg.top_k]}
-    known = {m.name for m in metrics}
-    unknown = sorted(set(cfg.explicit) - known)
+        values = rmse()
+        ranked = sorted(range(len(names)), key=lambda i: -values[i])  # stable: ties to lower index
+        return {names[i] for i in ranked[: cfg.top_k]}
+    unknown = sorted(set(cfg.explicit) - set(names))
     if unknown:
         raise ValueError(f"explicit selection names unknown layers: {unknown}")
     return set(cfg.explicit)
@@ -143,10 +162,16 @@ def build_plan(metrics: list[LayerMetrics], cfg: PlanConfig) -> QuantPlan:
     if len(bits) != 1:
         raise ValueError(f"metrics mix bit widths {bits}; a plan has one")
     params = QuantParams(bits[0])
-    selected = _select(metrics, cfg)
+    ordered = sorted(metrics, key=lambda x: x.layer_index)
+    selected = _select(
+        [m.name for m in ordered],
+        cfg,
+        lambda: [m.max_abs for m in ordered],
+        lambda: [m.rmse for m in ordered],
+    )
     assignments: dict[str, GroupingScheme] = {}
     fallbacks: dict[str, int] = {}
-    for m in sorted(metrics, key=lambda x: x.layer_index):
+    for m in ordered:
         if m.name not in selected:
             assignments[m.name] = GroupingScheme.per_channel()
             continue
@@ -250,17 +275,26 @@ def sweep_group_size(
 ) -> list[SweepRow]:
     """Per-group RMSE of the selected layers at each group size.
 
-    The layer set is selected once (from a per-channel profile) and
-    reused for every size; duplicate sizes are dropped, first occurrence
-    order preserved, and a size that does not divide a selected layer's
-    columns is an error naming the layer.  The aggregate is the RMSE over
+    The layer set is selected once, reading only what the selection mode
+    needs (names, max_abs or per-channel RMSE), and reused for every size;
+    duplicate sizes are dropped, first occurrence order preserved, and a
+    size that does not divide a selected layer's columns is an error
+    naming the layer.  The aggregate is the RMSE over
     all elements of all selected layers together.
     """
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    metrics = profile_model(manifest, tensors, params)
-    chosen = _select(metrics, selection)
-    selected = [manifest.record(m.name) for m in metrics if m.name in chosen]
+    records = _fp32_layer_records(manifest)
+    chosen = _select(
+        [rec.name for rec in records],
+        selection,
+        lambda: _map_layers(lambda rec: layer_max_abs(tensors[rec.name]), records),
+        lambda: _map_layers(
+            lambda rec: layer_rmse(tensors[rec.name], GroupingScheme.per_channel(), params),
+            records,
+        ),
+    )
+    selected = [rec for rec in records if rec.name in chosen]
     schemes = [GroupingScheme.per_group(g) for g in dict.fromkeys(int(g) for g in sizes)]
 
     sse = _map_layers(lambda rec: _profile_layer(tensors[rec.name], schemes, params)[2], selected)

@@ -24,6 +24,10 @@ _MIN_BITS = 2
 _MAX_BITS = 8
 
 
+def _qmax(bits: int) -> int:
+    return (1 << (bits - 1)) - 1
+
+
 @dataclass(frozen=True)
 class QuantParams:
     """Bit width for symmetric integer quantization.
@@ -43,7 +47,7 @@ class QuantParams:
 
     @property
     def qmax(self) -> int:
-        return (1 << (self.bits - 1)) - 1
+        return _qmax(self.bits)
 
 
 @dataclass(frozen=True)

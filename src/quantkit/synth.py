@@ -15,7 +15,8 @@ pure function of the config and independent of generation order.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +33,31 @@ DEFAULT_WALL_COLUMNS = 4
 DEFAULT_WALL_MAGNITUDE = (50.0, 100.0)
 
 
+# The type of each SynthConfig field; a one-item list means a list or tuple
+# of that type.  Checked the way a JSON config file needs: a bool is not a
+# number, an int is a float, and numpy scalars count as their kind.
+_FIELD_KINDS = {
+    "blocks": int,
+    "dim": int,
+    "base_std": float,
+    "wall_blocks": [int],
+    "wall_kinds": [str],
+    "wall_columns_per_layer": int,
+    "wall_magnitude": [float],
+    "shared_wall_columns": bool,
+    "kv_dim_divisor": int,
+    "seed": int,
+}
+
+
+def _is_kind(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, (list, tuple)) and all(_is_kind(v, kind[0]) for v in value)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     blocks: int = DEFAULT_BLOCKS
@@ -46,6 +72,11 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            kind, value = _FIELD_KINDS[f.name], getattr(self, f.name)
+            if not _is_kind(value, kind):
+                want = f"a list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
+                raise ValueError(f"synth setting {f.name!r} must be {want}, got {value!r}")
         if self.blocks < 1 or self.dim < 1:
             raise ValueError("blocks and dim must be positive")
         if self.base_std <= 0:

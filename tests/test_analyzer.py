@@ -134,18 +134,25 @@ class TestFusedProfileCore:
         bits=st.integers(2, 8),
         seed=st.integers(0, 2**32 - 1),
         walls=st.integers(0, 3),
+        tiny_rows=st.integers(0, 2),
         dtype=st.sampled_from([np.float32, np.float64]),
         wall_cfg=st.sampled_from(WALL_CONFIGS),
         data=st.data(),
     )
     def test_matches_public_path_and_scalar_oracle(
-        self, n, m, bits, seed, walls, dtype, wall_cfg, data
+        self, n, m, bits, seed, walls, tiny_rows, dtype, wall_cfg, data
     ):
         rng = np.random.default_rng(seed)
         w = rng.normal(0, 0.5, (n, m)).astype(dtype)
         columns = rng.choice(m, size=min(walls, m), replace=False)
         if len(columns):
             w = inject_walls(w, columns, (20.0, 100.0), seed=seed)
+        # Rows of subnormal float32 magnitude (127 to 4000 units of 2^-149):
+        # their float32 scales keep so few bits that x / s can pass
+        # qmax + 0.5, and only the clamp keeps the codes in range.
+        for i in rng.choice(n, size=min(tiny_rows, n), replace=False):
+            units = rng.integers(127, 4000, m) * rng.choice([-1.0, 1.0], m)
+            w[i] = (units * 2.0**-149).astype(dtype)
         divisors = [d for d in range(1, m + 1) if m % d == 0]
         # Random subsets of divisors: nested (8, 16, 32 of 32) and
         # non-nested (6, 8 of 24) sizes, duplicates and per-channel.

@@ -77,6 +77,22 @@ class TestSynthAnalyze:
         manifest, _ = read_model(m)
         assert manifest.blocks == 2
 
+    @pytest.mark.parametrize(
+        "settings,message",
+        [
+            ({"bogus": 2}, "unknown synth settings: ['bogus']"),
+            ({"blocks": "2"}, "synth setting 'blocks' must be int, got '2'"),
+        ],
+    )
+    def test_bad_synth_config_is_a_clean_failure(self, tmp_path, capsys, settings, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(settings))
+        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "m")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_synth_no_walls(self, tmp_path):
         m = str(tmp_path / "m")
         assert main(["synth", "--blocks", "2", "--dim", "16", "--seed", "1",
@@ -258,6 +274,18 @@ class TestExitCodes:
               "--wall-blocks", "none", "--out", m])
         assert main(["quantize", m, "--plan", str(bad), "--out", str(tmp_path / "q")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_plan_json_array_is_a_clean_failure(self, tmp_path, capsys):
+        bad = tmp_path / "p.json"
+        bad.write_text("[1]")
+        m = str(tmp_path / "m")
+        main(["synth", "--blocks", "1", "--dim", "8", "--seed", "0",
+              "--wall-blocks", "none", "--out", m])
+        capsys.readouterr()
+        assert main(["quantize", m, "--plan", str(bad), "--out", str(tmp_path / "q")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: plan JSON must be an object")
+        assert not list(tmp_path.glob("q*"))
 
     def test_console_script_entry_point(self, tmp_path):
         # exercise the subprocess path once, on the package these tests import

@@ -1,10 +1,11 @@
 """Quantized matmul kernels against the float64 and int64 references.
 
-Both kernels run one group loop that accumulates the int8 codes exactly
-in float64, so a quantized product must equal the grouped int64 oracle
-byte for byte and match the reference product of the dequantized
-operands up to float reassociation; any larger deviation is a kernel
-bug, not quantization error.
+Both kernels run one group loop that multiplies the int8 codes exactly in
+float32 chunks of at most 2^24 // (qmax_w * qmax_a) columns and
+accumulates in float64, so a quantized product must equal the grouped
+int64 oracle byte for byte and match the reference product of the
+dequantized operands up to float reassociation; any larger deviation is
+a kernel bug, not quantization error.
 """
 
 import numpy as np
@@ -190,6 +191,52 @@ class TestExactAgainstIntegerOracle:
             wq = quantize_weight(w, GroupingScheme.per_group(g), params)
             expected = matmul_grouped_int64(wq.values, wq.scales, aq.values, aq.scales)
             assert matmul_per_group(wq, aq).tobytes() == expected.tobytes()
+
+
+    @staticmethod
+    def _assert_both_kernels_exact(w, a, bits_w, bits_a, g):
+        aq = quantize_activation(a, QuantParams(bits_a))
+        for grouping, kernel in (
+            (GroupingScheme.per_channel(), matmul_per_channel),
+            (GroupingScheme.per_group(g), matmul_per_group),
+        ):
+            wq = quantize_weight(w, grouping, QuantParams(bits_w))
+            expected = matmul_grouped_int64(wq.values, wq.scales, aq.values, aq.scales)
+            assert kernel(wq, aq).tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _all_qmax_operands(m):
+        # Codes are all +/-qmax.  Output (0, 0) sums m * qmax_w * qmax_a,
+        # which float32 cannot hold once it is odd and above 2^24.
+        w = np.ones((2, m), dtype=np.float32)
+        w[1, : m // 2] = -1
+        a = np.ones((m, 2), dtype=np.float32)
+        a[::2, 1] = -1
+        return w, a
+
+    @pytest.mark.parametrize("m", [1040, 1041, 2 * 1041 + 1])
+    def test_all_qmax_codes_past_one_chunk_at_eight_bits(self, m):
+        # 1040 = 2^24 // 127^2 is one full float32 chunk; 1041 * 127^2 is odd
+        # and above 2^24, so it needs a second chunk, and 2083 a third.
+        self._assert_both_kernels_exact(*self._all_qmax_operands(m), 8, 8, g=m)
+
+    def test_all_qmax_codes_past_the_seven_bit_chunk(self):
+        # The 7-bit chunk is 2^24 // 63^2 = 4227 columns; 4229 * 63^2 is odd.
+        self._assert_both_kernels_exact(*self._all_qmax_operands(4229), 7, 7, g=4229)
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_random_codes_past_one_chunk(self, bits):
+        # With the other operand at 8 bits the chunk is 2^24 // (qmax * 127)
+        # columns, from 132104 at 2 bits down to 1040 at 8.  Each of the two
+        # groups spans two full chunks and a ragged third, and positive
+        # values of similar size push every group sum past 2^24.
+        depth = 2**24 // (QuantParams(bits).qmax * 127)
+        g = 2 * depth + 3
+        rng = np.random.default_rng(bits)
+        w = rng.uniform(0.5, 1.0, (2, 2 * g)).astype(np.float32)
+        a = rng.uniform(0.5, 1.0, (2 * g, 3)).astype(np.float32)
+        self._assert_both_kernels_exact(w, a, bits, 8, g)
+        self._assert_both_kernels_exact(w, a, 8, bits, g)
 
 
 class TestAccumulatorWidth:

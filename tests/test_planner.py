@@ -146,6 +146,11 @@ class TestPlanJson:
         with pytest.raises(ValueError, match="version"):
             QuantPlan.from_json_text("{\"version\": 3}")
 
+    @pytest.mark.parametrize("text", ["[1]", "[]", "1", "\"plan\"", "null"])
+    def test_non_object_json_rejected(self, text):
+        with pytest.raises(ValueError, match="plan JSON must be an object"):
+            QuantPlan.from_json_text(text)
+
 
 class TestApplyPlan:
     def test_all_per_channel_plan_equals_uniform_quantization(self, wall_model, wall_metrics):
@@ -279,6 +284,43 @@ class TestSweep:
             manifest, tensors, PlanConfig(max_abs_threshold=2.0), [16, 4, 16, 4, 8]
         )
         assert [r.group_size for r in rows] == [16, 4, 8]
+
+    @pytest.mark.parametrize(
+        "selection",
+        [
+            PlanConfig(max_abs_threshold=2.0),
+            PlanConfig(top_k=5),
+            PlanConfig(top_k=0),
+            PlanConfig(explicit=("blocks.3.v", "blocks.1.down")),
+        ],
+    )
+    def test_selects_the_layers_build_plan_selects(self, wall_model, wall_metrics, selection):
+        manifest, tensors = wall_model
+        rows = sweep_group_size(manifest, tensors, selection, [8])
+        plan = build_plan(wall_metrics, replace(selection, group_size=8))
+        assert list(rows[0].per_layer_rmse) == plan.selected_layers()
+
+    def test_explicit_unknown_layer_rejected(self, wall_model):
+        manifest, tensors = wall_model
+        with pytest.raises(ValueError, match="unknown layers"):
+            sweep_group_size(manifest, tensors, PlanConfig(explicit=("blocks.99.q",)), [8])
+
+    @pytest.mark.parametrize("selection", [PlanConfig(max_abs_threshold=2.0), PlanConfig(top_k=1)])
+    def test_non_finite_unselected_layer_rejected(self, wall_model, selection):
+        # blocks.5.o is never selected, yet a NaN in it still fails the sweep.
+        manifest, tensors = wall_model
+        broken = dict(tensors)
+        broken["blocks.5.o"] = tensors["blocks.5.o"].copy()
+        broken["blocks.5.o"][0, 0] = np.nan
+        with pytest.raises(ValueError, match="layer 'blocks.5.o'.*NaN"):
+            sweep_group_size(manifest, broken, selection, [8])
+
+    def test_quantized_model_rejected(self, wall_model):
+        manifest, tensors = wall_model
+        plan = build_plan(profile_model(manifest, tensors, P8), PlanConfig(max_abs_threshold=2.0))
+        qmanifest, qtensors = apply_plan(manifest, tensors, plan)
+        with pytest.raises(ValueError, match="not fp32"):
+            sweep_group_size(qmanifest, qtensors, PlanConfig(explicit=("blocks.0.q",)), [8])
 
     def test_empty_sizes_rejected(self, wall_model):
         manifest, tensors = wall_model

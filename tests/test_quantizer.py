@@ -387,6 +387,18 @@ class TestScaleRange:
             with pytest.raises(ValueError, match="underflows"):
                 quantize_weight(w, GroupingScheme.per_group(1), P8)
 
+    def test_subnormal_scale_codes_are_clamped_to_qmax(self):
+        # max |w| = 1321 * 2^-149 is subnormal; its scale 1321/127 = 10.40
+        # units rounds to 10 units, so max |w| / s = 132.1 and only the
+        # clamp keeps the code at qmax.
+        w = np.array([[1321.0, -700.0]], dtype=np.float64) * 2.0**-149
+        for dtype in (np.float32, np.float64):
+            qt = quantize_weight(w.astype(dtype), GroupingScheme.per_channel(), P8)
+            assert qt.scales[0] == np.float32(10 * 2.0**-149)
+            assert qt.values.tolist() == [[127, -70]]
+            aq = quantize_activation(w.T.astype(dtype), P8)
+            assert aq.values.tolist() == [[127], [-70]]
+
     def test_zero_group_next_to_underflow_names_underflow(self):
         w = np.array([[0.0, 1e-50]], dtype=np.float64)
         with pytest.raises(ValueError, match="underflows"):

@@ -41,6 +41,34 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("blocks", "2"),
+            ("blocks", 2.0),
+            ("dim", True),
+            ("base_std", "0.02"),
+            ("wall_blocks", 0),
+            ("wall_blocks", ["0"]),
+            ("wall_kinds", "q"),
+            ("wall_magnitude", [50.0, "100"]),
+            ("shared_wall_columns", 1),
+            ("kv_dim_divisor", None),
+            ("seed", 1.5),
+        ],
+    )
+    def test_wrongly_typed_setting_rejected_by_name(self, key, value):
+        with pytest.raises(ValueError, match=f"synth setting '{key}' must be"):
+            SynthConfig(**{key: value})
+
+    def test_json_style_values_accepted(self):
+        cfg = SynthConfig(
+            blocks=2, dim=16, base_std=1, wall_blocks=[0, np.int64(1)],
+            wall_magnitude=[50, 100.5], shared_wall_columns=False,
+        )
+        assert cfg.wall_blocks == (0, 1)
+        assert cfg.wall_magnitude == (50.0, 100.5)
+
 
 @pytest.fixture(scope="module")
 def default_small():
