@@ -21,6 +21,7 @@ from .model_store import (
     TensorRecord,
     layer_index_of,
     layer_name,
+    open_model,
     parse_layer_name,
     read_model,
     write_model,
@@ -69,6 +70,7 @@ __all__ = [
     "layer_rmse",
     "matmul_per_channel",
     "matmul_per_group",
+    "open_model",
     "parse_layer_name",
     "profile_model",
     "quantize_activation",

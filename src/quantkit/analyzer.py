@@ -20,7 +20,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model_store import ModelManifest, TensorRecord, atomic_write_text, parse_layer_name
+from .model_store import (
+    ModelManifest,
+    TensorRecord,
+    atomic_write_text,
+    layer_index_of,
+    parse_layer_name,
+)
 from .quantizer import GroupingScheme, QuantParams
 from .quantizer import _as_matrix, _encode_into, _scales_from_amax
 
@@ -279,27 +285,44 @@ def write_metrics_csv(path: str | os.PathLike, metrics: list[LayerMetrics]) -> N
 
 
 def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
-    """Parse a metrics CSV back into per-channel LayerMetrics (no group_rmse)."""
+    """Parse a metrics CSV back into per-channel LayerMetrics (no group_rmse).
+
+    Each row must name a layer once, at the layer_index its name gives, with
+    finite max_abs and rmse_pc; an error names the row by its line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise ValueError(f"no metric rows in {os.fspath(path)}")
     metrics = []
-    for row in rows:
+    line_of: dict[str, int] = {}
+    for line, row in enumerate(rows, start=2):
         try:
-            metrics.append(
-                LayerMetrics(
-                    layer_index=int(row["layer_index"]),
-                    name=row["name"],
-                    cols=int(row["cols"]),
-                    bits=int(row["bits"]),
-                    max_abs=float(row["max_abs"]),
-                    rmse=float(row["rmse_pc"]),
-                    wall_count=int(row["wall_count"]),
-                )
+            m = LayerMetrics(
+                layer_index=int(row["layer_index"]),
+                name=row["name"],
+                cols=int(row["cols"]),
+                bits=int(row["bits"]),
+                max_abs=float(row["max_abs"]),
+                rmse=float(row["rmse_pc"]),
+                wall_count=int(row["wall_count"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed metrics row ({exc!r}): {row!r}") from exc
+        where = f"metrics row at line {line} ({m.name!r})"
+        parsed = parse_layer_name(m.name)
+        if parsed is None:
+            raise ValueError(f"{where}: not a layer name")
+        if m.layer_index != layer_index_of(*parsed):
+            raise ValueError(f"{where}: layer_index {m.layer_index} does not match the name "
+                             f"(expected {layer_index_of(*parsed)})")
+        if not (np.isfinite(m.max_abs) and np.isfinite(m.rmse)):
+            raise ValueError(f"{where}: max_abs and rmse_pc must be finite, got "
+                             f"{m.max_abs} and {m.rmse}")
+        if m.name in line_of:
+            raise ValueError(f"{where}: repeats the layer of line {line_of[m.name]}")
+        line_of[m.name] = line
+        metrics.append(m)
     return sorted(metrics, key=lambda m: m.layer_index)
 
 

@@ -92,7 +92,7 @@ def _wall_cfg_from_args(args) -> analyzer.WallDetectorConfig:
 
 
 def cmd_analyze(args) -> int:
-    manifest, tensors = model_store.read_model(args.model)
+    manifest, tensors = model_store.open_model(args.model)
     params = quantizer.QuantParams(args.bits)
     wall_cfg = _wall_cfg_from_args(args)
     sizes = _parse_int_list(args.group_sizes or "")
@@ -131,7 +131,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    manifest, tensors = model_store.read_model(args.model)
+    manifest, tensors = model_store.open_model(args.model)
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan = planner.QuantPlan.from_json_text(fh.read())
     qmanifest, qtensors = planner.apply_plan(manifest, tensors, plan)
@@ -141,7 +141,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    manifest, tensors = model_store.read_model(args.model)
+    manifest, tensors = model_store.open_model(args.model)
     sizes = _parse_int_list(args.sizes)
     if not sizes:
         raise ValueError("--sizes must name at least one group size")

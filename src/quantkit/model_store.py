@@ -12,6 +12,11 @@ fixed order (q, k, v, o, up, gate, down); a model with B blocks therefore
 carries exactly 7*B layer records.  Embedding and head tensors are not
 part of the layer axis, but extra records flagged ``aux`` are permitted
 and ignored by profiling (quantized models use them for scale tensors).
+
+Two readers share one manifest parser and one layout check.
+``read_model`` keeps the whole blob resident and hands out views into it,
+for callers that visit records repeatedly; ``open_model`` reads one record
+per lookup, so a single pass over a model holds only the records in use.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ import dataclasses
 import json
 import os
 import tempfile
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -322,19 +328,25 @@ def write_model(
     atomic_write_bytes(blob_path(path), blob)
 
 
-def read_model(path: str | os.PathLike) -> tuple[ModelManifest, dict[str, np.ndarray]]:
-    """Inverse of :func:`write_model`; values round-trip bit-exactly.
-
-    The blob is read once; the arrays are read-only views into it.
-    """
-    mpath, bpath = manifest_path(path), blob_path(path)
+def _read_manifest(path: str | os.PathLike) -> ModelManifest:
+    mpath = manifest_path(path)
     try:
         with open(mpath, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed manifest JSON in {mpath}: {exc}") from exc
-    manifest = ModelManifest.from_json_dict(raw)
-    with open(bpath, "rb") as fh:
+    return ModelManifest.from_json_dict(raw)
+
+
+def read_model(path: str | os.PathLike) -> tuple[ModelManifest, dict[str, np.ndarray]]:
+    """Inverse of :func:`write_model`; values round-trip bit-exactly.
+
+    The blob is read once; the arrays are read-only views into it.  For a
+    single pass over the records, :func:`open_model` reads each record on
+    lookup instead of holding the whole blob.
+    """
+    manifest = _read_manifest(path)
+    with open(blob_path(path), "rb") as fh:
         blob = fh.read()
     _check_layout(manifest, len(blob))
     tensors = {}
@@ -343,3 +355,61 @@ def read_model(path: str | os.PathLike) -> tuple[ModelManifest, dict[str, np.nda
                              offset=rec.byte_offset)
         tensors[rec.name] = flat.reshape(rec.shape)
     return manifest, tensors
+
+
+_ALIGN = 64
+
+
+class _RecordReader(Mapping):
+    """Read-only name -> array mapping that reads a record from the open blob
+    on each access: a positional read (safe from many threads) into a
+    fresh 64-byte-aligned buffer.  Nothing is cached, so a caller holds only
+    the records it keeps.  The blob stays open until the mapping is
+    collected.
+    """
+
+    def __init__(self, manifest: ModelManifest, fd: int):
+        self._manifest = manifest
+        self._fd = fd
+        weakref.finalize(self, os.close, fd)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        rec = self._manifest.record(name)
+        raw = np.empty(rec.nbytes + _ALIGN - 1, dtype=np.uint8)
+        start = -raw.ctypes.data % _ALIGN
+        buf = raw[start:start + rec.nbytes]
+        done = 0
+        while done < rec.nbytes:  # one read, unless the record passes the 2 GiB read limit
+            got = os.preadv(self._fd, [buf[done:]], rec.byte_offset + done)
+            if got == 0:
+                raise ValueError(f"short read for record {name!r}: {done} of {rec.nbytes} "
+                                 "bytes; the blob shrank after the model was opened")
+            done += got
+        arr = buf.view(rec.numpy_dtype).reshape(rec.shape)
+        arr.flags.writeable = False
+        return arr
+
+    def __iter__(self):
+        return (rec.name for rec in self._manifest.records)
+
+    def __len__(self) -> int:
+        return len(self._manifest.records)
+
+
+def open_model(path: str | os.PathLike) -> tuple[ModelManifest, Mapping[str, np.ndarray]]:
+    """Like :func:`read_model`, but each record is read when it is looked up.
+
+    The manifest and the blob's size pass the same checks before anything is
+    read.  The blob is opened once, so a file renamed over it later is not
+    seen.  Each lookup returns a new read-only, 64-byte-aligned array: use
+    this for one pass over the records, :func:`read_model` to visit them
+    repeatedly.
+    """
+    manifest = _read_manifest(path)
+    fd = os.open(blob_path(path), os.O_RDONLY)
+    try:
+        _check_layout(manifest, os.fstat(fd).st_size)
+    except BaseException:
+        os.close(fd)
+        raise
+    return manifest, _RecordReader(manifest, fd)

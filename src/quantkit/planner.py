@@ -298,7 +298,7 @@ def sweep_group_size(
     schemes = [GroupingScheme.per_group(g) for g in dict.fromkeys(int(g) for g in sizes)]
 
     sse = _map_layers(lambda rec: _profile_layer(tensors[rec.name], schemes, params)[2], selected)
-    elems = [tensors[rec.name].size for rec in selected]
+    elems = [rec.shape[0] * rec.shape[1] for rec in selected]
     rows = []
     for i, scheme in enumerate(schemes):
         per_layer = {rec.name: float(np.sqrt(s[i] / e)) for rec, s, e in zip(selected, sse, elems)}

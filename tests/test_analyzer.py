@@ -349,6 +349,33 @@ class TestCsvAndPlotData:
         with pytest.raises(ValueError, match="malformed metrics row.*'cols'"):
             read_metrics_csv(tmp_path / "old.csv")
 
+    @pytest.mark.parametrize(
+        "column,value,match",
+        [
+            pytest.param("max_abs", "nan", r"line 4 \('blocks.0.v'\): max_abs and rmse_pc must be "
+                         "finite", id="nan_max_abs"),
+            pytest.param("max_abs", "-inf", r"line 4 \('blocks.0.v'\).*finite", id="inf_max_abs"),
+            pytest.param("rmse_pc", "inf", r"line 4 \('blocks.0.v'\).*finite", id="inf_rmse"),
+            pytest.param("layer_index", "5", r"line 4 \('blocks.0.v'\): layer_index 5 does not "
+                         r"match the name \(expected 2\)", id="index_disagrees_with_name"),
+            pytest.param("name", "blocks.0.x", r"line 4 \('blocks.0.x'\): not a layer name",
+                         id="not_a_layer_name"),
+        ],
+    )
+    def test_bad_row_rejected_naming_it(self, csv_metrics, tmp_path, column, value, match):
+        lines = [line.split(",") for line in metrics_csv_text(csv_metrics).splitlines()]
+        lines[3][lines[0].index(column)] = value
+        (tmp_path / "bad.csv").write_text("\n".join(map(",".join, lines)) + "\n")
+        with pytest.raises(ValueError, match=match):
+            read_metrics_csv(tmp_path / "bad.csv")
+
+    def test_repeated_layer_rejected_naming_both_rows(self, csv_metrics, tmp_path):
+        lines = metrics_csv_text(csv_metrics).splitlines()
+        (tmp_path / "bad.csv").write_text("\n".join(lines + [lines[3]]) + "\n")
+        with pytest.raises(ValueError, match=r"line 16 \('blocks.0.v'\): repeats the layer of "
+                                             "line 4"):
+            read_metrics_csv(tmp_path / "bad.csv")
+
     def test_plot_data_shape(self, csv_metrics, tmp_path):
         from quantkit.analyzer import plot_data_json_text
         import json

@@ -299,6 +299,98 @@ class TestExitCodes:
         assert "check-matmul" in result.stdout
 
 
+def _truncate_blob(stem):
+    with open(stem + ".bin", "r+b") as fh:
+        fh.truncate(os.path.getsize(stem + ".bin") - 10)
+
+
+def _extend_blob(stem):
+    with open(stem + ".bin", "ab") as fh:
+        fh.write(b"\x00" * 8)
+
+
+def _remove_blob(stem):
+    os.remove(stem + ".bin")
+
+
+def _garble_manifest(stem):
+    with open(stem + ".manifest.json", "w", encoding="utf-8") as fh:
+        fh.write("{not json")
+
+
+class TestDamagedInputs:
+    @pytest.fixture
+    def model_and_plan(self, tmp_path, capsys):
+        m = str(tmp_path / "m")
+        assert main(["synth", "--blocks", "1", "--dim", "32", "--seed", "1", "--wall-blocks", "0",
+                     "--out", m]) == 0
+        assert main(["analyze", m, "--out", str(tmp_path / "r.csv")]) == 0
+        assert main(["plan", str(tmp_path / "r.csv"), "--group-size", "16",
+                     "--out", str(tmp_path / "p.json")]) == 0
+        capsys.readouterr()
+        return m, str(tmp_path / "r.csv"), str(tmp_path / "p.json")
+
+    @staticmethod
+    def assert_clean_failure(argv, tmp_path, capsys, message=""):
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            pytest.param(_truncate_blob, "blob underrun for record 'blocks.0.down'",
+                         id="truncated"),
+            pytest.param(_extend_blob, "does not match", id="trailing_bytes"),
+            pytest.param(_remove_blob, "No such file", id="missing_bin"),
+            pytest.param(_garble_manifest, "malformed manifest JSON", id="malformed_manifest"),
+        ],
+    )
+    @pytest.mark.parametrize("stage", ["analyze", "sweep", "quantize"])
+    def test_damaged_model_is_a_clean_failure(
+        self, model_and_plan, tmp_path, capsys, stage, damage, message
+    ):
+        m, _, p = model_and_plan
+        damage(m)
+        out = str(tmp_path / "out")
+        argv = {
+            "analyze": ["analyze", m, "--out", out, "--plot-json", out + ".json"],
+            "sweep": ["sweep", m, "--sizes", "8,16", "--out", out],
+            "quantize": ["quantize", m, "--plan", p, "--out", out],
+        }[stage]
+        self.assert_clean_failure(argv, tmp_path, capsys, message)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            pytest.param(lambda rows: rows[3].__setitem__(6, "nan"),
+                         "line 4 ('blocks.0.v'): max_abs and rmse_pc must be finite",
+                         id="nan_max_abs"),
+            pytest.param(lambda rows: rows.append(rows[3]),
+                         "line 9 ('blocks.0.v'): repeats the layer of line 4", id="repeated_row"),
+            pytest.param(lambda rows: rows[3].__setitem__(0, "4"),
+                         "line 4 ('blocks.0.v'): layer_index 4 does not match", id="wrong_index"),
+        ],
+    )
+    def test_bad_metrics_row_is_a_clean_failure(
+        self, model_and_plan, tmp_path, capsys, edit, message
+    ):
+        _, r, _ = model_and_plan
+        os.remove(tmp_path / "p.json")
+        with open(r, encoding="utf-8") as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()]
+        assert rows[0][6] == "max_abs"
+        edit(rows)
+        with open(r, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(map(",".join, rows)) + "\n")
+        self.assert_clean_failure(
+            ["plan", r, "--out", str(tmp_path / "p.json")], tmp_path, capsys, message
+        )
+
+
 class TestThreadCountIndependence:
     def test_analyze_and_sweep_bytes_equal_across_thread_counts(self, tmp_path, monkeypatch):
         m = str(tmp_path / "m")

@@ -2,7 +2,12 @@
 
 import json
 import os
+import sys
 import tempfile
+import threading
+import weakref
+from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -13,13 +18,20 @@ from quantkit import (
     KIND_ORDER,
     GroupingScheme,
     ModelManifest,
+    PlanConfig,
+    QuantParams,
     QuantPlan,
+    SynthConfig,
     TensorRecord,
     apply_plan,
+    generate,
     layer_index_of,
     layer_name,
+    open_model,
     parse_layer_name,
+    profile_model,
     read_model,
+    sweep_group_size,
     write_model,
 )
 from quantkit.model_store import blob_path, manifest_path
@@ -198,16 +210,18 @@ class TestWriteRead:
 
 
 class TestReadErrors:
+    read = staticmethod(read_model)
+
     def test_missing_files(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            read_model(tmp_path / "nothing")
+            self.read(tmp_path / "nothing")
 
     def test_malformed_json(self, tmp_path):
         manifest, tensors = tiny_model()
         write_model(manifest, tensors, tmp_path / "m")
         (tmp_path / "m.manifest.json").write_text("{not json")
         with pytest.raises(ValueError, match="malformed manifest"):
-            read_model(tmp_path / "m")
+            self.read(tmp_path / "m")
 
     def test_truncated_blob_names_the_record(self, tmp_path):
         manifest, tensors = tiny_model()
@@ -215,7 +229,7 @@ class TestReadErrors:
         blob = (tmp_path / "m.bin").read_bytes()
         (tmp_path / "m.bin").write_bytes(blob[:-10])
         with pytest.raises(ValueError, match="blob underrun.*blocks.0.down"):
-            read_model(tmp_path / "m")
+            self.read(tmp_path / "m")
 
     def test_overlapping_records_rejected(self, tmp_path):
         manifest, tensors = tiny_model()
@@ -224,7 +238,7 @@ class TestReadErrors:
         obj["records"][1]["byte_offset"] = 10  # collides with record 0
         (tmp_path / "m.manifest.json").write_text(json.dumps(obj))
         with pytest.raises(ValueError, match="overlap"):
-            read_model(tmp_path / "m")
+            self.read(tmp_path / "m")
 
     def test_out_of_record_order_tiling_rejected(self, tmp_path):
         manifest, tensors = tiny_model()
@@ -234,7 +248,7 @@ class TestReadErrors:
         first["byte_offset"], second["byte_offset"] = second["byte_offset"], 0
         (tmp_path / "m.manifest.json").write_text(json.dumps(obj))
         with pytest.raises(ValueError, match="'blocks.0.q' starts at byte 64, not 0"):
-            read_model(tmp_path / "m")
+            self.read(tmp_path / "m")
 
     def test_duplicate_names_rejected_on_read(self, tmp_path):
         manifest, tensors = tiny_model()
@@ -243,7 +257,7 @@ class TestReadErrors:
         obj["records"][1]["name"] = obj["records"][0]["name"]
         (tmp_path / "m.manifest.json").write_text(json.dumps(obj))
         with pytest.raises(ValueError, match="duplicate|canonical"):
-            read_model(tmp_path / "m")
+            self.read(tmp_path / "m")
 
     def test_trailing_bytes_rejected(self, tmp_path):
         manifest, tensors = tiny_model()
@@ -251,7 +265,7 @@ class TestReadErrors:
         with open(blob_path(tmp_path / "m"), "ab") as fh:
             fh.write(b"\x00" * 8)
         with pytest.raises(ValueError, match="does not match"):
-            read_model(tmp_path / "m")
+            self.read(tmp_path / "m")
 
     def test_unsupported_version(self, tmp_path):
         manifest, tensors = tiny_model()
@@ -260,7 +274,13 @@ class TestReadErrors:
         obj["version"] = 99
         (tmp_path / "m.manifest.json").write_text(json.dumps(obj))
         with pytest.raises(ValueError, match="version"):
-            read_model(tmp_path / "m")
+            self.read(tmp_path / "m")
+
+
+class TestOpenModelReadErrors(TestReadErrors):
+    """Every TestReadErrors case again, through the per-record reader."""
+
+    read = staticmethod(open_model)
 
 
 class TestQuantizedRecordContract:
@@ -354,8 +374,167 @@ class TestRoundTripProperty:
                 for name, arr in arrays.items():
                     assert arrays2[name].dtype == arr.dtype
                     assert arrays2[name].tobytes() == arr.tobytes()
+                man3, arrays3 = open_model(stem)
+                assert man3 == man
+                assert list(arrays3) == list(arrays2) and len(arrays3) == len(arrays2)
+                for name, arr in arrays2.items():
+                    opened = arrays3[name]
+                    assert (opened.dtype, opened.shape) == (arr.dtype, arr.shape)
+                    assert opened.tobytes() == arr.tobytes()
+                    assert not opened.flags.writeable
+                    assert opened.ctypes.data % 64 == 0
                 write_model(man2, arrays2, stem + "-again")
                 assert _file_bytes(stem + "-again") == _file_bytes(stem)
                 fortran = {name: np.asfortranarray(arr) for name, arr in arrays.items()}
                 write_model(man, fortran, stem + "-fortran")
                 assert _file_bytes(stem + "-fortran") == _file_bytes(stem)
+
+
+class TestOpenModel:
+    def test_each_lookup_reads_a_fresh_copy(self, tmp_path):
+        manifest, tensors = tiny_model()
+        write_model(manifest, tensors, tmp_path / "m")
+        _, opened = open_model(tmp_path / "m")
+        first, second = opened["blocks.0.q"], opened["blocks.0.q"]
+        assert first is not second and not np.shares_memory(first, second)
+        assert np.array_equal(first, tensors["blocks.0.q"])
+
+    def test_unknown_name_is_a_key_error(self, tmp_path):
+        manifest, tensors = tiny_model()
+        write_model(manifest, tensors, tmp_path / "m")
+        _, opened = open_model(tmp_path / "m")
+        with pytest.raises(KeyError):
+            opened["blocks.0.nope"]
+        assert "blocks.0.nope" not in opened and "blocks.0.q" in opened
+
+    def test_blob_truncated_after_open_names_the_record(self, tmp_path):
+        manifest, tensors = tiny_model()
+        write_model(manifest, tensors, tmp_path / "m")
+        _, opened = open_model(tmp_path / "m")
+        os.truncate(blob_path(tmp_path / "m"), manifest.blob_nbytes - 10)
+        assert np.array_equal(opened["blocks.0.q"], tensors["blocks.0.q"])
+        with pytest.raises(ValueError, match="short read for record 'blocks.0.down'"):
+            opened["blocks.0.down"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_blob_is_closed_on_a_failed_check_and_when_the_mapping_goes(self, tmp_path):
+        manifest, tensors = tiny_model()
+        write_model(manifest, tensors, tmp_path / "m")
+        open_fds = len(os.listdir("/proc/self/fd"))
+        _, opened = open_model(tmp_path / "m")
+        assert len(os.listdir("/proc/self/fd")) == open_fds + 1
+        del opened
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        with open(blob_path(tmp_path / "m"), "ab") as fh:
+            fh.write(b"\x00")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="does not match"):
+                open_model(tmp_path / "m")
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+
+    def test_threads_sharing_the_mapping_read_their_own_records(self, tmp_path):
+        manifest, tensors = tiny_model(blocks=4, dim=16)
+        write_model(manifest, tensors, tmp_path / "m")
+        _, opened = open_model(tmp_path / "m")
+        names = list(tensors)
+        wrong = []
+
+        def reader(seed):
+            order = np.random.default_rng(seed).permutation(len(names) * 20) % len(names)
+            for i in order:
+                if opened[names[i]].tobytes() != tensors[names[i]].tobytes():
+                    wrong.append(names[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=reader, args=(k,)) for k in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == []
+
+    def test_blob_replaced_after_open_reads_the_old_bytes(self, tmp_path):
+        manifest, tensors = tiny_model(seed=1)
+        write_model(manifest, tensors, tmp_path / "m")
+        _, opened = open_model(tmp_path / "m")
+        _, other = tiny_model(seed=2)
+        write_model(manifest, other, tmp_path / "new")
+        os.replace(blob_path(tmp_path / "new"), blob_path(tmp_path / "m"))
+        for name, arr in tensors.items():
+            assert opened[name].tobytes() == arr.tobytes()
+
+
+class CountingTensors(Mapping):
+    """A tensor mapping that counts fetches per name and the most fetched
+    arrays alive at once (an array is alive while its memory is)."""
+
+    def __init__(self, tensors):
+        self._tensors = tensors
+        self._lock = threading.Lock()
+        self.fetches = Counter()
+        self.live = self.peak = 0
+
+    def __getitem__(self, name):
+        arr = self._tensors[name]
+        owner = arr
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        with self._lock:
+            self.fetches[name] += 1
+            self.live += 1
+            self.peak = max(self.peak, self.live)
+        weakref.finalize(owner, self._release)
+        return arr
+
+    def _release(self):
+        with self._lock:
+            self.live -= 1
+
+    def __iter__(self):
+        return iter(self._tensors)
+
+    def __len__(self):
+        return len(self._tensors)
+
+
+class TestOnePassAccess:
+    """The one-pass stages fetch each layer once and hold few at a time, so
+    with open_model their memory follows the layer, not the model."""
+
+    @pytest.fixture
+    def opened(self, tmp_path):
+        cfg = SynthConfig(blocks=2, dim=32, wall_blocks=(0,), wall_columns_per_layer=1, seed=4)
+        write_model(*generate(cfg), tmp_path / "m")
+        manifest, tensors = open_model(tmp_path / "m")
+        return manifest, CountingTensors(tensors)
+
+    def test_profile_model_fetches_each_layer_once(self, opened, monkeypatch):
+        manifest, tensors = opened
+        monkeypatch.setenv("QUANTKIT_THREADS", "2")
+        profile_model(manifest, tensors, QuantParams(8), group_sizes=[8, 16])
+        assert tensors.fetches == Counter({rec.name: 1 for rec in manifest.layer_records()})
+        assert tensors.peak <= 2 and tensors.live == 0
+
+    def test_apply_plan_holds_one_layer_at_a_time(self, opened):
+        manifest, tensors = opened
+        names = [rec.name for rec in manifest.layer_records()]
+        plan = QuantPlan({name: GroupingScheme.per_group(8) for name in names}, 8, 8)
+        apply_plan(manifest, tensors, plan)
+        assert tensors.fetches == Counter(dict.fromkeys(names, 1))
+        assert tensors.peak == 1 and tensors.live == 0
+
+    def test_threshold_sweep_fetches_a_selected_layer_at_most_twice(self, opened, monkeypatch):
+        manifest, tensors = opened
+        monkeypatch.setenv("QUANTKIT_THREADS", "2")
+        rows = sweep_group_size(manifest, tensors, PlanConfig(max_abs_threshold=2.0), [8, 16])
+        selected = set(rows[0].per_layer_rmse)
+        names = {rec.name for rec in manifest.layer_records()}
+        assert selected and selected < names
+        for name in names:
+            assert 1 <= tensors.fetches[name] <= (2 if name in selected else 1), name
+        assert tensors.peak <= 2 and tensors.live == 0
