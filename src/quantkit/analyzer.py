@@ -200,13 +200,14 @@ def _map_layers(fn: Callable, records: Iterable[TensorRecord]) -> list:
 
 
 def _fp32_layer_records(manifest: ModelManifest) -> list[TensorRecord]:
-    """The model's layer records, which must all be fp32 to be profiled."""
+    """The model's layer records, which must all be fp32 to be profiled or
+    quantized."""
     records = manifest.layer_records()
     bad = [r.name for r in records if r.dtype != "fp32"]
     if bad:
         raise ValueError(
-            f"profiling needs FP layer tensors; these are not fp32 (already "
-            f"quantized?): {bad[:5]}"
+            f"the model's layers must be fp32 to be profiled or quantized; these are "
+            f"not fp32 (already quantized?): {bad[:5]}"
         )
     return records
 
@@ -284,14 +285,24 @@ def write_metrics_csv(path: str | os.PathLike, metrics: list[LayerMetrics]) -> N
     atomic_write_text(path, metrics_csv_text(metrics))
 
 
+def _csv_rows(path: str | os.PathLike) -> list[dict]:
+    """The rows of a CSV file with a header line; a malformed file (a field
+    past the csv module's size limit, say) is a ValueError naming it."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            return list(csv.DictReader(fh))
+        except csv.Error as exc:
+            raise ValueError(f"malformed CSV in {os.fspath(path)}: {exc}") from None
+
+
 def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
     """Parse a metrics CSV back into per-channel LayerMetrics (no group_rmse).
 
     Each row must name a layer once, at the layer_index its name gives, with
-    finite max_abs and rmse_pc; an error names the row by its line.
+    positive cols, a non-negative wall_count and finite max_abs and rmse_pc;
+    an error names the row by its line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _csv_rows(path)
     if not rows:
         raise ValueError(f"no metric rows in {os.fspath(path)}")
     metrics = []
@@ -316,6 +327,9 @@ def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
         if m.layer_index != layer_index_of(*parsed):
             raise ValueError(f"{where}: layer_index {m.layer_index} does not match the name "
                              f"(expected {layer_index_of(*parsed)})")
+        if m.cols < 1 or m.wall_count < 0:
+            raise ValueError(f"{where}: cols must be positive and wall_count non-negative, "
+                             f"got {m.cols} and {m.wall_count}")
         if not (np.isfinite(m.max_abs) and np.isfinite(m.rmse)):
             raise ValueError(f"{where}: max_abs and rmse_pc must be finite, got "
                              f"{m.max_abs} and {m.rmse}")

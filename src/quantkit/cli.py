@@ -220,10 +220,8 @@ def cmd_check_matmul(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    with open(args.results, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
     tasks = []
-    for row in rows:
+    for row in analyzer._csv_rows(args.results):
         try:
             tasks.append(
                 report.TaskResult(row["task"], float(row["accuracy"]), int(row["questions"]))

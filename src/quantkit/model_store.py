@@ -13,16 +13,19 @@ carries exactly 7*B layer records.  Embedding and head tensors are not
 part of the layer axis, but extra records flagged ``aux`` are permitted
 and ignored by profiling (quantized models use them for scale tensors).
 
-Two readers share one manifest parser and one layout check.
-``read_model`` keeps the whole blob resident and hands out views into it,
-for callers that visit records repeatedly; ``open_model`` reads one record
-per lookup, so a single pass over a model holds only the records in use.
+One reader turns blob bytes into arrays.  ``open_model`` parses the
+manifest, checks the layout against the blob's size before any byte is
+read, then reads one record per lookup into a read-only, 64-byte-aligned
+array, so a single pass over a model holds only the records in use.
+``read_model`` is the same reader with every record looked up once and
+kept, for callers that visit records repeatedly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 import tempfile
 import weakref
@@ -40,6 +43,33 @@ KINDS_PER_BLOCK = len(KIND_ORDER)
 _KIND_POSITION = {kind: i for i, kind in enumerate(KIND_ORDER)}
 
 _DTYPES = {"fp32": np.dtype("<f4"), "int8": np.dtype(np.int8)}
+
+
+# The JSON kind of each manifest record field (see _is_kind); the fields
+# with a default may be absent or null.
+_RECORD_KINDS = {"name": str, "shape": [int], "dtype": str, "byte_offset": int,
+                 "scale_ref": str, "aux": bool, "grouping": dict, "bits": int}
+_RECORD_DEFAULTS = {"scale_ref", "aux", "grouping", "bits"}
+
+
+def _is_kind(value, kind) -> bool:
+    """Whether a parsed JSON value is of ``kind``: a type, or a one-item list
+    for a list or tuple of that type.  A bool is not a number, an int is a
+    float, and numpy scalars count as their kind."""
+    if type(value) is kind:  # the common case, without the abstract-class checks below
+        return True
+    if isinstance(kind, list):
+        return isinstance(value, (list, tuple)) and all(_is_kind(v, kind[0]) for v in value)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
+
+
+def _require_kind(value, kind, what: str) -> None:
+    """Raise a ValueError naming ``what`` unless ``_is_kind(value, kind)``."""
+    if not _is_kind(value, kind):
+        want = f"a list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
+        raise ValueError(f"{what} must be {want}, got {value!r}")
 
 
 def layer_name(block: int, kind: str) -> str:
@@ -120,21 +150,21 @@ class TensorRecord:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TensorRecord":
-        try:
-            name = obj["name"]
-            shape = tuple(int(d) for d in obj["shape"])
-            dtype = obj["dtype"]
-            byte_offset = int(obj["byte_offset"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed tensor record: {obj!r}") from exc
+        if not isinstance(obj, dict):
+            raise ValueError(f"tensor record must be a JSON object, got {obj!r}")
+        for key, kind in _RECORD_KINDS.items():
+            value = obj.get(key)
+            if (value is None and key in _RECORD_DEFAULTS) or _is_kind(value, kind):
+                continue
+            _require_kind(value, kind, f"tensor record {obj.get('name')!r}: {key!r}")
         grouping = obj.get("grouping")
         return cls(
-            name=name,
-            shape=shape,
-            dtype=dtype,
-            byte_offset=byte_offset,
+            name=obj["name"],
+            shape=tuple(obj["shape"]),
+            dtype=obj["dtype"],
+            byte_offset=obj["byte_offset"],
             scale_ref=obj.get("scale_ref"),
-            aux=bool(obj.get("aux", False)),
+            aux=obj.get("aux") or False,
             grouping=GroupingScheme.from_json(grouping) if grouping is not None else None,
             bits=obj.get("bits"),
         )
@@ -180,7 +210,9 @@ class ModelManifest:
             raise ValueError(f"duplicate record names: {sorted(dupes)}")
         object.__setattr__(self, "_by_name", by_name)
         layer_names = {r.name for r in self.records if not r.aux}
-        expected = {layer_name(b, kind) for b in range(self.blocks) for kind in KIND_ORDER}
+        # More blocks than records can never match; the bound keeps the set small.
+        shown = min(self.blocks, len(self.records) + 1)
+        expected = {layer_name(b, kind) for b in range(shown) for kind in KIND_ORDER}
         if layer_names != expected:
             missing = sorted(expected - layer_names)
             extra = sorted(layer_names - expected)
@@ -231,14 +263,13 @@ class ModelManifest:
     def from_json_dict(cls, obj: dict) -> "ModelManifest":
         if not isinstance(obj, dict):
             raise ValueError("manifest must be a JSON object")
-        if obj.get("version") != MANIFEST_VERSION:
-            raise ValueError(f"unsupported manifest version {obj.get('version')!r}")
-        try:
-            blocks = int(obj["blocks"])
-            raw_records = obj["records"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError("manifest missing blocks/records") from exc
-        return cls(blocks=blocks, records=tuple(TensorRecord.from_json(r) for r in raw_records))
+        version = obj.get("version")
+        if not _is_kind(version, int) or version != MANIFEST_VERSION:
+            raise ValueError(f"unsupported manifest version {version!r}")
+        _require_kind(obj.get("blocks"), int, "manifest 'blocks'")
+        _require_kind(obj.get("records"), list, "manifest 'records'")
+        return cls(blocks=obj["blocks"],
+                   records=tuple(TensorRecord.from_json(r) for r in obj["records"]))
 
 
 def manifest_path(path: str | os.PathLike) -> str:
@@ -328,33 +359,14 @@ def write_model(
     atomic_write_bytes(blob_path(path), blob)
 
 
-def _read_manifest(path: str | os.PathLike) -> ModelManifest:
-    mpath = manifest_path(path)
-    try:
-        with open(mpath, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed manifest JSON in {mpath}: {exc}") from exc
-    return ModelManifest.from_json_dict(raw)
-
-
 def read_model(path: str | os.PathLike) -> tuple[ModelManifest, dict[str, np.ndarray]]:
     """Inverse of :func:`write_model`; values round-trip bit-exactly.
 
-    The blob is read once; the arrays are read-only views into it.  For a
-    single pass over the records, :func:`open_model` reads each record on
-    lookup instead of holding the whole blob.
+    Every record is read once through :func:`open_model` and kept: use this
+    to visit the records repeatedly, :func:`open_model` for one pass.
     """
-    manifest = _read_manifest(path)
-    with open(blob_path(path), "rb") as fh:
-        blob = fh.read()
-    _check_layout(manifest, len(blob))
-    tensors = {}
-    for rec in manifest.records:
-        flat = np.frombuffer(blob, dtype=rec.numpy_dtype, count=rec.shape[0] * rec.shape[1],
-                             offset=rec.byte_offset)
-        tensors[rec.name] = flat.reshape(rec.shape)
-    return manifest, tensors
+    manifest, records = open_model(path)
+    return manifest, dict(records)
 
 
 _ALIGN = 64
@@ -397,15 +409,20 @@ class _RecordReader(Mapping):
 
 
 def open_model(path: str | os.PathLike) -> tuple[ModelManifest, Mapping[str, np.ndarray]]:
-    """Like :func:`read_model`, but each record is read when it is looked up.
+    """The model's manifest and a mapping that reads each record on lookup.
 
-    The manifest and the blob's size pass the same checks before anything is
-    read.  The blob is opened once, so a file renamed over it later is not
-    seen.  Each lookup returns a new read-only, 64-byte-aligned array: use
-    this for one pass over the records, :func:`read_model` to visit them
-    repeatedly.
+    The manifest and the blob's size are checked before anything is read.
+    The blob is opened once, so a file renamed over it later is not seen.
+    Each lookup returns a new read-only, 64-byte-aligned array: use this for
+    one pass over the records, :func:`read_model` to visit them repeatedly.
     """
-    manifest = _read_manifest(path)
+    mpath = manifest_path(path)
+    try:
+        with open(mpath, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed manifest JSON in {mpath}: {exc}") from exc
+    manifest = ModelManifest.from_json_dict(raw)
     fd = os.open(blob_path(path), os.O_RDONLY)
     try:
         _check_layout(manifest, os.fstat(fd).st_size)

@@ -23,7 +23,7 @@ from .analyzer import (
     layer_max_abs,
     layer_rmse,
 )
-from .model_store import ModelManifest, TensorRecord
+from .model_store import ModelManifest, TensorRecord, _is_kind, _require_kind
 from .quantizer import (
     GroupingScheme,
     QuantParams,
@@ -108,21 +108,23 @@ class QuantPlan:
             raise ValueError(f"malformed plan JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ValueError(f"plan JSON must be an object, got {type(obj).__name__}")
-        if obj.get("version") != PLAN_VERSION:
-            raise ValueError(f"unsupported plan version {obj.get('version')!r}")
+        version = obj.get("version")
+        if not _is_kind(version, int) or version != PLAN_VERSION:
+            raise ValueError(f"unsupported plan version {version!r}")
+        for key, kind in (("group_size", int), ("bits", int), ("assignments", dict)):
+            _require_kind(obj.get(key), kind, f"plan {key!r}")
+        fallbacks = obj.get("fallbacks", {})
+        _require_kind(fallbacks, dict, "plan 'fallbacks'")
+        for name, size in fallbacks.items():
+            _require_kind(size, int, f"plan fallback for {name!r}")
         try:
             assignments = {
-                name: GroupingScheme.from_json(desc)
-                for name, desc in obj["assignments"].items()
+                name: GroupingScheme.from_json(desc) for name, desc in obj["assignments"].items()
             }
-            return cls(
-                assignments=assignments,
-                group_size=int(obj["group_size"]),
-                bits=int(obj["bits"]),
-                fallbacks={k: int(v) for k, v in obj.get("fallbacks", {}).items()},
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"malformed plan JSON: {exc}") from exc
+        return cls(assignments=assignments, group_size=obj["group_size"], bits=obj["bits"],
+                   fallbacks=fallbacks)
 
 
 def _select(
@@ -197,12 +199,12 @@ def apply_plan(
 
     Produces an int8 record per layer followed by an aux fp32 record
     holding its scales (per-channel scales stored as an (N, 1) column);
-    aux records of the source model pass through unchanged.  The plan
-    must cover exactly the model's layers, and each per-group size must
-    divide its layer's column count.
+    aux records of the source model pass through unchanged.  Every layer
+    must be fp32, the plan must cover exactly the model's layers, and each
+    per-group size must divide its layer's column count.
     """
     params = QuantParams(plan.bits)
-    layer_names = {rec.name for rec in manifest.layer_records()}
+    layer_names = {rec.name for rec in _fp32_layer_records(manifest)}
     plan_names = set(plan.assignments)
     if layer_names != plan_names:
         missing = sorted(layer_names - plan_names)
@@ -218,11 +220,6 @@ def apply_plan(
             out_records.append(rec)
             out_tensors[rec.name] = tensors[rec.name]
             continue
-        if rec.dtype != "fp32":
-            raise ValueError(
-                f"layer {rec.name!r} is {rec.dtype}, not fp32; the model looks "
-                "already quantized"
-            )
         scheme = plan.assignments[rec.name]
         try:
             qt = quantize_weight(tensors[rec.name], scheme, params)

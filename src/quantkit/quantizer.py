@@ -68,8 +68,9 @@ class GroupingScheme:
         if self.mode not in (PER_CHANNEL, PER_GROUP):
             raise ValueError(f"unknown grouping mode {self.mode!r}")
         if self.mode == PER_GROUP:
-            if not isinstance(self.group_size, int) or self.group_size < 1:
-                raise ValueError(f"per-group size must be a positive integer, got {self.group_size!r}")
+            size = self.group_size
+            if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+                raise ValueError(f"per-group size must be a positive integer, got {size!r}")
         elif self.group_size is not None:
             raise ValueError("per-channel grouping takes no group size")
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+# The weighted average is taken in float64, which holds counts exactly up to 2^53.
+_MAX_QUESTION_COUNT = 2**53
+
 
 @dataclass(frozen=True)
 class TaskResult:
@@ -23,9 +26,10 @@ class TaskResult:
             raise ValueError(
                 f"task {self.name!r}: accuracy must be in [0, 1], got {self.accuracy}"
             )
-        if self.question_count < 1:
+        if not 1 <= self.question_count <= _MAX_QUESTION_COUNT:
             raise ValueError(
-                f"task {self.name!r}: question count must be positive, got {self.question_count}"
+                f"task {self.name!r}: question count must be in [1, 2^53], "
+                f"got {self.question_count}"
             )
 
 

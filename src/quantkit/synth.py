@@ -15,13 +15,12 @@ pure function of the config and independent of generation order.
 from __future__ import annotations
 
 import hashlib
-import numbers
 from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .model_store import KIND_ORDER, ModelManifest, TensorRecord, layer_name
+from .model_store import KIND_ORDER, ModelManifest, TensorRecord, _require_kind, layer_name
 
 WALL_KIND_UNIVERSE = ("q", "k", "v", "up", "gate")
 
@@ -32,10 +31,14 @@ DEFAULT_WALL_BLOCKS = (0, 1, 3)
 DEFAULT_WALL_COLUMNS = 4
 DEFAULT_WALL_MAGNITUDE = (50.0, 100.0)
 
+# Every weight must be finite in float32.  Generator.normal never draws past
+# 14 standard deviations, so base_std may reach float32 max / 16.
+_F32_MAX = float(np.finfo(np.float32).max)
+_MAX_BASE_STD = _F32_MAX / 16
 
-# The type of each SynthConfig field; a one-item list means a list or tuple
-# of that type.  Checked the way a JSON config file needs: a bool is not a
-# number, an int is a float, and numpy scalars count as their kind.
+
+# The type of each SynthConfig field, as model_store._is_kind reads it; a
+# one-item list means a list or tuple of that type.
 _FIELD_KINDS = {
     "blocks": int,
     "dim": int,
@@ -48,14 +51,6 @@ _FIELD_KINDS = {
     "kv_dim_divisor": int,
     "seed": int,
 }
-
-
-def _is_kind(value, kind) -> bool:
-    if isinstance(kind, list):
-        return isinstance(value, (list, tuple)) and all(_is_kind(v, kind[0]) for v in value)
-    if isinstance(value, bool) or kind is bool:
-        return isinstance(value, bool) and kind is bool
-    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
 
 
 @dataclass(frozen=True)
@@ -73,14 +68,12 @@ class SynthConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            kind, value = _FIELD_KINDS[f.name], getattr(self, f.name)
-            if not _is_kind(value, kind):
-                want = f"a list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
-                raise ValueError(f"synth setting {f.name!r} must be {want}, got {value!r}")
+            what = f"synth setting {f.name!r}"
+            _require_kind(getattr(self, f.name), _FIELD_KINDS[f.name], what)
         if self.blocks < 1 or self.dim < 1:
             raise ValueError("blocks and dim must be positive")
-        if self.base_std <= 0:
-            raise ValueError("base_std must be positive")
+        if not 0 < self.base_std <= _MAX_BASE_STD:
+            raise ValueError(f"base_std must be in (0, {_MAX_BASE_STD:.4g}], got {self.base_std}")
         object.__setattr__(self, "wall_blocks", tuple(int(b) for b in self.wall_blocks))
         object.__setattr__(self, "wall_kinds", tuple(self.wall_kinds))
         object.__setattr__(self, "wall_magnitude", tuple(float(m) for m in self.wall_magnitude))
@@ -93,8 +86,9 @@ class SynthConfig:
                 f"wall kinds must be drawn from {WALL_KIND_UNIVERSE}, got {bad_kinds}"
             )
         lo, hi = self.wall_magnitude
-        if not 0 < lo <= hi:
-            raise ValueError(f"wall magnitude range must satisfy 0 < lo <= hi, got {lo}, {hi}")
+        if not 0 < lo <= hi <= _F32_MAX:
+            raise ValueError("wall magnitude range must satisfy 0 < lo <= hi <= float32 max, "
+                             f"got {lo}, {hi}")
         if not 0 <= self.wall_columns_per_layer < self.dim:
             raise ValueError("wall_columns_per_layer must be in [0, dim)")
         if self.kv_dim_divisor < 1 or self.dim % self.kv_dim_divisor != 0:

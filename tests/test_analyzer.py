@@ -360,6 +360,14 @@ class TestCsvAndPlotData:
                          r"match the name \(expected 2\)", id="index_disagrees_with_name"),
             pytest.param("name", "blocks.0.x", r"line 4 \('blocks.0.x'\): not a layer name",
                          id="not_a_layer_name"),
+            pytest.param("cols", "-8", r"line 4 \('blocks.0.v'\): cols must be positive and "
+                         r"wall_count non-negative, got -8 and 0", id="negative_cols"),
+            pytest.param("cols", "0", r"line 4 \('blocks.0.v'\): cols must be positive",
+                         id="zero_cols"),
+            pytest.param("wall_count", "-1", r"line 4 \('blocks.0.v'\).*got 16 and -1",
+                         id="negative_wall_count"),
+            pytest.param("name", "x" * 200_000, r"malformed CSV in .*bad\.csv: field larger",
+                         id="field_past_csv_limit"),
         ],
     )
     def test_bad_row_rejected_naming_it(self, csv_metrics, tmp_path, column, value, match):

@@ -266,6 +266,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "already quantized" in err
 
+    def test_quantizing_a_quantized_model_is_a_clean_failure(self, tmp_path, capsys):
+        m, r, p, mq = run_pipeline(tmp_path, blocks=4)
+        capsys.readouterr()
+        assert main(["quantize", mq, "--plan", p, "--out", str(tmp_path / "mq2")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "already quantized" in err
+        assert not list(tmp_path.glob("mq2*"))
+
     def test_validation_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "p.json"
         bad.write_text("{}")
@@ -373,6 +381,10 @@ class TestDamagedInputs:
                          "line 9 ('blocks.0.v'): repeats the layer of line 4", id="repeated_row"),
             pytest.param(lambda rows: rows[3].__setitem__(0, "4"),
                          "line 4 ('blocks.0.v'): layer_index 4 does not match", id="wrong_index"),
+            pytest.param(lambda rows: rows[3].__setitem__(4, "-8"),
+                         "line 4 ('blocks.0.v'): cols must be positive", id="negative_cols"),
+            pytest.param(lambda rows: rows[3].__setitem__(1, "x" * 200_000),
+                         "malformed CSV in", id="field_past_csv_limit"),
         ],
     )
     def test_bad_metrics_row_is_a_clean_failure(

@@ -1,7 +1,9 @@
 """Container round-trip, determinism, and validation tests."""
 
+import builtins
 import json
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -153,15 +155,38 @@ class TestWriteRead:
             tmp_path / "b.manifest.json"
         ).read_bytes()
 
-    def test_arrays_are_read_only_views_of_one_buffer(self, tmp_path):
+    def test_arrays_are_read_only_aligned_and_distinct(self, tmp_path):
         manifest, tensors = tiny_model()
         write_model(manifest, tensors, tmp_path / "m")
         _, loaded = read_model(tmp_path / "m")
-        blob = loaded["blocks.0.q"].base.base
-        assert isinstance(blob, bytes) and len(blob) == manifest.blob_nbytes
-        for arr in loaded.values():
-            assert arr.base.base is blob
-            assert not arr.flags.writeable
+        arrays = list(loaded.values())
+        assert len(arrays) == len(manifest.records)
+        for i, arr in enumerate(arrays):
+            assert not arr.flags.writeable and arr.ctypes.data % 64 == 0
+            assert not any(np.shares_memory(arr, other) for other in arrays[i + 1:])
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_no_file_stays_open(self, tmp_path):
+        manifest, tensors = tiny_model()
+        write_model(manifest, tensors, tmp_path / "m")
+        open_fds = len(os.listdir("/proc/self/fd"))
+        _, loaded = read_model(tmp_path / "m")
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert np.array_equal(loaded["blocks.0.down"], tensors["blocks.0.down"])
+
+    def test_trailing_bytes_rejected_before_any_read(self, tmp_path, monkeypatch):
+        manifest, tensors = tiny_model()
+        write_model(manifest, tensors, tmp_path / "m")
+        with open(blob_path(tmp_path / "m"), "ab") as fh:
+            fh.write(b"\x00" * 8)
+        reads = []
+        real_open, real_preadv = builtins.open, os.preadv
+        monkeypatch.setattr(builtins, "open",
+                            lambda file, *a, **k: reads.append(file) or real_open(file, *a, **k))
+        monkeypatch.setattr(os, "preadv", lambda *a: reads.append(a) or real_preadv(*a))
+        with pytest.raises(ValueError, match="does not match"):
+            read_model(tmp_path / "m")
+        assert reads == [manifest_path(tmp_path / "m")]
 
     def test_int8_records_round_trip(self, tmp_path):
         manifest, tensors = tiny_model()
@@ -316,6 +341,66 @@ class TestQuantizedRecordContract:
         (tmp_path / "q.manifest.json").write_text(json.dumps(obj))
         with pytest.raises(ValueError, match=match):
             read_model(tmp_path / "q")
+
+
+class TestManifestJsonKinds:
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            pytest.param(("records",), None, "manifest 'records' must be list, got None",
+                         id="null_records"),
+            pytest.param(("records",), 5, "manifest 'records' must be list, got 5",
+                         id="int_records"),
+            pytest.param(("records", 0), "blocks.0.q", "tensor record must be a JSON object",
+                         id="string_record"),
+            pytest.param(("records", 0, "dtype"), ["fp32"],
+                         "tensor record 'blocks.0.q': 'dtype' must be str", id="list_dtype"),
+            pytest.param(("records", 0, "name"), ["blocks.0.q"],
+                         "tensor record ['blocks.0.q']: 'name' must be str", id="list_name"),
+            pytest.param(("records", 0, "shape"), [8.9, 8],
+                         "tensor record 'blocks.0.q': 'shape' must be a list of int",
+                         id="float_shape"),
+            pytest.param(("records", 0, "shape"), [True, 4], "'shape' must be a list of int",
+                         id="bool_shape"),
+            pytest.param(("records", 0, "byte_offset"), 0.0, "'byte_offset' must be int",
+                         id="float_offset"),
+            pytest.param(("records", 6, "aux"), "no",
+                         "tensor record 'blocks.0.down': 'aux' must be bool, got 'no'",
+                         id="string_aux"),
+            pytest.param(("records", 0, "scale_ref"), [], "'scale_ref' must be str",
+                         id="list_scale_ref"),
+            pytest.param(("records", 0, "bits"), 8.0, "'bits' must be int", id="float_bits"),
+            pytest.param(("records", 0, "grouping"), [], "'grouping' must be dict",
+                         id="list_grouping"),
+            pytest.param(("blocks",), 1.7, "manifest 'blocks' must be int, got 1.7",
+                         id="float_blocks"),
+            pytest.param(("blocks",), 2**62, "canonical layers", id="huge_blocks"),
+            pytest.param(("version",), True, "unsupported manifest version True",
+                         id="bool_version"),
+            pytest.param(("records", 0, "name"), None, "'name' must be str, got None",
+                         id="null_name"),
+        ],
+    )
+    def test_wrongly_typed_field_rejected(self, tmp_path, field, value, match):
+        manifest, tensors = tiny_model()
+        write_model(manifest, tensors, tmp_path / "m")
+        obj = json.loads((tmp_path / "m.manifest.json").read_text())
+        target = obj
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        (tmp_path / "m.manifest.json").write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=re.escape(match)):
+            read_model(tmp_path / "m")
+
+    def test_null_optional_fields_read_as_absent(self, tmp_path):
+        manifest, tensors = tiny_model()
+        write_model(manifest, tensors, tmp_path / "m")
+        obj = json.loads((tmp_path / "m.manifest.json").read_text())
+        for key in ("aux", "scale_ref", "grouping", "bits"):
+            obj["records"][0][key] = None
+        (tmp_path / "m.manifest.json").write_text(json.dumps(obj))
+        assert read_model(tmp_path / "m")[0] == manifest
 
 
 class TestManifestJson:

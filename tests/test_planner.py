@@ -1,5 +1,7 @@
 """Mixed-grouping plan construction, application, and group-size sweeps."""
 
+import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from quantkit import (
     GroupingScheme,
+    ModelManifest,
     PlanConfig,
     QuantParams,
     QuantPlan,
@@ -129,8 +132,6 @@ class TestPlanJson:
         assert again.to_json_text() == plan.to_json_text()
 
     def test_schema_fields(self, wall_metrics):
-        import json
-
         plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
         obj = json.loads(plan.to_json_text())
         assert obj["version"] == 1
@@ -145,6 +146,31 @@ class TestPlanJson:
             QuantPlan.from_json_text("{")
         with pytest.raises(ValueError, match="version"):
             QuantPlan.from_json_text("{\"version\": 3}")
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            pytest.param(("bits",), 8.7, "plan 'bits' must be int, got 8.7", id="float_bits"),
+            pytest.param(("group_size",), 8.5, "plan 'group_size' must be int", id="float_size"),
+            pytest.param(("group_size",), True, "plan 'group_size' must be int", id="bool_size"),
+            pytest.param(("assignments",), [], "plan 'assignments' must be dict", id="list"),
+            pytest.param(("fallbacks",), [1], "plan 'fallbacks' must be dict", id="fallbacks"),
+            pytest.param(("fallbacks", "blocks.0.q"), 4.5,
+                         "plan fallback for 'blocks.0.q' must be int", id="float_fallback"),
+            pytest.param(("assignments", "blocks.0.q", "group_size"), True,
+                         "per-group size must be a positive integer, got True", id="bool_group"),
+            pytest.param(("version",), True, "unsupported plan version True", id="bool_version"),
+        ],
+    )
+    def test_wrongly_typed_field_rejected(self, wall_metrics, field, value, match):
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=7))
+        obj = json.loads(plan.to_json_text())
+        target = obj
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        with pytest.raises(ValueError, match=re.escape(match)):
+            QuantPlan.from_json_text(json.dumps(obj))
 
     @pytest.mark.parametrize("text", ["[1]", "[]", "1", "\"plan\"", "null"])
     def test_non_object_json_rejected(self, text):
@@ -220,7 +246,7 @@ class TestApplyPlan:
         ).read_bytes()
 
     def test_aux_records_pass_through_unchanged(self, wall_metrics):
-        from quantkit import ModelManifest, TensorRecord
+        from quantkit import TensorRecord
 
         cfg = SynthConfig(blocks=6, dim=32, wall_blocks=(0, 3), wall_columns_per_layer=2, seed=9)
         manifest, tensors = generate(cfg)
@@ -235,6 +261,17 @@ class TestApplyPlan:
         qmanifest, qtensors = apply_plan(manifest, tensors, plan)
         assert qmanifest.record("lm_head").dtype == "fp32"
         assert np.array_equal(qtensors["lm_head"], head)
+
+    def test_quantized_layer_rejected_before_any_layer_is_read(self, wall_model, wall_metrics):
+        manifest, tensors = wall_model
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
+        qmanifest, _ = apply_plan(manifest, tensors, plan)
+        last = manifest.records[-1].name  # only the last layer is quantized
+        records = [r for r in manifest.records if r.name != last]
+        records += [qmanifest.record(last), qmanifest.record(scale_record_name(last))]
+        mixed = ModelManifest.assemble(manifest.blocks, records)
+        with pytest.raises(ValueError, match=rf"not fp32 \(already quantized\?\): \['{last}'\]"):
+            apply_plan(mixed, {}, plan)  # no tensors: a layer lookup would be a KeyError
 
     def test_quantized_model_round_trips_through_store(self, wall_model, wall_metrics, tmp_path):
         manifest, tensors = wall_model

@@ -50,7 +50,7 @@ class TestGroupingScheme:
         with pytest.raises(ValueError):
             GroupingScheme("per_channel", 4)
 
-    @pytest.mark.parametrize("size", [0, -1, None, 2.5])
+    @pytest.mark.parametrize("size", [0, -1, None, 2.5, True])
     def test_per_group_needs_positive_int(self, size):
         with pytest.raises(ValueError):
             GroupingScheme.per_group(size)

@@ -35,6 +35,10 @@ class TestConfigValidation:
             {"wall_columns_per_layer": 64, "dim": 64},
             {"kv_dim_divisor": 3, "dim": 64},
             {"base_std": 0.0},
+            {"base_std": float("nan")},
+            {"base_std": 1e300},
+            {"wall_magnitude": (50.0, 1e300)},
+            {"wall_magnitude": (50.0, float("inf"))},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
