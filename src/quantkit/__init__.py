@@ -26,7 +26,15 @@ from .model_store import (
     read_model,
     write_model,
 )
-from .planner import PlanConfig, QuantPlan, SweepRow, apply_plan, build_plan, sweep_group_size
+from .planner import (
+    PlanConfig,
+    QuantPlan,
+    SweepRow,
+    apply_plan,
+    build_plan,
+    quantized_view,
+    sweep_group_size,
+)
 from .quantizer import (
     GroupingScheme,
     QuantParams,
@@ -75,6 +83,7 @@ __all__ = [
     "profile_model",
     "quantize_activation",
     "quantize_weight",
+    "quantized_view",
     "read_model",
     "reference_matmul_fp",
     "sweep_group_size",

@@ -285,12 +285,14 @@ def write_metrics_csv(path: str | os.PathLike, metrics: list[LayerMetrics]) -> N
     atomic_write_text(path, metrics_csv_text(metrics))
 
 
-def _csv_rows(path: str | os.PathLike) -> list[dict]:
-    """The rows of a CSV file with a header line; a malformed file (a field
+def _csv_rows(path: str | os.PathLike) -> list[tuple[int, dict]]:
+    """The rows of a CSV file with a header line, each with the file line it
+    ends on (a quoted cell can hold a newline); a malformed file (a field
     past the csv module's size limit, say) is a ValueError naming it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
         try:
-            return list(csv.DictReader(fh))
+            return [(reader.line_num, row) for row in reader]
         except csv.Error as exc:
             raise ValueError(f"malformed CSV in {os.fspath(path)}: {exc}") from None
 
@@ -300,14 +302,14 @@ def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
 
     Each row must name a layer once, at the layer_index its name gives, with
     positive cols, a non-negative wall_count and finite max_abs and rmse_pc;
-    an error names the row by its line.
+    an error names the row by the file line it ends on.
     """
     rows = _csv_rows(path)
     if not rows:
         raise ValueError(f"no metric rows in {os.fspath(path)}")
     metrics = []
     line_of: dict[str, int] = {}
-    for line, row in enumerate(rows, start=2):
+    for line, row in rows:
         try:
             m = LayerMetrics(
                 layer_index=int(row["layer_index"]),
@@ -319,7 +321,7 @@ def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
                 wall_count=int(row["wall_count"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed metrics row ({exc!r}): {row!r}") from exc
+            raise ValueError(f"malformed metrics row at line {line} ({exc!r}): {row!r}") from exc
         where = f"metrics row at line {line} ({m.name!r})"
         parsed = parse_layer_name(m.name)
         if parsed is None:

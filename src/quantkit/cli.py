@@ -134,8 +134,7 @@ def cmd_quantize(args) -> int:
     manifest, tensors = model_store.open_model(args.model)
     with open(args.plan, "r", encoding="utf-8") as fh:
         plan = planner.QuantPlan.from_json_text(fh.read())
-    qmanifest, qtensors = planner.apply_plan(manifest, tensors, plan)
-    model_store.write_model(qmanifest, qtensors, args.out)
+    model_store.write_model(*planner.quantized_view(manifest, tensors, plan), args.out)
     print(f"wrote quantized model to {args.out}.manifest.json / {args.out}.bin")
     return 0
 
@@ -221,7 +220,7 @@ def cmd_check_matmul(args) -> int:
 
 def cmd_report(args) -> int:
     tasks = []
-    for row in analyzer._csv_rows(args.results):
+    for _, row in analyzer._csv_rows(args.results):
         try:
             tasks.append(
                 report.TaskResult(row["task"], float(row["accuracy"]), int(row["questions"]))

@@ -19,6 +19,12 @@ read, then reads one record per lookup into a read-only, 64-byte-aligned
 array, so a single pass over a model holds only the records in use.
 ``read_model`` is the same reader with every record looked up once and
 kept, for callers that visit records repeatedly.
+
+One writer turns records into a blob.  ``write_model`` looks each record up
+once, in record order, and streams its bytes into the blob's temp file, so
+a mapping that computes records on lookup (``planner.quantized_view``) is
+written one record at a time.  The blob is renamed into place before the
+manifest, so a record that fails mid-stream changes neither file.
 """
 
 from __future__ import annotations
@@ -280,14 +286,23 @@ def blob_path(path: str | os.PathLike) -> str:
     return f"{os.fspath(path)}.bin"
 
 
-def atomic_write_bytes(path: str | os.PathLike, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
+def atomic_write_bytes(path: str | os.PathLike, data) -> None:
+    """Write via a temp file in the same directory, then rename.
+
+    ``data`` is bytes, or a sized iterable of buffers written in order (see
+    ``write_model``); ``len(data)`` is its byte count either way.  If
+    ``data`` raises part-way, the temp file is removed and ``path`` is
+    left as it was.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in [data] if isinstance(data, bytes) else data:
+                fh.write(chunk)
+            if fh.tell() != len(data):
+                raise ValueError(f"wrote {fh.tell()} bytes to {path}, expected {len(data)}")
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -320,7 +335,7 @@ def _check_layout(manifest: ModelManifest, blob_len: int) -> None:
                          "manifest describes")
 
 
-def _validate_tensors(manifest: ModelManifest, tensors: Mapping[str, np.ndarray]) -> None:
+def _check_names(manifest: ModelManifest, tensors: Mapping[str, np.ndarray]) -> None:
     record_names = {r.name for r in manifest.records}
     missing = sorted(record_names - set(tensors))
     if missing:
@@ -328,35 +343,53 @@ def _validate_tensors(manifest: ModelManifest, tensors: Mapping[str, np.ndarray]
     extra = sorted(set(tensors) - record_names)
     if extra:
         raise ValueError(f"input tensors not named by the manifest: {extra}")
-    for rec in manifest.records:
-        arr = tensors[rec.name]
-        if tuple(arr.shape) != rec.shape:
-            raise ValueError(
-                f"tensor {rec.name!r} has shape {tuple(arr.shape)}, manifest says {rec.shape}"
-            )
-        if arr.dtype != rec.numpy_dtype:
-            raise ValueError(
-                f"tensor {rec.name!r} has dtype {arr.dtype}, manifest says {rec.dtype}"
-            )
+
+
+class _BlobStream:
+    """The blob as a sized iterable of buffers: each record is looked up once,
+    in record order, checked against its manifest entry and handed on as
+    bytes, so only the record being written is held."""
+
+    def __init__(self, manifest: ModelManifest, tensors: Mapping[str, np.ndarray]):
+        self._manifest = manifest
+        self._tensors = tensors
+
+    def __len__(self) -> int:
+        return self._manifest.blob_nbytes
+
+    def __iter__(self):
+        for rec in self._manifest.records:
+            arr = self._tensors[rec.name]
+            if tuple(arr.shape) != rec.shape:
+                raise ValueError(
+                    f"tensor {rec.name!r} has shape {tuple(arr.shape)}, manifest says {rec.shape}"
+                )
+            if arr.dtype != rec.numpy_dtype:
+                raise ValueError(
+                    f"tensor {rec.name!r} has dtype {arr.dtype}, manifest says {rec.dtype}"
+                )
+            yield np.ascontiguousarray(arr).reshape(-1).view(np.uint8)
 
 
 def write_model(
     manifest: ModelManifest, tensors: Mapping[str, np.ndarray], path: str | os.PathLike
 ) -> None:
-    """Write ``<path>.manifest.json`` and ``<path>.bin``.
+    """Write ``<path>.bin``, then ``<path>.manifest.json``.
 
     The manifest's byte offsets must describe the contiguous record-order
-    layout (use ``ModelManifest.assemble``).  Output is byte-identical for
+    layout (use ``ModelManifest.assemble``).  ``tensors`` may compute its
+    records on lookup (``planner.quantized_view``): each is looked up once,
+    in record order, and streamed into the blob's temp file, so a record
+    that fails leaves neither file changed.  Output is byte-identical for
     identical inputs; both files are written atomically.  Writing assumes
     exclusive ownership of the target stem (single writer); reading is
     pure and safe from concurrent contexts.
     """
-    _validate_tensors(manifest, tensors)
+    _check_names(manifest, tensors)
     _check_layout(manifest, manifest.blob_nbytes)
-    blob = b"".join(np.ascontiguousarray(tensors[rec.name]) for rec in manifest.records)
+    atomic_write_bytes(blob_path(path), _BlobStream(manifest, tensors))
     text = json.dumps(manifest.to_json_dict(), sort_keys=True, indent=2) + "\n"
     atomic_write_text(manifest_path(path), text)
-    atomic_write_bytes(blob_path(path), blob)
 
 
 def read_model(path: str | os.PathLike) -> tuple[ModelManifest, dict[str, np.ndarray]]:

@@ -5,13 +5,20 @@ at a finer granularity; everything else stays per-channel, which keeps
 the integer matmul fast for the overwhelming majority of the model.  A
 plan is a total assignment of one grouping scheme per layer and is
 serializable to JSON for reproducible application.
+
+Applying a plan needs no calibration data and treats each layer on its
+own, so it is one pass: ``quantized_view`` checks the plan and derives the
+quantized manifest from it before any layer is read, then quantizes a
+layer when it is looked up.  ``model_store.write_model`` streams that view
+to disk holding one layer at a time; ``apply_plan`` keeps every record.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -113,6 +120,12 @@ class QuantPlan:
             raise ValueError(f"unsupported plan version {version!r}")
         for key, kind in (("group_size", int), ("bits", int), ("assignments", dict)):
             _require_kind(obj.get(key), kind, f"plan {key!r}")
+        if obj["group_size"] < 1:
+            raise ValueError(f"plan 'group_size' must be positive, got {obj['group_size']!r}")
+        try:
+            QuantParams(obj["bits"])
+        except ValueError as exc:
+            raise ValueError(f"plan 'bits': {exc}") from None
         fallbacks = obj.get("fallbacks", {})
         _require_kind(fallbacks, dict, "plan 'fallbacks'")
         for name, size in fallbacks.items():
@@ -123,8 +136,20 @@ class QuantPlan:
             }
         except ValueError as exc:
             raise ValueError(f"malformed plan JSON: {exc}") from exc
-        return cls(assignments=assignments, group_size=obj["group_size"], bits=obj["bits"],
+        for name, size in fallbacks.items():
+            scheme = assignments.get(name)
+            if scheme is None or not scheme.is_per_group or scheme.group_size != size:
+                raise ValueError(f"plan fallback for {name!r} is {size}, but its assignment is "
+                                 f"{scheme.to_json() if scheme else None}")
+        plan = cls(assignments=assignments, group_size=obj["group_size"], bits=obj["bits"],
                    fallbacks=fallbacks)
+        if "per_group_fraction" in obj:
+            fraction = obj["per_group_fraction"]
+            _require_kind(fraction, float, "plan 'per_group_fraction'")
+            if fraction != plan.per_group_fraction:
+                raise ValueError(f"plan 'per_group_fraction' is {fraction!r}, but the assignments "
+                                 f"give {plan.per_group_fraction!r}")
+        return plan
 
 
 def _select(
@@ -190,18 +215,64 @@ def scale_record_name(name: str) -> str:
     return name + SCALE_SUFFIX
 
 
-def apply_plan(
+class _QuantizedView(Mapping):
+    """Name -> array mapping over a quantized model that quantizes a layer
+    when it is looked up.  The layer's scales wait for the next lookup of its
+    scale record, so a pass in record order quantizes each layer once; any
+    other lookup of a scale record quantizes its layer again."""
+
+    def __init__(self, qmanifest: ModelManifest, tensors: Mapping[str, np.ndarray],
+                 params: QuantParams):
+        self._manifest = qmanifest
+        self._tensors = tensors
+        self._params = params
+        self._layer_of = {r.scale_ref: r for r in qmanifest.records if not r.aux}
+        self._pending: tuple[str, np.ndarray] | None = None  # (scale record, its scales)
+
+    def _quantize(self, rec: TensorRecord) -> tuple[np.ndarray, np.ndarray]:
+        try:
+            qt = quantize_weight(self._tensors[rec.name], rec.grouping, self._params)
+        except ValueError as exc:
+            raise ValueError(f"layer {rec.name!r}: {exc}") from None
+        return qt.values, qt.scales.reshape(rec.shape[0], -1)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        rec = self._manifest.record(name)
+        if not rec.aux:
+            values, scales = self._quantize(rec)
+            self._pending = (rec.scale_ref, scales)
+            return values
+        pending = self._pending
+        if pending is not None and pending[0] == name:
+            self._pending = None
+            return pending[1]
+        if name in self._layer_of:
+            return self._quantize(self._layer_of[name])[1]
+        return self._tensors[name]
+
+    def __iter__(self):
+        return (rec.name for rec in self._manifest.records)
+
+    def __len__(self) -> int:
+        return len(self._manifest.records)
+
+
+def quantized_view(
     manifest: ModelManifest,
     tensors: Mapping[str, np.ndarray],
     plan: QuantPlan,
-) -> tuple[ModelManifest, dict[str, np.ndarray]]:
-    """Quantize every layer under its assigned scheme, exactly as written.
+) -> tuple[ModelManifest, Mapping[str, np.ndarray]]:
+    """The quantized model's manifest, built from the plan alone, and a
+    mapping that quantizes each layer under its assigned scheme, exactly as
+    written, when the layer is looked up.
 
-    Produces an int8 record per layer followed by an aux fp32 record
-    holding its scales (per-channel scales stored as an (N, 1) column);
-    aux records of the source model pass through unchanged.  Every layer
-    must be fp32, the plan must cover exactly the model's layers, and each
-    per-group size must divide its layer's column count.
+    Each layer becomes an int8 record followed by an aux fp32 record of its
+    scales, shaped (N, M/g) (per-channel scales as an (N, 1) column); aux
+    records of the source pass through unchanged.  Every layer must be fp32,
+    the plan must cover exactly the model's layers, and each per-group size
+    must divide its layer's column count; all of this is checked before any
+    layer is read.  A pass in record order (``write_model`` streams one)
+    quantizes each layer once and holds one layer at a time.
     """
     params = QuantParams(plan.bits)
     layer_names = {rec.name for rec in _fp32_layer_records(manifest)}
@@ -214,26 +285,35 @@ def apply_plan(
         )
 
     out_records: list[TensorRecord] = []
-    out_tensors: dict[str, np.ndarray] = {}
     for rec in manifest.records:
         if rec.aux:
             out_records.append(rec)
-            out_tensors[rec.name] = tensors[rec.name]
             continue
         scheme = plan.assignments[rec.name]
+        n, m = rec.shape
         try:
-            qt = quantize_weight(tensors[rec.name], scheme, params)
+            scheme.validate_for(m)
         except ValueError as exc:
             raise ValueError(f"layer {rec.name!r}: {exc}") from None
-        scales = qt.scales.reshape(rec.shape[0], -1)
         sname = scale_record_name(rec.name)
         out_records.append(
             replace(rec, dtype="int8", scale_ref=sname, grouping=scheme, bits=params.bits)
         )
-        out_records.append(TensorRecord(name=sname, shape=scales.shape, dtype="fp32", aux=True))
-        out_tensors[rec.name] = qt.values
-        out_tensors[sname] = scales
-    return ModelManifest.assemble(manifest.blocks, out_records), out_tensors
+        out_records.append(TensorRecord(
+            name=sname, shape=(n, m // scheme.resolved_group_size(m)), dtype="fp32", aux=True))
+    qmanifest = ModelManifest.assemble(manifest.blocks, out_records)
+    return qmanifest, _QuantizedView(qmanifest, tensors, params)
+
+
+def apply_plan(
+    manifest: ModelManifest,
+    tensors: Mapping[str, np.ndarray],
+    plan: QuantPlan,
+) -> tuple[ModelManifest, dict[str, np.ndarray]]:
+    """Quantize every layer under its assigned scheme, exactly as written:
+    :func:`quantized_view` with every record computed and kept."""
+    qmanifest, view = quantized_view(manifest, tensors, plan)
+    return qmanifest, dict(view)
 
 
 def read_quantized_layer(

@@ -377,6 +377,24 @@ class TestCsvAndPlotData:
         with pytest.raises(ValueError, match=match):
             read_metrics_csv(tmp_path / "bad.csv")
 
+    @pytest.mark.parametrize(
+        "column,value,match",
+        [
+            pytest.param("max_abs", "nan", r"line 5 \('blocks.0.v'\): max_abs and rmse_pc must be "
+                         "finite", id="bad_value"),
+            pytest.param("cols", "x", r"malformed metrics row at line 5 \(ValueError",
+                         id="malformed_row"),
+        ],
+    )
+    def test_quoted_newline_does_not_shift_later_lines(self, csv_metrics, tmp_path, column,
+                                                       value, match):
+        lines = [line.split(",") for line in metrics_csv_text(csv_metrics).splitlines()]
+        lines[1][lines[0].index("kind")] = '"q\nq"'  # row 1 now spans file lines 2 and 3
+        lines[3][lines[0].index(column)] = value
+        (tmp_path / "bad.csv").write_text("\n".join(map(",".join, lines)) + "\n")
+        with pytest.raises(ValueError, match=match):
+            read_metrics_csv(tmp_path / "bad.csv")
+
     def test_repeated_layer_rejected_naming_both_rows(self, csv_metrics, tmp_path):
         lines = metrics_csv_text(csv_metrics).splitlines()
         (tmp_path / "bad.csv").write_text("\n".join(lines + [lines[3]]) + "\n")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +15,15 @@ from quantkit.cli import main
 from quantkit.planner import read_quantized_layer
 
 
-def run_pipeline(workdir, seed=7, blocks=8, dim=32):
+def run_pipeline(workdir, seed=7, blocks=8, dim=32, wall_blocks=None):
     """synth -> analyze -> plan -> quantize inside workdir; returns stems."""
     m = str(workdir / "m")
     r = str(workdir / "r.csv")
     p = str(workdir / "p.json")
     mq = str(workdir / "mq")
-    assert main(["synth", "--blocks", str(blocks), "--dim", str(dim),
-                 "--seed", str(seed), "--out", m]) == 0
+    walls = [] if wall_blocks is None else ["--wall-blocks", wall_blocks]
+    assert main(["synth", "--blocks", str(blocks), "--dim", str(dim), "--seed", str(seed),
+                 *walls, "--out", m]) == 0
     assert main(["analyze", m, "--out", r]) == 0
     assert main(["plan", r, "--max-abs-threshold", "2.0", "--group-size", "16",
                  "--out", p]) == 0
@@ -274,6 +276,22 @@ class TestExitCodes:
         assert err.startswith("error:") and "already quantized" in err
         assert not list(tmp_path.glob("mq2*"))
 
+    def test_layer_failing_mid_stream_leaves_the_old_pair(self, tmp_path, capsys):
+        m, r, p, mq = run_pipeline(tmp_path, blocks=2, wall_blocks="0")
+        old = [(tmp_path / name).read_bytes() for name in ("mq.manifest.json", "mq.bin")]
+        with open(m + ".bin", "r+b") as fh:  # the last layer, blocks.1.down, ends the blob
+            fh.seek(-4, os.SEEK_END)
+            fh.write(np.float32(np.nan).tobytes())
+        p8 = str(tmp_path / "p8.json")  # a new plan, so a new manifest would differ from the old
+        assert main(["plan", r, "--max-abs-threshold", "2.0", "--group-size", "8",
+                     "--out", p8]) == 0
+        capsys.readouterr()
+        assert main(["quantize", m, "--plan", p8, "--out", mq]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 'blocks.1.down'") and "NaN" in err
+        assert [(tmp_path / name).read_bytes() for name in ("mq.manifest.json", "mq.bin")] == old
+        assert not list(tmp_path.glob(".tmp-*"))
+
     def test_validation_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "p.json"
         bad.write_text("{}")
@@ -401,6 +419,24 @@ class TestDamagedInputs:
         self.assert_clean_failure(
             ["plan", r, "--out", str(tmp_path / "p.json")], tmp_path, capsys, message
         )
+
+
+class TestQuantizeMemory:
+    def test_peak_does_not_grow_with_the_model(self, tmp_path):
+        """numpy reports its buffers to tracemalloc, so the traced peak of a
+        quantize run covers every layer, code and scale array it holds."""
+        peaks = {}
+        for blocks in (2, 8):
+            work = tmp_path / str(blocks)
+            work.mkdir()
+            m, r, p, mq = run_pipeline(work, blocks=blocks, dim=128, wall_blocks="0")
+            tracemalloc.start()
+            try:
+                assert main(["quantize", m, "--plan", p, "--out", mq + "-again"]) == 0
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.5 * peaks[2], peaks
 
 
 class TestThreadCountIndependence:

@@ -168,6 +168,8 @@ def test_damaged_manifest(inputs, field, value):
 @example(path=("assignments", "blocks.0.q", "group_size"), value=True)
 @example(path=("group_size",), value=2.5)
 @example(path=("fallbacks", "blocks.0.q"), value=2.5)
+@example(path=("group_size",), value=-5)
+@example(path=("per_group_fraction",), value=7)
 def test_damaged_plan(inputs, path, value):
     with _copy_of(inputs) as work:
         plan = os.path.join(work, "p.json")

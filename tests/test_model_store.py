@@ -32,11 +32,13 @@ from quantkit import (
     open_model,
     parse_layer_name,
     profile_model,
+    quantized_view,
     read_model,
     sweep_group_size,
     write_model,
 )
-from quantkit.model_store import blob_path, manifest_path
+from quantkit import model_store
+from quantkit.model_store import atomic_write_bytes, atomic_write_text, blob_path, manifest_path
 
 
 def tiny_model(blocks=1, dim=4, seed=0):
@@ -232,6 +234,45 @@ class TestWriteRead:
         ])
         with pytest.raises(ValueError, match="assemble"):
             write_model(bad, tensors, tmp_path / "m")
+
+
+class LyingStream:
+    """A sized iterable of buffers whose length is not its byte count."""
+
+    def __iter__(self):
+        yield b"abc"
+        yield np.arange(3, dtype=np.float32)
+
+    def __len__(self):
+        return 3
+
+
+class TestAtomicWrites:
+    def test_len_of_data_is_the_size_written(self, tmp_path, monkeypatch):
+        """perfbench counts bytes written as len(data) at atomic_write_bytes."""
+        sizes = []
+
+        def spy(path, data):
+            atomic_write_bytes(path, data)
+            sizes.append((os.path.getsize(path), len(data)))
+
+        monkeypatch.setattr(model_store, "atomic_write_bytes", spy)
+        manifest, tensors = tiny_model(blocks=2, dim=6)
+        write_model(manifest, tensors, tmp_path / "m")
+        names = [rec.name for rec in manifest.layer_records()]
+        plan = QuantPlan({name: GroupingScheme.per_group(3) for name in names}, 3, 8)
+        write_model(*quantized_view(manifest, tensors, plan), tmp_path / "q")
+        atomic_write_text(tmp_path / "t.txt", "h\u00e9llo\n")
+        assert len(sizes) == 5
+        assert all(written == counted for written, counted in sizes), sizes
+
+    def test_stream_of_the_wrong_length_leaves_the_old_file(self, tmp_path):
+        target = tmp_path / "b.bin"
+        target.write_bytes(b"old")
+        with pytest.raises(ValueError, match="wrote 15 bytes to .*b.bin, expected 3"):
+            atomic_write_bytes(target, LyingStream())
+        assert target.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["b.bin"]
 
 
 class TestReadErrors:
@@ -447,9 +488,11 @@ class TestRoundTripProperty:
                     GroupingScheme.per_channel() if g is None else GroupingScheme.per_group(g)
                 )
         manifest = ModelManifest.assemble(blocks, records)
-        quantized = apply_plan(manifest, tensors, QuantPlan(assignments, cols, bits))
+        plan = QuantPlan(assignments, cols, bits)
+        quantized = apply_plan(manifest, tensors, plan)
 
         with tempfile.TemporaryDirectory() as tmp:
+            write_model(*quantized_view(manifest, tensors, plan), os.path.join(tmp, "view"))
             for label, (man, arrays) in {"fp": (manifest, tensors), "q": quantized}.items():
                 stem = os.path.join(tmp, label)
                 write_model(man, arrays, stem)
@@ -473,6 +516,7 @@ class TestRoundTripProperty:
                 fortran = {name: np.asfortranarray(arr) for name, arr in arrays.items()}
                 write_model(man, fortran, stem + "-fortran")
                 assert _file_bytes(stem + "-fortran") == _file_bytes(stem)
+            assert _file_bytes(os.path.join(tmp, "view")) == _file_bytes(os.path.join(tmp, "q"))
 
 
 class TestOpenModel:
@@ -610,6 +654,14 @@ class TestOnePassAccess:
         names = [rec.name for rec in manifest.layer_records()]
         plan = QuantPlan({name: GroupingScheme.per_group(8) for name in names}, 8, 8)
         apply_plan(manifest, tensors, plan)
+        assert tensors.fetches == Counter(dict.fromkeys(names, 1))
+        assert tensors.peak == 1 and tensors.live == 0
+
+    def test_write_model_streams_the_quantized_view_one_layer_at_a_time(self, opened, tmp_path):
+        manifest, tensors = opened
+        names = [rec.name for rec in manifest.layer_records()]
+        plan = QuantPlan({name: GroupingScheme.per_group(8) for name in names}, 8, 8)
+        write_model(*quantized_view(manifest, tensors, plan), tmp_path / "q")
         assert tensors.fetches == Counter(dict.fromkeys(names, 1))
         assert tensors.peak == 1 and tensors.live == 0
 

@@ -21,10 +21,12 @@ from quantkit import (
     layer_rmse,
     profile_model,
     quantize_weight,
+    quantized_view,
     read_model,
     sweep_group_size,
     write_model,
 )
+from quantkit import planner
 from quantkit.planner import read_quantized_layer, scale_record_name
 
 P8 = QuantParams(8)
@@ -124,12 +126,27 @@ class TestBuildPlan:
             build_plan(mixed, PlanConfig(max_abs_threshold=2.0))
 
 
+def _damaged_plan_text(metrics, field, value):
+    """A threshold plan at group size 7 (every selected layer falls back to 4)
+    with the JSON field at path ``field`` set to ``value``."""
+    plan = build_plan(metrics, PlanConfig(max_abs_threshold=2.0, group_size=7))
+    obj = json.loads(plan.to_json_text())
+    target = obj
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    return json.dumps(obj)
+
+
 class TestPlanJson:
     def test_round_trip(self, wall_metrics):
-        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
-        again = QuantPlan.from_json_text(plan.to_json_text())
-        assert again == plan
-        assert again.to_json_text() == plan.to_json_text()
+        for group_size in (8, 7):  # 7 falls back to 4 on every selected layer
+            plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0,
+                                                       group_size=group_size))
+            again = QuantPlan.from_json_text(plan.to_json_text())
+            assert again == plan
+            assert again.to_json_text() == plan.to_json_text()
+        assert plan.fallbacks
 
     def test_schema_fields(self, wall_metrics):
         plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
@@ -163,14 +180,35 @@ class TestPlanJson:
         ],
     )
     def test_wrongly_typed_field_rejected(self, wall_metrics, field, value, match):
-        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=7))
-        obj = json.loads(plan.to_json_text())
-        target = obj
-        for key in field[:-1]:
-            target = target[key]
-        target[field[-1]] = value
         with pytest.raises(ValueError, match=re.escape(match)):
-            QuantPlan.from_json_text(json.dumps(obj))
+            QuantPlan.from_json_text(_damaged_plan_text(wall_metrics, field, value))
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            pytest.param(("group_size",), -5, "plan 'group_size' must be positive, got -5",
+                         id="negative_size"),
+            pytest.param(("group_size",), 0, "plan 'group_size' must be positive", id="zero_size"),
+            pytest.param(("bits",), 9, "plan 'bits': bits must be an integer in [2, 8], got 9",
+                         id="bits_9"),
+            pytest.param(("bits",), 1, "plan 'bits': bits must be an integer in [2, 8]",
+                         id="bits_1"),
+            pytest.param(("per_group_fraction",), 7, "plan 'per_group_fraction' is 7, but the "
+                         "assignments give 0.23809523809523808", id="fraction"),
+            pytest.param(("per_group_fraction",), None,
+                         "plan 'per_group_fraction' must be float, got None", id="null_fraction"),
+            pytest.param(("fallbacks", "blocks.0.q"), 2, "plan fallback for 'blocks.0.q' is 2, "
+                         "but its assignment is {'mode': 'per_group', 'group_size': 4}",
+                         id="fallback_size"),
+            pytest.param(("fallbacks", "blocks.0.o"), 4, "plan fallback for 'blocks.0.o' is 4, "
+                         "but its assignment is {'mode': 'per_channel'}", id="fallback_pc"),
+            pytest.param(("fallbacks", "blocks.9.q"), 4, "plan fallback for 'blocks.9.q' is 4, "
+                         "but its assignment is None", id="fallback_unknown"),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, wall_metrics, field, value, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            QuantPlan.from_json_text(_damaged_plan_text(wall_metrics, field, value))
 
     @pytest.mark.parametrize("text", ["[1]", "[]", "1", "\"plan\"", "null"])
     def test_non_object_json_rejected(self, text):
@@ -284,6 +322,58 @@ class TestApplyPlan:
         err = np.abs(tensors["blocks.0.q"].astype(np.float64) - dequantize(qt))
         elem_scales = np.repeat(qt.scales.astype(np.float64), 8, axis=1)
         assert np.all(err <= elem_scales / 2 + 1e-6 * elem_scales)
+
+
+class TestQuantizedView:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counts quantize_weight calls made through the planner."""
+        calls = []
+
+        def counting(w, grouping, params):
+            calls.append(grouping)
+            return quantize_weight(w, grouping, params)
+
+        monkeypatch.setattr(planner, "quantize_weight", counting)
+        return calls
+
+    def test_manifest_is_built_from_the_plan_alone(self, wall_model, wall_metrics):
+        manifest, tensors = wall_model
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
+        qmanifest, _ = quantized_view(manifest, {}, plan)  # a lookup would be a KeyError
+        assert qmanifest == apply_plan(manifest, tensors, plan)[0]
+
+    def test_record_order_pass_quantizes_each_layer_once(self, wall_model, wall_metrics,
+                                                         counted):
+        manifest, tensors = wall_model
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
+        _, view = quantized_view(manifest, tensors, plan)
+        assert len(view) == 2 * len(manifest.records) and len(dict(view)) == len(view)
+        assert len(counted) == len(manifest.records)
+
+    def test_out_of_order_lookups_quantize_again(self, wall_model, wall_metrics, counted):
+        manifest, tensors = wall_model
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
+        _, expected = apply_plan(manifest, tensors, plan)
+        counted.clear()
+        _, view = quantized_view(manifest, tensors, plan)
+        name, sname = "blocks.0.q", scale_record_name("blocks.0.q")
+        lookups = [sname, name, sname, sname, name, "blocks.1.q", sname]
+        for key in lookups:
+            assert np.array_equal(view[key], expected[key]), key
+        assert len(counted) == 6  # only the scales lookup right after its layer reuses it
+
+    def test_lookup_errors_name_the_layer(self, wall_model, wall_metrics):
+        manifest, tensors = wall_model
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
+        bad = dict(tensors)
+        bad["blocks.2.k"] = np.full(tensors["blocks.2.k"].shape, np.nan, dtype=np.float32)
+        _, view = quantized_view(manifest, bad, plan)
+        for key in ("blocks.2.k", "blocks.2.k.scales"):
+            with pytest.raises(ValueError, match=r"layer 'blocks\.2\.k': weight contains NaN"):
+                view[key]
+        with pytest.raises(KeyError):
+            view["blocks.2.nope"]
 
 
 class TestSweep:
