@@ -28,7 +28,14 @@ from .model_store import (
     parse_layer_name,
 )
 from .quantizer import GroupingScheme, QuantParams
-from .quantizer import _as_matrix, _encode_into, _scales_from_amax
+from .quantizer import (
+    _as_matrix,
+    _encode_into,
+    _finite_max,
+    _pairwise,
+    _row_blocks,
+    _scales_from_amax,
+)
 
 # First-block V-matrix weight maxima observed in public checkpoints.  The
 # 70B LLaMA3 family sits roughly three orders of magnitude above the
@@ -85,12 +92,6 @@ class WallDetectorConfig:
     def absolute(cls, threshold: float, row_fraction: float = DEFAULT_WALL_ROW_FRACTION):
         return cls(magnitude_threshold=threshold, rms_multiplier=None, row_fraction=row_fraction)
 
-    def resolve_threshold(self, w: np.ndarray) -> float:
-        if self.magnitude_threshold is not None:
-            return float(self.magnitude_threshold)
-        rms = float(np.sqrt(np.mean(np.square(w.astype(np.float64, copy=False)))))
-        return self.rms_multiplier * rms
-
 
 @dataclass
 class LayerMetrics:
@@ -118,11 +119,6 @@ class LayerMetrics:
         return parse_layer_name(self.name)[1]
 
 
-def _wall_columns(absw: np.ndarray, w: np.ndarray, cfg: WallDetectorConfig) -> list[int]:
-    counts = (absw > cfg.resolve_threshold(w)).sum(axis=0)
-    return [int(j) for j in np.nonzero(counts >= cfg.row_fraction * w.shape[0])[0]]
-
-
 def _profile_layer(
     w: np.ndarray,
     groupings: Sequence[GroupingScheme],
@@ -131,34 +127,66 @@ def _profile_layer(
 ) -> tuple[float, list[int] | None, list[float]]:
     """One pass over a layer: max_abs, wall columns (None without a config)
     and, per grouping, the float64 squared-error sum of quantize_weight ->
-    dequantize, to the bit.  Group maxima are reduced once per size from the
-    largest computed divisor size; all schemes share one float64 buffer.
+    dequantize, to the bit.
+
+    The flat layer is walked in leaves of at most _BLOCK elements, split as
+    np.sum splits it (_pairwise), so every sum equals np.sum over the whole
+    layer.  A leaf works on the whole rows that hold its range: group
+    maxima are reduced once per size from the largest computed divisor
+    size, and every grouping and the wall RMS share one float64 copy of the
+    rows and one buffer.  Wall columns are counted afterwards, row block by
+    row block, against the threshold from the summed squares.
     """
     w = _as_matrix(w, "weight")
     n, m = w.shape
     for grouping in groupings:
         grouping.validate_for(m)
-    absw = np.abs(w)
-    w64 = w.astype(np.float64, copy=False)
-    walls = None if wall_cfg is None else _wall_columns(absw, w64, wall_cfg)
-    amax: dict[int, np.ndarray] = {}
-    for g in sorted({grouping.resolved_group_size(m) for grouping in groupings}):
-        base = max((f for f in amax if g % f == 0), default=None)
-        amax[g] = (absw if base is None else amax[base]).reshape(n, m // g, -1).max(axis=2)
-    buf = np.empty((n, m))
-    sse = {}
-    for g, group_amax in amax.items():
-        scales = _scales_from_amax(group_amax, params).astype(np.float64)[:, :, None]
-        x = w64.reshape(n, m // g, g)
-        err = _encode_into(buf.reshape(x.shape), x, scales, params)
-        np.subtract(x, np.multiply(err, scales, out=err), out=err)  # codes -> error in place
-        sse[g] = float(np.sum(np.square(buf, out=buf)))
-    return float(absw.max()), walls, [sse[gr.resolved_group_size(m)] for gr in groupings]
+    sizes = sorted({grouping.resolved_group_size(m) for grouping in groupings})
+    rms_threshold = wall_cfg is not None and wall_cfg.magnitude_threshold is None
+    maxima = []
+
+    def leaf(lo: int, hi: int) -> np.ndarray:
+        first = lo // m
+        rows = w[first : -(-hi // m)]
+        span = slice(lo - first * m, hi - first * m)  # the leaf's range within its rows
+        absw = np.abs(rows)
+        maxima.append(_finite_max(absw, "weight"))
+        k = len(rows)
+        amax: dict[int, np.ndarray] = {}
+        for g in sizes:
+            base = max((f for f in amax if g % f == 0), default=None)
+            amax[g] = (absw if base is None else amax[base]).reshape(k, m // g, -1).max(axis=2)
+        w64 = rows.astype(np.float64, copy=False)
+        buf = np.empty(rows.shape)
+        part = buf.reshape(-1)[span]
+        sums = np.empty(len(sizes) + rms_threshold)
+        for i, g in enumerate(sizes):
+            scales = _scales_from_amax(amax[g], params).astype(np.float64)[:, :, None]
+            x = w64.reshape(k, m // g, g)
+            err = _encode_into(buf.reshape(x.shape), x, scales, params)
+            np.subtract(x, np.multiply(err, scales, out=err), out=err)  # codes -> error in place
+            sums[i] = np.add.reduce(np.square(part, out=part))
+        if rms_threshold:
+            sums[-1] = np.add.reduce(np.square(w64.reshape(-1)[span], out=part))
+        return sums
+
+    sums = _pairwise(0, w.size, leaf)
+    walls = None
+    if wall_cfg is not None:
+        if rms_threshold:
+            threshold = wall_cfg.rms_multiplier * float(np.sqrt(sums[-1] / w.size))
+        else:
+            threshold = float(wall_cfg.magnitude_threshold)
+        counts = sum((np.abs(w[b]) > threshold).sum(axis=0) for b in _row_blocks(n, m))
+        walls = [int(j) for j in np.nonzero(counts >= wall_cfg.row_fraction * n)[0]]
+    sse = dict(zip(sizes, sums.tolist()))
+    return float(max(maxima)), walls, [sse[gr.resolved_group_size(m)] for gr in groupings]
 
 
 def layer_max_abs(w: np.ndarray) -> float:
-    """Largest absolute value in the matrix."""
-    return float(np.abs(_as_matrix(w, "weight")).max())
+    """Largest absolute value in the matrix, taken row block by row block."""
+    w = _as_matrix(w, "weight")
+    return float(max(_finite_max(np.abs(w[b]), "weight") for b in _row_blocks(*w.shape)))
 
 
 def layer_rmse(w: np.ndarray, grouping: GroupingScheme, params: QuantParams) -> float:
@@ -176,8 +204,7 @@ def detect_walls(w: np.ndarray, cfg: WallDetectorConfig) -> list[int]:
     Returned ascending.  Invariant under row permutation; equivariant
     under column permutation.  An all-zero tensor yields an empty list.
     """
-    w = _as_matrix(w, "weight")
-    return _wall_columns(np.abs(w), w, cfg)
+    return _profile_layer(w, (), QuantParams(), cfg)[1]
 
 
 def _map_layers(fn: Callable, records: Iterable[TensorRecord]) -> list:

@@ -10,6 +10,7 @@ supported bit widths top out at 8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,14 @@ AXIS_COLUMN = "column"
 
 _MIN_BITS = 2
 _MAX_BITS = 8
+
+# Elements per block of a layer pass.  A block's working set (its float32
+# rows, |w|, the float64 copy and the float64 buffer, about 1.5 MiB) stays
+# inside a 2 MiB per-core L2 cache, and bounds a pass's memory per thread.
+_BLOCK = 1 << 16
+# numpy's PW_BLOCKSIZE: np.sum splits no range of up to 128 elements, so a
+# smaller block would split where np.sum does not (see _pairwise).
+assert _BLOCK >= 128
 
 
 def _qmax(bits: int) -> int:
@@ -169,12 +178,40 @@ class QuantizedTensor:
 
 
 def _as_matrix(x: np.ndarray, what: str) -> np.ndarray:
+    """x as a non-empty 2-D array.  Its finiteness is the caller's check."""
     x = np.asarray(x)
     if x.ndim != 2 or 0 in x.shape:
         raise ValueError(f"{what} must be a non-empty 2-D matrix")
-    if not np.isfinite(x).all():
-        raise ValueError(f"{what} contains NaN or Inf")
     return x
+
+
+def _finite_max(a: np.ndarray, what: str):
+    """a.max(), where a is |x| or maxima of |x| that cover every element of x:
+    a NaN or Inf in x shows in it, so this is x's finiteness check."""
+    top = a.max()
+    if not math.isfinite(top):
+        raise ValueError(f"{what} contains NaN or Inf")
+    return top
+
+
+def _row_blocks(n: int, m: int) -> list[slice]:
+    """Consecutive row slices of an n x m layer, each of at most _BLOCK
+    elements or a single row."""
+    step = max(1, _BLOCK // m)
+    return [slice(r, r + step) for r in range(0, n, step)]
+
+
+def _pairwise(lo: int, hi: int, leaf) -> np.ndarray:
+    """Sum of leaf(a, b) over leaves [a, b) that tile [lo, hi), split the way
+    np.add.reduce splits a contiguous float64 sum (pairwise, at half the
+    length rounded down to a multiple of 8), into leaves of at most _BLOCK
+    elements.  When each leaf returns np.sum over its range, the total is
+    np.sum over [lo, hi), to the bit."""
+    n = hi - lo
+    if n <= _BLOCK:
+        return leaf(lo, hi)
+    half = n // 2 - (n // 2) % 8
+    return _pairwise(lo, lo + half, leaf) + _pairwise(lo + half, hi, leaf)
 
 
 def _scales_from_amax(amax: np.ndarray, params: QuantParams) -> np.ndarray:
@@ -191,17 +228,19 @@ def _scales_from_amax(amax: np.ndarray, params: QuantParams) -> np.ndarray:
 
 
 def _encode_into(
-    out: np.ndarray, x: np.ndarray, scales: np.ndarray, params: QuantParams
+    out: np.ndarray, x: np.ndarray, scales: np.ndarray, params: QuantParams, codes=None
 ) -> np.ndarray:
     """Codes of x / scales (float64, ties away from zero, clamped to [-qmax, qmax]
-    because x/s can land at qmax + ulp), written into ``out``, which must not alias x.
+    because x/s can land at qmax + ulp), worked out in ``out``, which must not
+    alias x, and written into ``codes`` (default ``out``; an int8 array takes
+    them cast).
     """
     np.divide(x, scales, out=out)
     np.abs(out, out=out)
     out += 0.5
     np.floor(out, out=out)
     np.minimum(out, params.qmax, out=out)
-    return np.copysign(out, x, out=out)
+    return np.copysign(out, x, out=out if codes is None else codes, casting="unsafe")
 
 
 def quantize_weight(
@@ -212,7 +251,8 @@ def quantize_weight(
     Per-channel yields one scale per row; per-group(g) partitions each row
     into M/g contiguous column groups (g must divide M) with one scale
     each.  Per-group with g = M produces the same codes and scale values
-    as per-channel.
+    as per-channel.  Group maxima and codes are taken row block by row
+    block (_row_blocks), so the float64 work stays in cache.
     """
     w = _as_matrix(w, "weight")
     n, m = w.shape
@@ -220,18 +260,28 @@ def quantize_weight(
     g = grouping.resolved_group_size(m)
 
     w3 = w.reshape(n, m // g, g)
-    scales = _scales_from_amax(np.abs(w3).max(axis=2), params)
-    codes = _encode_into(np.empty(w3.shape), w3, scales.astype(np.float64)[:, :, None], params)
-    q = codes.reshape(n, m).astype(np.int8)
+    blocks = _row_blocks(n, m)
+    amax = [np.abs(w3[b]).max(axis=2) for b in blocks]
+    amax = np.concatenate(amax) if len(amax) > 1 else amax[0]
+    _finite_max(amax, "weight")
+    scales = _scales_from_amax(amax, params)
+    s64 = scales.astype(np.float64)[:, :, None]
+    q = np.empty(w3.shape, np.int8)
+    buf = np.empty(w3[blocks[0]].shape)
+    for b in blocks:
+        x = w3[b]
+        _encode_into(buf[: len(x)], x, s64[b], params, q[b])
 
     if not grouping.is_per_group:
         scales = scales.reshape(n)
-    return QuantizedTensor(q, scales, grouping, params.bits, AXIS_ROW)
+    return QuantizedTensor(q.reshape(n, m), scales, grouping, params.bits, AXIS_ROW)
 
 
 def quantize_activation(a: np.ndarray, params: QuantParams) -> QuantizedTensor:
     """Quantize an M x P activation matrix with one scale per column."""
     a = _as_matrix(a, "activation")
+    if not np.isfinite(a).all():
+        raise ValueError("activation contains NaN or Inf")
     scales = _scales_from_amax(np.abs(a).max(axis=0), params)
     codes = _encode_into(np.empty(a.shape), a, scales.astype(np.float64)[None, :], params)
     q = codes.astype(np.int8)

@@ -1,14 +1,18 @@
-"""Scalar reference implementations used as independent test oracles.
+"""Reference implementations used as test oracles.
 
-These share the quantization contract (float32 scales, round half away
-from zero, clamp to the symmetric code range) but are written as plain
-Python loops so they stay independent of the vectorized library paths
-they check.
+The scalar ones share the quantization contract (float32 scales, round
+half away from zero, clamp to the symmetric code range) but are written as
+plain Python loops so they stay independent of the vectorized library
+paths they check.  The whole-layer ones are the unblocked forms of the
+library's blocked layer passes: the same arithmetic on full-size buffers,
+which the blocked passes must equal to the bit.
 """
 
 import math
 
 import numpy as np
+
+from quantkit.quantizer import _encode_into, _scales_from_amax
 
 
 def scalar_quantize_dequantize(w, group_size, bits):
@@ -85,3 +89,65 @@ def matmul_grouped_int64(w_codes, w_scales, a_codes, a_scales):
         part = w[:, k * g : (k + 1) * g] @ a[k * g : (k + 1) * g, :]
         out += part.astype(np.float64) * s_w[:, k : k + 1]
     return out * np.asarray(a_scales, dtype=np.float64)[None, :]
+
+
+def _whole_matrix(w):
+    w = np.asarray(w)
+    assert w.ndim == 2 and 0 not in w.shape
+    if not np.isfinite(w).all():
+        raise ValueError("weight contains NaN or Inf")
+    return w
+
+
+def whole_layer_profile(w, groupings, params, wall_cfg=None):
+    """analyzer._profile_layer as one pass over the whole layer: full-size
+    |w|, float64 copy and error buffer, with np.sum over each whole buffer.
+
+    The blocked library pass must equal it to the bit.
+    """
+    w = _whole_matrix(w)
+    n, m = w.shape
+    for grouping in groupings:
+        grouping.validate_for(m)
+    absw = np.abs(w)
+    w64 = w.astype(np.float64, copy=False)
+    walls = None
+    if wall_cfg is not None:
+        if wall_cfg.magnitude_threshold is not None:
+            threshold = float(wall_cfg.magnitude_threshold)
+        else:
+            rms = float(np.sqrt(np.mean(np.square(w64))))
+            threshold = wall_cfg.rms_multiplier * rms
+        counts = (absw > threshold).sum(axis=0)
+        walls = [int(j) for j in np.nonzero(counts >= wall_cfg.row_fraction * n)[0]]
+    amax = {}
+    for g in sorted({grouping.resolved_group_size(m) for grouping in groupings}):
+        base = max((f for f in amax if g % f == 0), default=None)
+        amax[g] = (absw if base is None else amax[base]).reshape(n, m // g, -1).max(axis=2)
+    buf = np.empty((n, m))
+    sse = {}
+    for g, group_amax in amax.items():
+        scales = _scales_from_amax(group_amax, params).astype(np.float64)[:, :, None]
+        x = w64.reshape(n, m // g, g)
+        err = _encode_into(buf.reshape(x.shape), x, scales, params)
+        np.subtract(x, np.multiply(err, scales, out=err), out=err)
+        sse[g] = float(np.sum(np.square(buf, out=buf)))
+    return float(absw.max()), walls, [sse[gr.resolved_group_size(m)] for gr in groupings]
+
+
+def whole_layer_quantize_weight(w, grouping, params):
+    """quantizer.quantize_weight as one pass over the whole layer: full-size
+    |w| and float64 code buffer, then one int8 cast.
+
+    Returns (codes, scales); the blocked library path must equal both.
+    """
+    w = _whole_matrix(w)
+    n, m = w.shape
+    grouping.validate_for(m)
+    g = grouping.resolved_group_size(m)
+    w3 = w.reshape(n, m // g, g)
+    scales = _scales_from_amax(np.abs(w3).max(axis=2), params)
+    codes = _encode_into(np.empty(w3.shape), w3, scales.astype(np.float64)[:, :, None], params)
+    if not grouping.is_per_group:
+        scales = scales.reshape(n)
+    return codes.reshape(n, m).astype(np.int8), scales

@@ -1,6 +1,8 @@
 """Layer profiling tests: max-abs, RMSE against the scalar oracle, walls."""
 
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from quantkit import (
     profile_model,
     quantize_weight,
 )
+from quantkit import quantizer
 from quantkit.analyzer import (
     REFERENCE_V0_MAX_ABS,
     REFERENCE_WORST_LAYER_MAX_ABS,
@@ -30,8 +33,9 @@ from quantkit.analyzer import (
     read_metrics_csv,
     write_metrics_csv,
 )
+from quantkit.quantizer import _pairwise
 
-from oracles import scalar_rmse
+from oracles import scalar_rmse, whole_layer_profile
 
 P8 = QuantParams(8)
 PC = GroupingScheme.per_channel()
@@ -124,24 +128,22 @@ WALL_CONFIGS = [
 ]
 
 
-class TestFusedProfileCore:
-    """The one-pass layer profile equals the public per-scheme path exactly."""
+# Small block budgets put many leaves in a test-sized layer, leaves that
+# split rows and leaves inside one row; None keeps the library's budget.
+BUDGETS = [None, 128, 256, 1000]
 
-    @settings(max_examples=80, deadline=None)
-    @given(
-        n=st.integers(1, 12),
-        m=st.sampled_from([1, 6, 8, 12, 24, 30, 32, 48]),
-        bits=st.integers(2, 8),
-        seed=st.integers(0, 2**32 - 1),
-        walls=st.integers(0, 3),
-        tiny_rows=st.integers(0, 2),
-        dtype=st.sampled_from([np.float32, np.float64]),
-        wall_cfg=st.sampled_from(WALL_CONFIGS),
-        data=st.data(),
-    )
-    def test_matches_public_path_and_scalar_oracle(
-        self, n, m, bits, seed, walls, tiny_rows, dtype, wall_cfg, data
-    ):
+
+def block_budget(budget):
+    """The library's block budget patched to ``budget`` (None: unchanged)."""
+    return mock.patch.object(quantizer, "_BLOCK", budget or quantizer._BLOCK)
+
+
+class TestFusedProfileCore:
+    """The blocked layer profile equals the whole-layer oracle and the public
+    per-scheme path exactly, at every block budget."""
+
+    @staticmethod
+    def draw_layer(n, m, seed, walls, tiny_rows, dtype):
         rng = np.random.default_rng(seed)
         w = rng.normal(0, 0.5, (n, m)).astype(dtype)
         columns = rng.choice(m, size=min(walls, m), replace=False)
@@ -153,23 +155,119 @@ class TestFusedProfileCore:
         for i in rng.choice(n, size=min(tiny_rows, n), replace=False):
             units = rng.integers(127, 4000, m) * rng.choice([-1.0, 1.0], m)
             w[i] = (units * 2.0**-149).astype(dtype)
+        return w
+
+    @staticmethod
+    def draw_schemes(m, data):
         divisors = [d for d in range(1, m + 1) if m % d == 0]
         # Random subsets of divisors: nested (8, 16, 32 of 32) and
         # non-nested (6, 8 of 24) sizes, duplicates and per-channel.
         sizes = data.draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=5))
-        schemes = [GroupingScheme.per_group(g) for g in sizes] + [PC]
+        return [GroupingScheme.per_group(g) for g in sizes] + [PC]
+
+    @staticmethod
+    def check_against_oracles(w, schemes, params, wall_cfg, budget):
+        with block_budget(budget):
+            got = _profile_layer(w, schemes, params, wall_cfg)
+            max_abs, walls, sse = got
+            assert repr(got) == repr(whole_layer_profile(w, schemes, params, wall_cfg))
+            assert repr(max_abs) == repr(layer_max_abs(w))
+            assert walls == detect_walls(w, wall_cfg)
+            assert [repr(x) for x in sse] == [
+                repr(public_path_sse(w, scheme, params)) for scheme in schemes
+            ]
+        return sse
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        m=st.sampled_from([1, 6, 8, 12, 24, 30, 32, 48]),
+        bits=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        walls=st.integers(0, 3),
+        tiny_rows=st.integers(0, 2),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        wall_cfg=st.sampled_from(WALL_CONFIGS),
+        budget=st.sampled_from(BUDGETS),
+        data=st.data(),
+    )
+    def test_matches_public_path_and_scalar_oracle(
+        self, n, m, bits, seed, walls, tiny_rows, dtype, wall_cfg, budget, data
+    ):
+        w = self.draw_layer(n, m, seed, walls, tiny_rows, dtype)
+        schemes = self.draw_schemes(m, data)
         params = QuantParams(bits)
-
-        max_abs, got_walls, sse = _profile_layer(w, schemes, params, wall_cfg)
-
-        assert repr(max_abs) == repr(layer_max_abs(w))
-        assert got_walls == detect_walls(w, wall_cfg)
-        assert [repr(x) for x in sse] == [
-            repr(public_path_sse(w, scheme, params)) for scheme in schemes
-        ]
+        sse = self.check_against_oracles(w, schemes, params, wall_cfg, budget)
         for scheme, x in zip(schemes, sse):
             g = scheme.resolved_group_size(m)
             assert np.sqrt(x / w.size) == pytest.approx(scalar_rmse(w, g, bits), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.sampled_from([130, 240, 1040]),
+        bits=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        walls=st.integers(0, 3),
+        tiny_rows=st.integers(0, 2),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        wall_cfg=st.sampled_from(WALL_CONFIGS),
+        budget=st.sampled_from(BUDGETS[1:]),
+        data=st.data(),
+    )
+    def test_many_leaves_and_rows_wider_than_a_block(
+        self, n, m, bits, seed, walls, tiny_rows, dtype, wall_cfg, budget, data
+    ):
+        # Up to 40 x 1040 elements: hundreds of leaves at a budget of 128,
+        # leaves that split rows, and rows wider than every patched budget.
+        w = self.draw_layer(n, m, seed, walls, tiny_rows, dtype)
+        self.check_against_oracles(w, self.draw_schemes(m, data), QuantParams(bits), wall_cfg,
+                                   budget)
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zero_layers(self, budget, zero):
+        w = np.full((24, 130), zero, dtype=np.float32)
+        schemes = [PC, GroupingScheme.per_group(13)]
+        for cfg in (None, *WALL_CONFIGS):
+            with block_budget(budget):
+                got = _profile_layer(w, schemes, P8, cfg)
+            assert repr(got) == repr(whole_layer_profile(w, schemes, P8, cfg))
+        with block_budget(budget):
+            assert repr(layer_max_abs(w)) == "0.0"
+            assert detect_walls(w, WallDetectorConfig()) == []
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_non_finite_in_last_block_rejected(self, budget):
+        w = np.ones((40, 130), dtype=np.float32)
+        w[-1, -1] = np.nan
+        with block_budget(budget):
+            with pytest.raises(ValueError, match="weight contains NaN or Inf"):
+                _profile_layer(w, [PC], P8)
+            with pytest.raises(ValueError, match="weight contains NaN or Inf"):
+                layer_max_abs(w)
+            with pytest.raises(ValueError, match="weight contains NaN or Inf"):
+                detect_walls(w, WallDetectorConfig())
+
+    def test_memory_layout_does_not_change_the_profile(self):
+        rng = np.random.default_rng(12)
+        w = rng.normal(0, 0.02, (40, 96)).astype(np.float32)
+        w = inject_walls(w, [5], (50.0, 90.0), seed=1)
+        schemes = [PC, GroupingScheme.per_group(8)]
+        with block_budget(256):
+            assert _profile_layer(np.asfortranarray(w), schemes, P8, WallDetectorConfig()) == \
+                _profile_layer(w, schemes, P8, WallDetectorConfig())
+
+    def test_peak_memory_below_half_the_layer(self):
+        """A 1024 x 1024 profile holds one block's buffers, not the layer's."""
+        w = np.random.default_rng(13).normal(0, 0.02, (1024, 1024)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _profile_layer(w, [PC, GroupingScheme.per_group(128)], P8, WallDetectorConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w.nbytes // 2
 
     def test_walls_skipped_without_config(self):
         w = np.full((2, 4), 127.0, dtype=np.float32)
@@ -185,6 +283,25 @@ class TestFusedProfileCore:
         w[1, 2] = np.nan
         with pytest.raises(ValueError, match="NaN"):
             _profile_layer(w, [PC], P8)
+
+
+class TestPairwise:
+    """_pairwise's split is np.add.reduce's: np.sum leaves add up to np.sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(0, 300_000),
+        budget=st.one_of(st.sampled_from([128, 1 << 16]), st.integers(128, 100_000)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_leaf_sums_equal_numpy_sum(self, n, budget, seed):
+        rng = np.random.default_rng(seed)
+        # Magnitudes over 16 decades, so that a different order of
+        # additions gives a different float64 sum.
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, n)
+        with block_budget(budget):
+            got = _pairwise(0, n, lambda lo, hi: np.sum(x[lo:hi]))
+        assert np.float64(got).tobytes() == np.sum(x).tobytes()
 
 
 class TestDetectWalls:

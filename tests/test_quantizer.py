@@ -6,10 +6,14 @@ frozen here; the reference shares the contract but not the vectorized
 code path.
 """
 
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quantkit import (
     GroupingScheme,
@@ -19,9 +23,10 @@ from quantkit import (
     fit_group_size,
     quantize_activation,
     quantize_weight,
+    quantizer,
 )
 
-from oracles import scalar_quantize_dequantize
+from oracles import scalar_quantize_dequantize, whole_layer_quantize_weight
 
 P8 = QuantParams(8)
 
@@ -235,6 +240,61 @@ class TestQuantizeWeight:
             codes, _, deq, _ = scalar_quantize_dequantize(w, g, 8)
             assert qt.values.tolist() == codes
             np.testing.assert_array_equal(dequantize(qt), deq)
+
+
+class TestBlockedQuantizeWeight:
+    """Row-blocked quantize_weight equals the whole-layer oracle exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        m=st.sampled_from([1, 6, 24, 48, 130, 240, 1040]),
+        bits=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        tiny_rows=st.integers(0, 2),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        budget=st.sampled_from([None, 128, 256, 1000]),
+        data=st.data(),
+    )
+    def test_matches_whole_layer_oracle(self, n, m, bits, seed, tiny_rows, dtype, budget, data):
+        rng = np.random.default_rng(seed)
+        w = (rng.normal(0, 0.5, (n, m)) * rng.choice([1.0, 100.0], m)).astype(dtype)
+        # Rows of subnormal float32 magnitude, whose codes need the clamp.
+        for i in rng.choice(n, size=min(tiny_rows, n), replace=False):
+            units = rng.integers(127, 4000, m) * rng.choice([-1.0, 1.0], m)
+            w[i] = (units * 2.0**-149).astype(dtype)
+        g = data.draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0] + [None]))
+        scheme = GroupingScheme.per_channel() if g is None else GroupingScheme.per_group(g)
+        params = QuantParams(bits)
+
+        with mock.patch.object(quantizer, "_BLOCK", budget or quantizer._BLOCK):
+            qt = quantize_weight(w, scheme, params)
+        codes, scales = whole_layer_quantize_weight(w, scheme, params)
+        assert qt.values.dtype == codes.dtype and np.array_equal(qt.values, codes)
+        assert qt.scales.dtype == scales.dtype and qt.scales.shape == scales.shape
+        assert qt.scales.tobytes() == scales.tobytes()
+
+    @pytest.mark.parametrize("budget", [None, 128, 1000])
+    def test_non_finite_in_last_block_rejected(self, budget):
+        w = np.ones((40, 130), dtype=np.float32)
+        w[-1, -1] = np.inf
+        with mock.patch.object(quantizer, "_BLOCK", budget or quantizer._BLOCK):
+            with pytest.raises(ValueError, match="weight contains NaN or Inf"):
+                quantize_weight(w, GroupingScheme.per_group(13), P8)
+
+    @pytest.mark.parametrize(
+        "grouping", [GroupingScheme.per_channel(), GroupingScheme.per_group(128)]
+    )
+    def test_peak_memory_below_output_plus_one_mib(self, grouping):
+        """A 1024 x 1024 quantize holds its int8 output and one block's buffers."""
+        w = np.random.default_rng(14).normal(0, 0.02, (1024, 1024)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            quantize_weight(w, grouping, P8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < w.size + 2**20
 
 
 class TestQuantizeActivation:
