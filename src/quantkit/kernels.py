@@ -7,9 +7,13 @@ holds every integer up to 2^24, so a float32 product over at most
 2^24 // (qmax_w * qmax_a) columns (1040 at 8 bits) is exact in any
 summation order.  One loop serves both grouping modes: each group of g
 input columns is multiplied in chunks of at most that depth, the chunk
-products are summed exactly in float64, rescaled by the group's weight
-scales and added into a float64 accumulator in ascending group order,
-then the column scales are applied.  The kernel itself therefore
+products are summed exactly in float64, and the group's integer product,
+cast once to float64 (an exact cast), is rescaled in place by the group's
+weight scales and added into a float64 accumulator in ascending group
+order; the column scales are then applied in place.  No step multiplies
+float32 by float64, which numpy would do through a slower mixed-type
+loop.  The accumulator starts at +0.0, so no output is -0.0 even where
+every term is.  The kernel itself therefore
 introduces no rounding: all error in a quantized product comes from
 quantizing the operands.  Per-channel is the single-group case, so a
 per-group weight with g = M gives the same bits as per-channel.
@@ -53,8 +57,11 @@ def _matmul(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
         part = w[:, s : s + first] @ a[s : s + first]
         for lo, hi in more:
             part = np.add(part, w[:, s + lo : s + hi] @ a[s + lo : s + hi], dtype=np.float64)
-        acc += part * w_scales[:, k, None]
-    return acc * aq.scales.astype(np.float64)[None, :]
+        part = part.astype(np.float64, copy=False)
+        part *= w_scales[:, k, None]
+        acc += part
+    acc *= aq.scales.astype(np.float64)
+    return acc
 
 
 def matmul_per_channel(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:

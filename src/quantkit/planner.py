@@ -321,7 +321,11 @@ def read_quantized_layer(
 ) -> QuantizedTensor:
     """Rebuild a QuantizedTensor from a quantized model's records.
 
-    The manifest has already checked the layer's grouping, bits and scales.
+    The manifest has already checked the layer's grouping and bits and the
+    scale record's shape.  The codes and scale values are disk bytes, so the
+    tensor is built through the public, checked QuantizedTensor constructor:
+    a code outside [-qmax, qmax] or a scale that is not positive and finite
+    is rejected.
     """
     rec = manifest.record(name)
     if rec.aux or rec.dtype != "int8":

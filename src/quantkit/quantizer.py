@@ -37,6 +37,11 @@ def _qmax(bits: int) -> int:
     return (1 << (bits - 1)) - 1
 
 
+def _check_bits(bits) -> None:
+    if not isinstance(bits, int) or not _MIN_BITS <= bits <= _MAX_BITS:
+        raise ValueError(f"bits must be an integer in [{_MIN_BITS}, {_MAX_BITS}], got {bits!r}")
+
+
 @dataclass(frozen=True)
 class QuantParams:
     """Bit width for symmetric integer quantization.
@@ -49,10 +54,7 @@ class QuantParams:
     bits: int = 8
 
     def __post_init__(self):
-        if not isinstance(self.bits, int) or not _MIN_BITS <= self.bits <= _MAX_BITS:
-            raise ValueError(
-                f"bits must be an integer in [{_MIN_BITS}, {_MAX_BITS}], got {self.bits!r}"
-            )
+        _check_bits(self.bits)
 
     @property
     def qmax(self) -> int:
@@ -123,6 +125,10 @@ class GroupingScheme:
         raise ValueError(f"unknown grouping mode {obj['mode']!r}")
 
 
+# Every column-wise (activation) tensor's grouping; frozen, so one is shared.
+_PER_CHANNEL = GroupingScheme.per_channel()
+
+
 def fit_group_size(dim: int, group_size: int) -> int:
     """Largest divisor of ``dim`` that is <= ``group_size``.
 
@@ -144,6 +150,16 @@ class QuantizedTensor:
     ``axis`` records which dimension the scales run along: "row" for
     weights (scales shaped (N,) per-channel or (N, M/g) per-group) and
     "column" for activations (scales shaped (P,)).
+
+    The public constructor checks everything: axis, bits, the scale shape,
+    that every scale is positive and finite, and that every code lies in
+    [-qmax, qmax].  Codes and scales that come from outside the library,
+    such as a quantized model's records read from disk
+    (``planner.read_quantized_layer``), always pass through it.  Only
+    ``quantize_weight`` and ``quantize_activation`` skip it, through
+    ``_unchecked``: their scales come from ``_scales_from_amax``, which
+    rejects 0 and inf, and ``_encode_into`` clamps their codes to
+    [-qmax, qmax], so the scans would find nothing.
     """
 
     values: np.ndarray
@@ -152,12 +168,20 @@ class QuantizedTensor:
     bits: int
     axis: str
 
+    @classmethod
+    def _unchecked(cls, values, scales, grouping, bits, axis) -> "QuantizedTensor":
+        """A tensor built from the library's own encoder output, without the checks."""
+        qt = object.__new__(cls)
+        qt.values, qt.scales, qt.grouping, qt.bits, qt.axis = values, scales, grouping, bits, axis
+        return qt
+
     def __post_init__(self):
         if self.axis not in (AXIS_ROW, AXIS_COLUMN):
             raise ValueError(f"unknown axis {self.axis!r}")
         if self.values.ndim != 2:
             raise ValueError("quantized values must be 2-D")
-        params = QuantParams(self.bits)
+        _check_bits(self.bits)
+        qmax = _qmax(self.bits)
         n, m = self.values.shape
         if self.axis == AXIS_ROW:
             self.grouping.validate_for(m)
@@ -173,8 +197,8 @@ class QuantizedTensor:
         s, q = self.scales, self.values
         if s.size and not 0.0 < float(s.min()) <= float(s.max()) < np.inf:
             raise ValueError("scale factors must be positive and finite")
-        if q.size and not -params.qmax <= int(q.min()) <= int(q.max()) <= params.qmax:
-            raise ValueError(f"quantized values exceed qmax={params.qmax}")
+        if q.size and not -qmax <= int(q.min()) <= int(q.max()) <= qmax:
+            raise ValueError(f"quantized values exceed qmax={qmax}")
 
 
 def _as_matrix(x: np.ndarray, what: str) -> np.ndarray:
@@ -215,7 +239,11 @@ def _pairwise(lo: int, hi: int, leaf) -> np.ndarray:
 
 
 def _scales_from_amax(amax: np.ndarray, params: QuantParams) -> np.ndarray:
-    """float32 scales amax / qmax, 1.0 for all-zero groups; no inf or 0 scales."""
+    """float32 scales amax / qmax, 1.0 for all-zero groups; no inf, 0 or
+    negative scales."""
+    if amax.dtype.kind == "i" and amax.min() < 0:
+        # np.abs wraps a signed integer's minimum to itself.
+        raise ValueError("scale factors must be positive and finite")
     if amax.dtype.itemsize > 4 and float(amax.max()) > float(np.finfo(np.float32).max):
         raise ValueError(f"max_abs {float(amax.max())!r} exceeds the float32 range of scales")
     scales = amax.astype(np.float32) / np.float32(params.qmax)
@@ -230,17 +258,24 @@ def _scales_from_amax(amax: np.ndarray, params: QuantParams) -> np.ndarray:
 def _encode_into(
     out: np.ndarray, x: np.ndarray, scales: np.ndarray, params: QuantParams, codes=None
 ) -> np.ndarray:
-    """Codes of x / scales (float64, ties away from zero, clamped to [-qmax, qmax]
-    because x/s can land at qmax + ulp), worked out in ``out``, which must not
-    alias x, and written into ``codes`` (default ``out``; an int8 array takes
-    them cast).
+    """Codes of x / scales: floor(|x/s| + 0.5) with x's sign (ties away from
+    zero), clamped to qmax because x/s can land at qmax + ulp.  The work is
+    done in float64 in ``out``, which must not alias x.
+
+    Without ``codes`` the codes are written into ``out`` as floats.  With an
+    integer ``codes`` array (int8) they are cast into it instead, and that
+    path has no floor pass: |x/s| + 0.5 is clamped to qmax first, and the
+    cast truncates toward zero, which on a non-negative value is the floor,
+    so the integers are the same.
     """
     np.divide(x, scales, out=out)
     np.abs(out, out=out)
     out += 0.5
-    np.floor(out, out=out)
+    if codes is None:
+        np.floor(out, out=out)
+        codes = out
     np.minimum(out, params.qmax, out=out)
-    return np.copysign(out, x, out=out if codes is None else codes, casting="unsafe")
+    return np.copysign(out, x, out=codes, casting="unsafe")
 
 
 def quantize_weight(
@@ -274,18 +309,22 @@ def quantize_weight(
 
     if not grouping.is_per_group:
         scales = scales.reshape(n)
-    return QuantizedTensor(q.reshape(n, m), scales, grouping, params.bits, AXIS_ROW)
+    return QuantizedTensor._unchecked(q.reshape(n, m), scales, grouping, params.bits, AXIS_ROW)
 
 
 def quantize_activation(a: np.ndarray, params: QuantParams) -> QuantizedTensor:
-    """Quantize an M x P activation matrix with one scale per column."""
+    """Quantize an M x P activation matrix with one scale per column.
+
+    The column maxima double as the finiteness check, and the codes are
+    encoded straight into the int8 result.
+    """
     a = _as_matrix(a, "activation")
-    if not np.isfinite(a).all():
-        raise ValueError("activation contains NaN or Inf")
-    scales = _scales_from_amax(np.abs(a).max(axis=0), params)
-    codes = _encode_into(np.empty(a.shape), a, scales.astype(np.float64)[None, :], params)
-    q = codes.astype(np.int8)
-    return QuantizedTensor(q, scales, GroupingScheme.per_channel(), params.bits, AXIS_COLUMN)
+    amax = np.abs(a).max(axis=0)
+    _finite_max(amax, "activation")
+    scales = _scales_from_amax(amax, params)
+    q = np.empty(a.shape, np.int8)
+    _encode_into(np.empty(a.shape), a, scales.astype(np.float64), params, q)
+    return QuantizedTensor._unchecked(q, scales, _PER_CHANNEL, params.bits, AXIS_COLUMN)
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:

@@ -52,6 +52,29 @@ def scalar_quantize_dequantize(w, group_size, bits):
     return codes, scales, deq, rmse
 
 
+def scalar_quantize_activation(a, bits):
+    """Column-wise activation quantization, one element at a time.
+
+    Returns (codes, scales) as nested lists: codes[i][j] for row i and
+    column j, scales[j] the float32 scale of column j as a float.
+    """
+    qmax = 2 ** (bits - 1) - 1
+    m, p = a.shape
+    scales = []
+    for j in range(p):
+        max_abs = max(abs(float(a[i, j])) for i in range(m))
+        scales.append(float(np.float32(max_abs) / np.float32(qmax)) if max_abs > 0 else 1.0)
+    codes = []
+    for i in range(m):
+        row = []
+        for j in range(p):
+            v = float(a[i, j])
+            q = min(math.floor(abs(v / scales[j]) + 0.5), qmax)
+            row.append(-q if v < 0 else q)
+        codes.append(row)
+    return codes, scales
+
+
 def scalar_rmse(w, group_size, bits):
     """RMSE between w and its quantize/dequantize image, scalar loops only."""
     return scalar_quantize_dequantize(np.asarray(w), group_size, bits)[3]

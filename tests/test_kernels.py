@@ -239,6 +239,26 @@ class TestExactAgainstIntegerOracle:
         self._assert_both_kernels_exact(w, a, 8, bits, g)
 
 
+class TestNoNegativeZero:
+    """The float64 accumulator starts at +0.0, so a zero output is +0.0 even
+    where every term is a negative code times a zero activation code."""
+
+    @pytest.mark.parametrize("g", [None, 4])
+    def test_zero_activation_column(self, g):
+        rng = np.random.default_rng(21)
+        w = -rng.uniform(0.5, 1.0, (6, 8)).astype(np.float32)
+        a = rng.normal(0, 1, (8, 3)).astype(np.float32)
+        a[:, 1] = 0.0
+        a[:, 2] = -0.0
+        scheme = GroupingScheme.per_channel() if g is None else GroupingScheme.per_group(g)
+        wq = quantize_weight(w, scheme, P8)
+        aq = quantize_activation(a, P8)
+        assert (wq.values < 0).all()
+        out = (matmul_per_group if g else matmul_per_channel)(wq, aq)
+        zeros = out[out == 0]
+        assert zeros.size == 12 and not np.signbit(zeros).any()
+
+
 class TestAccumulatorWidth:
     def test_extreme_codes_at_width_boundary_stay_exact(self):
         # All codes at +/-qmax with m = 2^18, where 2^18 * 127^2 exceeds a

@@ -19,6 +19,7 @@ from quantkit import (
     dequantize,
     generate,
     layer_rmse,
+    open_model,
     profile_model,
     quantize_weight,
     quantized_view,
@@ -27,6 +28,7 @@ from quantkit import (
     write_model,
 )
 from quantkit import planner
+from quantkit.model_store import blob_path
 from quantkit.planner import read_quantized_layer, scale_record_name
 
 P8 = QuantParams(8)
@@ -322,6 +324,39 @@ class TestApplyPlan:
         err = np.abs(tensors["blocks.0.q"].astype(np.float64) - dequantize(qt))
         elem_scales = np.repeat(qt.scales.astype(np.float64), 8, axis=1)
         assert np.all(err <= elem_scales / 2 + 1e-6 * elem_scales)
+
+
+class TestDamagedQuantizedRecords:
+    """read_quantized_layer builds its tensor from disk bytes, so it keeps
+    QuantizedTensor's checks: one damaged code or scale is rejected."""
+
+    NAME = "blocks.0.up"
+
+    @pytest.mark.parametrize("reader", [read_model, open_model])
+    @pytest.mark.parametrize(
+        "bits,record,value,match",
+        [
+            (8, "codes", np.int8(-128), "exceed qmax=127"),
+            (4, "codes", np.int8(8), "exceed qmax=7"),
+            (8, "scales", np.float32(0.0), "positive and finite"),
+            (8, "scales", np.float32(np.inf), "positive and finite"),
+        ],
+        ids=["code_-128_at_8_bits", "code_8_at_4_bits", "zero_scale", "inf_scale"],
+    )
+    def test_damaged_record_rejected(self, tmp_path, reader, bits, record, value, match):
+        manifest, tensors = generate(SynthConfig(blocks=1, dim=16, wall_blocks=(), seed=4))
+        plan = QuantPlan({r.name: PC for r in manifest.layer_records()}, group_size=8, bits=bits)
+        write_model(*apply_plan(manifest, tensors, plan), tmp_path / "q")
+        qmanifest, qtensors = reader(tmp_path / "q")
+        read_quantized_layer(qmanifest, qtensors, self.NAME)  # the intact record is accepted
+        name = self.NAME if record == "codes" else scale_record_name(self.NAME)
+        rec = qmanifest.record(name)
+        with open(blob_path(tmp_path / "q"), "r+b") as fh:
+            fh.seek(rec.byte_offset + rec.nbytes - value.nbytes)  # its last element
+            fh.write(value.tobytes())
+        qmanifest, qtensors = reader(tmp_path / "q")
+        with pytest.raises(ValueError, match=match):
+            read_quantized_layer(qmanifest, qtensors, self.NAME)
 
 
 class TestQuantizedView:

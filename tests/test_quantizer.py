@@ -26,7 +26,11 @@ from quantkit import (
     quantizer,
 )
 
-from oracles import scalar_quantize_dequantize, whole_layer_quantize_weight
+from oracles import (
+    scalar_quantize_activation,
+    scalar_quantize_dequantize,
+    whole_layer_quantize_weight,
+)
 
 P8 = QuantParams(8)
 
@@ -274,6 +278,21 @@ class TestBlockedQuantizeWeight:
         assert qt.scales.dtype == scales.dtype and qt.scales.shape == scales.shape
         assert qt.scales.tobytes() == scales.tobytes()
 
+    @pytest.mark.parametrize("budget", [128, 256, 1000])
+    @pytest.mark.parametrize("extra_rows", [0, 1])
+    @pytest.mark.parametrize("g", [None, 2])
+    def test_one_block_boundary(self, budget, extra_rows, g):
+        """A layer of exactly one row block and a layer one row longer (two
+        blocks) both equal the whole-layer oracle."""
+        m = 16
+        w = np.random.default_rng(budget).normal(0, 1, (budget // m + extra_rows, m))
+        scheme = GroupingScheme.per_channel() if g is None else GroupingScheme.per_group(g)
+        with mock.patch.object(quantizer, "_BLOCK", budget):
+            qt = quantize_weight(w.astype(np.float32), scheme, P8)
+        codes, scales = whole_layer_quantize_weight(w.astype(np.float32), scheme, P8)
+        assert np.array_equal(qt.values, codes)
+        assert qt.scales.tobytes() == scales.tobytes()
+
     @pytest.mark.parametrize("budget", [None, 128, 1000])
     def test_non_finite_in_last_block_rejected(self, budget):
         w = np.ones((40, 130), dtype=np.float32)
@@ -325,6 +344,64 @@ class TestQuantizeActivation:
         a = np.full((2, 2), np.nan, dtype=np.float32)
         with pytest.raises(ValueError):
             quantize_activation(a, P8)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_in_last_column_rejected(self, bad, dtype):
+        a = np.ones((5, 4), dtype=dtype)
+        a[-1, -1] = bad
+        with pytest.raises(ValueError, match="activation contains NaN or Inf"):
+            quantize_activation(a, P8)
+
+    @staticmethod
+    def _column(rng, kind, m, qmax, dtype):
+        """One activation column of the given kind; every kind's values are
+        exact in ``dtype``."""
+        sign = rng.choice([-1.0, 1.0], m)
+        if kind == "zero":
+            return np.zeros(m)
+        if kind == "neg_zero":
+            return np.full(m, -0.0)
+        if kind == "subnormal":
+            # float32-subnormal magnitudes whose scale does not underflow.
+            return rng.integers(127, 4000, m) * sign * 2.0**-149
+        if kind == "ties" and dtype == np.float64:
+            # Any float32 scale s: (k + 0.5) * s is exact in float64, so
+            # x / s lands exactly on the tie.
+            top = float(np.float32(rng.uniform(0.01, 100.0)))
+            s = float(np.float32(top) / np.float32(qmax))
+            col = (rng.integers(0, qmax, m) + 0.5) * s * sign
+            col[rng.integers(m)] = top
+            return col
+        if kind == "ties":
+            # A power-of-two scale keeps the ties exact in float32 too.
+            s = 2.0 ** int(rng.integers(-30, 30))
+            col = (rng.integers(0, qmax, m) + 0.5) * s * sign
+            col[rng.integers(m)] = -qmax * s
+            return col
+        col = rng.normal(0, 1, m) * 10.0 ** rng.uniform(-3, 3)
+        col[rng.random(m) < 0.2] = -0.0
+        return col
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        kinds=st.lists(
+            st.sampled_from(["normal", "ties", "zero", "neg_zero", "subnormal"]),
+            min_size=1, max_size=6,
+        ),
+        bits=st.integers(2, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_oracle(self, m, kinds, bits, dtype, seed):
+        rng = np.random.default_rng(seed)
+        qmax = QuantParams(bits).qmax
+        a = np.stack([self._column(rng, k, m, qmax, dtype) for k in kinds], axis=1).astype(dtype)
+        qt = quantize_activation(a, QuantParams(bits))
+        codes, scales = scalar_quantize_activation(a, bits)
+        assert qt.values.dtype == np.int8 and qt.values.tolist() == codes
+        assert qt.scales.dtype == np.float32 and qt.scales.tolist() == scales
 
 
 class TestDequantize:
@@ -412,6 +489,39 @@ class TestQuantizedTensorInvariants:
             axis="row",
         )
         assert qt.values.tolist() == [[-qmax, qmax]]
+
+
+class TestLibraryTensorsPassThePublicCheck:
+    """quantize_weight and quantize_activation build their tensors without
+    QuantizedTensor's scans; what they return must pass those scans."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        m=st.sampled_from([1, 4, 12, 64]),
+        bits=st.integers(2, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rebuilt_through_the_public_constructor(self, n, m, bits, dtype, seed, data):
+        rng = np.random.default_rng(seed)
+        w = rng.normal(0, 1, (n, m)) * rng.choice([1.0, 1000.0], m)
+        w[rng.random((n, m)) < 0.1] = -0.0
+        w[rng.integers(n)] = rng.integers(127, 4000, m) * 2.0**-149  # subnormal scales
+        w = w.astype(dtype)
+        g = data.draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0] + [None]))
+        scheme = GroupingScheme.per_channel() if g is None else GroupingScheme.per_group(g)
+        params = QuantParams(bits)
+        for qt in (quantize_weight(w, scheme, params), quantize_activation(w, params)):
+            assert qt.values.dtype == np.int8 and qt.scales.dtype == np.float32
+            QuantizedTensor(qt.values, qt.scales, qt.grouping, qt.bits, qt.axis)
+
+    def test_integer_minimum_column_still_rejected(self):
+        # np.abs(-128) wraps to -128 in int8, which would give a negative scale.
+        a = np.full((3, 2), -128, dtype=np.int8)
+        with pytest.raises(ValueError, match="positive and finite"):
+            quantize_activation(a, P8)
 
 
 class TestScaleRange:
