@@ -174,6 +174,8 @@ def _divisors(m: int) -> list[int]:
 
 
 def cmd_check_matmul(args) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     params = quantizer.QuantParams(8)
     max_dev = 0.0

@@ -13,6 +13,16 @@ carries exactly 7*B layer records.  Embedding and head tensors are not
 part of the layer axis, but extra records flagged ``aux`` are permitted
 and ignored by profiling (quantized models use them for scale tensors).
 
+Each record is built and checked once.  ``TensorRecord``'s constructor
+checks every field but ``grouping``, whether the record is built in Python
+or read from a file; the manifest file's parser checks only what the
+constructor does not see: the JSON object shapes, each ``grouping`` as it
+becomes a ``GroupingScheme``, and each ``byte_offset``.  Records carry no
+offsets: ``ModelManifest`` places them in record order, and a file's
+``byte_offset`` values must equal those places.  ``ModelManifest`` then
+checks the model as a whole (names, canonical layers, and each quantized
+record's scale record) once.
+
 One reader turns blob bytes into arrays.  ``open_model`` parses the
 manifest, checks the layout against the blob's size before any byte is
 read, then reads one record per lookup into a read-only, 64-byte-aligned
@@ -24,23 +34,26 @@ One writer turns records into a blob.  ``write_model`` looks each record up
 once, in record order, and streams its bytes into the blob's temp file, so
 a mapping that computes records on lookup (``planner.quantized_view``) is
 written one record at a time.  The blob is renamed into place before the
-manifest, so a record that fails mid-stream changes neither file.
+manifest, so a record that fails mid-stream changes neither file.  The
+manifest text is written for its fixed schema (``_manifest_text``), equal
+byte for byte to ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
+newline, without ``json``'s pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import json.encoder
 import numbers
 import os
-import tempfile
+import secrets
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import GroupingScheme, QuantParams
+from .quantizer import GroupingScheme, _check_bits
 
 MANIFEST_VERSION = 1
 
@@ -49,13 +62,6 @@ KINDS_PER_BLOCK = len(KIND_ORDER)
 _KIND_POSITION = {kind: i for i, kind in enumerate(KIND_ORDER)}
 
 _DTYPES = {"fp32": np.dtype("<f4"), "int8": np.dtype(np.int8)}
-
-
-# The JSON kind of each manifest record field (see _is_kind); the fields
-# with a default may be absent or null.
-_RECORD_KINDS = {"name": str, "shape": [int], "dtype": str, "byte_offset": int,
-                 "scale_ref": str, "aux": bool, "grouping": dict, "bits": int}
-_RECORD_DEFAULTS = {"scale_ref", "aux", "grouping", "bits"}
 
 
 def _is_kind(value, kind) -> bool:
@@ -107,27 +113,45 @@ def layer_index_of(block: int, kind: str) -> int:
 class TensorRecord:
     """One tensor's entry in the manifest.
 
-    ``byte_offset`` is assigned by ``ModelManifest.assemble``; quantized
-    (non-aux int8) records carry ``scale_ref`` (name of the companion aux
-    fp32 scale tensor), ``grouping`` and ``bits``.
+    Quantized (non-aux int8) records carry ``scale_ref`` (name of the
+    companion aux fp32 scale tensor), ``grouping`` and ``bits``.  A record
+    has no byte offset of its own: its manifest places it (see
+    ``ModelManifest.byte_offset``).  The constructor checks every field
+    except ``grouping`` (a ``GroupingScheme`` checks itself), for records
+    built in Python and records read from a manifest file alike.
     """
 
     name: str
     shape: tuple[int, int]
     dtype: str
-    byte_offset: int = 0
     scale_ref: str | None = None
     aux: bool = False
     grouping: GroupingScheme | None = None
     bits: int | None = None
 
     def __post_init__(self):
-        if self.dtype not in _DTYPES:
-            raise ValueError(f"record {self.name!r}: unknown dtype {self.dtype!r}")
-        if len(self.shape) != 2 or any(not isinstance(d, int) or d < 1 for d in self.shape):
-            raise ValueError(f"record {self.name!r}: shape must be two positive integers")
-        if self.byte_offset < 0:
-            raise ValueError(f"record {self.name!r}: negative byte offset")
+        # The kind texts are the manifest parser's: they name the record by
+        # its raw name value, whatever that value's kind.
+        name, shape, dtype = self.name, self.shape, self.dtype
+        if type(name) is not str:
+            _require_kind(name, str, f"tensor record {name!r}: 'name'")
+        if (type(shape) not in (tuple, list) or len(shape) != 2
+                or type(shape[0]) is not int or type(shape[1]) is not int):
+            _require_kind(shape, [int], f"tensor record {name!r}: 'shape'")
+        if type(dtype) is not str:
+            _require_kind(dtype, str, f"tensor record {name!r}: 'dtype'")
+        if self.scale_ref is not None and type(self.scale_ref) is not str:
+            _require_kind(self.scale_ref, str, f"tensor record {name!r}: 'scale_ref'")
+        if type(self.aux) is not bool:
+            _require_kind(self.aux, bool, f"tensor record {name!r}: 'aux'")
+        if self.bits is not None and type(self.bits) is not int:
+            _require_kind(self.bits, int, f"tensor record {name!r}: 'bits'")
+        if dtype not in _DTYPES:
+            raise ValueError(f"record {name!r}: unknown dtype {dtype!r}")
+        if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+            raise ValueError(f"record {name!r}: shape must be two positive integers")
+        if type(shape) is not tuple:  # a manifest file's list
+            object.__setattr__(self, "shape", tuple(shape))
 
     @property
     def numpy_dtype(self) -> np.dtype:
@@ -135,43 +159,28 @@ class TensorRecord:
 
     @property
     def nbytes(self) -> int:
-        return self.shape[0] * self.shape[1] * self.numpy_dtype.itemsize
-
-    def to_json(self) -> dict:
-        obj = {
-            "name": self.name,
-            "shape": list(self.shape),
-            "dtype": self.dtype,
-            "byte_offset": self.byte_offset,
-        }
-        if self.scale_ref is not None:
-            obj["scale_ref"] = self.scale_ref
-        if self.aux:
-            obj["aux"] = True
-        if self.grouping is not None:
-            obj["grouping"] = self.grouping.to_json()
-        if self.bits is not None:
-            obj["bits"] = self.bits
-        return obj
+        return self.shape[0] * self.shape[1] * _DTYPES[self.dtype].itemsize
 
     @classmethod
     def from_json(cls, obj: dict) -> "TensorRecord":
+        """The record a manifest file's record object describes.  Absent and
+        null optional fields read as their defaults; ``grouping`` is checked
+        here, where it becomes a ``GroupingScheme``, and every other field
+        once, by the constructor.  ``byte_offset`` is the manifest's to check."""
         if not isinstance(obj, dict):
             raise ValueError(f"tensor record must be a JSON object, got {obj!r}")
-        for key, kind in _RECORD_KINDS.items():
-            value = obj.get(key)
-            if (value is None and key in _RECORD_DEFAULTS) or _is_kind(value, kind):
-                continue
-            _require_kind(value, kind, f"tensor record {obj.get('name')!r}: {key!r}")
         grouping = obj.get("grouping")
+        if grouping is not None:
+            _require_kind(grouping, dict, f"tensor record {obj.get('name')!r}: 'grouping'")
+            grouping = GroupingScheme.from_json(grouping)
+        aux = obj.get("aux")
         return cls(
-            name=obj["name"],
-            shape=tuple(obj["shape"]),
-            dtype=obj["dtype"],
-            byte_offset=obj["byte_offset"],
+            name=obj.get("name"),
+            shape=obj.get("shape"),
+            dtype=obj.get("dtype"),
             scale_ref=obj.get("scale_ref"),
-            aux=obj.get("aux") or False,
-            grouping=GroupingScheme.from_json(grouping) if grouping is not None else None,
+            aux=False if aux is None else aux,
+            grouping=grouping,
             bits=obj.get("bits"),
         )
 
@@ -183,7 +192,7 @@ def _check_quantized(rec: TensorRecord, by_name: Mapping[str, TensorRecord]) -> 
         if None in (rec.grouping, rec.bits, rec.scale_ref):
             raise ValueError("must carry grouping, bits and scale_ref")
         rec.grouping.validate_for(rec.shape[1])
-        QuantParams(rec.bits)
+        _check_bits(rec.bits)
         scale = by_name.get(rec.scale_ref)
         if scale is None or not scale.aux or scale.dtype != "fp32":
             raise ValueError(f"scale_ref {rec.scale_ref!r} does not name an aux fp32 record")
@@ -197,28 +206,41 @@ def _check_quantized(rec: TensorRecord, by_name: Mapping[str, TensorRecord]) -> 
 
 @dataclass(frozen=True)
 class ModelManifest:
-    """Ordered tensor directory for one model file pair."""
+    """Ordered tensor directory for one model file pair.
+
+    There is one layout: the records tile the blob in record order with no
+    gap, so each record's byte offset is the sum of the sizes before it.
+    The manifest derives the offsets; a manifest file's ``byte_offset``
+    values are checked against them when it is read.
+    """
 
     blocks: int
     records: tuple[TensorRecord, ...]
 
     def __post_init__(self):
+        _require_kind(self.blocks, int, "manifest 'blocks'")
         if self.blocks < 1:
             raise ValueError("blocks must be positive")
         object.__setattr__(self, "records", tuple(self.records))
         by_name: dict[str, TensorRecord] = {}
+        offsets: dict[str, int] = {}
         dupes = set()
+        end = 0
         for rec in self.records:
             if rec.name in by_name:
                 dupes.add(rec.name)
             by_name[rec.name] = rec
+            offsets[rec.name] = end
+            end += rec.nbytes
         if dupes:
             raise ValueError(f"duplicate record names: {sorted(dupes)}")
         object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_blob_nbytes", end)
         layer_names = {r.name for r in self.records if not r.aux}
         # More blocks than records can never match; the bound keeps the set small.
         shown = min(self.blocks, len(self.records) + 1)
-        expected = {layer_name(b, kind) for b in range(shown) for kind in KIND_ORDER}
+        expected = {f"blocks.{b}.{kind}" for b in range(shown) for kind in KIND_ORDER}
         if layer_names != expected:
             missing = sorted(expected - layer_names)
             extra = sorted(layer_names - expected)
@@ -230,22 +252,16 @@ class ModelManifest:
             if not rec.aux and rec.dtype == "int8":
                 _check_quantized(rec, by_name)
 
-    @classmethod
-    def assemble(cls, blocks: int, records: list[TensorRecord]) -> "ModelManifest":
-        """Build a manifest with contiguous byte offsets in record order."""
-        placed = []
-        offset = 0
-        for rec in records:
-            placed.append(dataclasses.replace(rec, byte_offset=offset))
-            offset += rec.nbytes
-        return cls(blocks=blocks, records=tuple(placed))
-
     @property
     def blob_nbytes(self) -> int:
-        return sum(r.nbytes for r in self.records)
+        return self._blob_nbytes
 
     def record(self, name: str) -> TensorRecord:
         return self._by_name[name]
+
+    def byte_offset(self, name: str) -> int:
+        """Where the named record starts in the blob."""
+        return self._offsets[name]
 
     def layer_index(self, name: str) -> int:
         parsed = parse_layer_name(name)
@@ -258,24 +274,63 @@ class ModelManifest:
         layers = [r for r in self.records if not r.aux]
         return sorted(layers, key=lambda r: self.layer_index(r.name))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "version": MANIFEST_VERSION,
-            "blocks": self.blocks,
-            "records": [r.to_json() for r in self.records],
-        }
-
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModelManifest":
+        """The manifest a parsed manifest file describes; each record's
+        ``byte_offset`` must be where the one layout places it."""
         if not isinstance(obj, dict):
             raise ValueError("manifest must be a JSON object")
         version = obj.get("version")
         if not _is_kind(version, int) or version != MANIFEST_VERSION:
             raise ValueError(f"unsupported manifest version {version!r}")
-        _require_kind(obj.get("blocks"), int, "manifest 'blocks'")
-        _require_kind(obj.get("records"), list, "manifest 'records'")
-        return cls(blocks=obj["blocks"],
-                   records=tuple(TensorRecord.from_json(r) for r in obj["records"]))
+        raw = obj.get("records")
+        _require_kind(raw, list, "manifest 'records'")
+        manifest = cls(blocks=obj.get("blocks"), records=[TensorRecord.from_json(r) for r in raw])
+        for entry, rec in zip(raw, manifest.records):
+            offset, expect = entry.get("byte_offset"), manifest._offsets[rec.name]
+            if type(offset) is not int:
+                _require_kind(offset, int, f"tensor record {rec.name!r}: 'byte_offset'")
+            if offset != expect:
+                raise ValueError(f"record {rec.name!r} starts at byte {offset}, not {expect} "
+                                 "(a gap, an overlap or out of record order)")
+        return manifest
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _manifest_text(manifest: ModelManifest) -> str:
+    """The manifest file's text, written for its fixed schema.
+
+    Byte for byte, this is ``json.dumps(obj, sort_keys=True, indent=2) +
+    "\\n"`` of the manifest's JSON object, without ``json``'s pure-Python
+    indenting encoder: strings go through ``json``'s own ASCII escaper and
+    integers print as ``json`` prints them.  Keys appear in sorted order.
+    """
+    records = []
+    offset = 0
+    for rec in manifest.records:
+        fields = []
+        if rec.aux:
+            fields.append('"aux": true')
+        if rec.bits is not None:
+            fields.append('"bits": %d' % rec.bits)
+        fields.append('"byte_offset": %d' % offset)
+        fields.append('"dtype": ' + _encode_str(rec.dtype))
+        grouping = rec.grouping
+        if grouping is not None:
+            size = (f'\n        "group_size": {grouping.group_size:d},'
+                    if grouping.is_per_group else "")
+            fields.append(
+                f'"grouping": {{{size}\n        "mode": {_encode_str(grouping.mode)}\n      }}')
+        fields.append('"name": ' + _encode_str(rec.name))
+        if rec.scale_ref is not None:
+            fields.append('"scale_ref": ' + _encode_str(rec.scale_ref))
+        fields.append('"shape": [\n        %d,\n        %d\n      ]' % rec.shape)
+        records.append("    {\n      " + ",\n      ".join(fields) + "\n    }")
+        offset += rec.nbytes
+    return ('{\n  "blocks": %d,\n  "records": [\n' % manifest.blocks + ",\n".join(records)
+            + '\n  ],\n  "version": %d\n}\n' % MANIFEST_VERSION)
 
 
 def manifest_path(path: str | os.PathLike) -> str:
@@ -292,11 +347,13 @@ def atomic_write_bytes(path: str | os.PathLike, data) -> None:
     ``data`` is bytes, or a sized iterable of buffers written in order (see
     ``write_model``); ``len(data)`` is its byte count either way.  If
     ``data`` raises part-way, the temp file is removed and ``path`` is
-    left as it was.
+    left as it was.  The temp file is created as ``open(path, "w")`` creates
+    a file, with mode 0o666 less the process umask, which the kernel applies.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(os.path.dirname(path),
+                       f".tmp-{secrets.token_hex(8)}-{os.path.basename(path)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in [data] if isinstance(data, bytes) else data:
@@ -314,25 +371,6 @@ def atomic_write_bytes(path: str | os.PathLike, data) -> None:
 
 def atomic_write_text(path: str | os.PathLike, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def _check_layout(manifest: ModelManifest, blob_len: int) -> None:
-    """The one layout: records tile the blob in record order, each starting
-    where the one before ends, as ``ModelManifest.assemble`` places them."""
-    end = 0
-    for rec in manifest.records:
-        if rec.byte_offset != end:
-            raise ValueError(
-                f"record {rec.name!r} starts at byte {rec.byte_offset}, not {end} (a gap, an "
-                "overlap or out of record order); build manifests with ModelManifest.assemble"
-            )
-        end += rec.nbytes
-        if end > blob_len:
-            raise ValueError(f"blob underrun for record {rec.name!r}: needs {end} bytes, "
-                             f"blob has {blob_len}")
-    if end != blob_len:
-        raise ValueError(f"blob length {blob_len} does not match the {end} bytes the "
-                         "manifest describes")
 
 
 def _check_names(manifest: ModelManifest, tensors: Mapping[str, np.ndarray]) -> None:
@@ -376,8 +414,7 @@ def write_model(
 ) -> None:
     """Write ``<path>.bin``, then ``<path>.manifest.json``.
 
-    The manifest's byte offsets must describe the contiguous record-order
-    layout (use ``ModelManifest.assemble``).  ``tensors`` may compute its
+    The blob takes the manifest's one layout.  ``tensors`` may compute its
     records on lookup (``planner.quantized_view``): each is looked up once,
     in record order, and streamed into the blob's temp file, so a record
     that fails leaves neither file changed.  Output is byte-identical for
@@ -386,10 +423,8 @@ def write_model(
     pure and safe from concurrent contexts.
     """
     _check_names(manifest, tensors)
-    _check_layout(manifest, manifest.blob_nbytes)
     atomic_write_bytes(blob_path(path), _BlobStream(manifest, tensors))
-    text = json.dumps(manifest.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    atomic_write_text(manifest_path(path), text)
+    atomic_write_text(manifest_path(path), _manifest_text(manifest))
 
 
 def read_model(path: str | os.PathLike) -> tuple[ModelManifest, dict[str, np.ndarray]]:
@@ -420,12 +455,13 @@ class _RecordReader(Mapping):
 
     def __getitem__(self, name: str) -> np.ndarray:
         rec = self._manifest.record(name)
+        offset = self._manifest.byte_offset(name)
         raw = np.empty(rec.nbytes + _ALIGN - 1, dtype=np.uint8)
         start = -raw.ctypes.data % _ALIGN
         buf = raw[start:start + rec.nbytes]
         done = 0
         while done < rec.nbytes:  # one read, unless the record passes the 2 GiB read limit
-            got = os.preadv(self._fd, [buf[done:]], rec.byte_offset + done)
+            got = os.preadv(self._fd, [buf[done:]], offset + done)
             if got == 0:
                 raise ValueError(f"short read for record {name!r}: {done} of {rec.nbytes} "
                                  "bytes; the blob shrank after the model was opened")
@@ -439,6 +475,19 @@ class _RecordReader(Mapping):
 
     def __len__(self) -> int:
         return len(self._manifest.records)
+
+
+def _check_blob_size(manifest: ModelManifest, blob_len: int) -> None:
+    """The blob ends where the manifest's last record ends."""
+    if manifest.blob_nbytes > blob_len:
+        for rec in manifest.records:
+            end = manifest.byte_offset(rec.name) + rec.nbytes
+            if end > blob_len:
+                raise ValueError(f"blob underrun for record {rec.name!r}: needs {end} bytes, "
+                                 f"blob has {blob_len}")
+    if manifest.blob_nbytes != blob_len:
+        raise ValueError(f"blob length {blob_len} does not match the {manifest.blob_nbytes} "
+                         "bytes the manifest describes")
 
 
 def open_model(path: str | os.PathLike) -> tuple[ModelManifest, Mapping[str, np.ndarray]]:
@@ -458,7 +507,7 @@ def open_model(path: str | os.PathLike) -> tuple[ModelManifest, Mapping[str, np.
     manifest = ModelManifest.from_json_dict(raw)
     fd = os.open(blob_path(path), os.O_RDONLY)
     try:
-        _check_layout(manifest, os.fstat(fd).st_size)
+        _check_blob_size(manifest, os.fstat(fd).st_size)
     except BaseException:
         os.close(fd)
         raise

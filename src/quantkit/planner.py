@@ -16,7 +16,7 @@ to disk holding one layer at a time; ``apply_plan`` keeps every record.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import Callable, Sequence
 
@@ -296,12 +296,11 @@ def quantized_view(
         except ValueError as exc:
             raise ValueError(f"layer {rec.name!r}: {exc}") from None
         sname = scale_record_name(rec.name)
-        out_records.append(
-            replace(rec, dtype="int8", scale_ref=sname, grouping=scheme, bits=params.bits)
-        )
+        out_records.append(TensorRecord(rec.name, rec.shape, "int8", scale_ref=sname,
+                                        grouping=scheme, bits=params.bits))
         out_records.append(TensorRecord(
-            name=sname, shape=(n, m // scheme.resolved_group_size(m)), dtype="fp32", aux=True))
-    qmanifest = ModelManifest.assemble(manifest.blocks, out_records)
+            sname, (n, m // scheme.resolved_group_size(m)), "fp32", aux=True))
+    qmanifest = ModelManifest(manifest.blocks, out_records)
     return qmanifest, _QuantizedView(qmanifest, tensors, params)
 
 

@@ -44,8 +44,8 @@ def aggregate_accuracy(tasks: Iterable[TaskResult | Sequence]) -> EvalSummary:
     """Plain and question-count-weighted average accuracy over tasks.
 
     Accepts TaskResult objects or (name, accuracy, question_count)
-    tuples.  avg is the arithmetic mean of the accuracies; wt_avg is
-    sum(accuracy_i * count_i) / sum(count_i).
+    tuples, each task name once.  avg is the arithmetic mean of the
+    accuracies; wt_avg is sum(accuracy_i * count_i) / sum(count_i).
     """
     normalized = tuple(
         t if isinstance(t, TaskResult) else TaskResult(t[0], float(t[1]), int(t[2]))
@@ -53,6 +53,11 @@ def aggregate_accuracy(tasks: Iterable[TaskResult | Sequence]) -> EvalSummary:
     )
     if not normalized:
         raise ValueError("task list must be non-empty")
+    seen = set()
+    for t in normalized:
+        if t.name in seen:
+            raise ValueError(f"task {t.name!r} is listed more than once")
+        seen.add(t.name)
     total_questions = sum(t.question_count for t in normalized)
     avg = sum(t.accuracy for t in normalized) / len(normalized)
     wt_avg = sum(t.accuracy * t.question_count for t in normalized) / total_questions

@@ -175,4 +175,4 @@ def generate(cfg: SynthConfig) -> tuple[ModelManifest, dict[str, np.ndarray]]:
                 )
             records.append(TensorRecord(name=name, shape=shape, dtype="fp32"))
             tensors[name] = w
-    return ModelManifest.assemble(cfg.blocks, records), tensors
+    return ModelManifest(cfg.blocks, records), tensors

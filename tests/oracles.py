@@ -5,7 +5,9 @@ half away from zero, clamp to the symmetric code range) but are written as
 plain Python loops so they stay independent of the vectorized library
 paths they check.  The whole-layer ones are the unblocked forms of the
 library's blocked layer passes: the same arithmetic on full-size buffers,
-which the blocked passes must equal to the bit.
+which the blocked passes must equal to the bit.  ``manifest_json`` builds
+a model manifest's JSON object for ``json.dumps``, the reference for the
+manifest writer's text.
 """
 
 import math
@@ -174,3 +176,26 @@ def whole_layer_quantize_weight(w, grouping, params):
     if not grouping.is_per_group:
         scales = scales.reshape(n)
     return codes.reshape(n, m).astype(np.int8), scales
+
+
+def manifest_json(manifest):
+    """A model manifest's JSON object, field by field, with each record's
+    byte offset summed from the sizes before it: the object whose
+    ``json.dumps(..., sort_keys=True, indent=2)`` the manifest writer's text
+    must equal."""
+    itemsize = {"fp32": 4, "int8": 1}
+    records, offset = [], 0
+    for rec in manifest.records:
+        obj = {"name": rec.name, "shape": list(rec.shape), "dtype": rec.dtype,
+               "byte_offset": offset}
+        if rec.scale_ref is not None:
+            obj["scale_ref"] = rec.scale_ref
+        if rec.aux:
+            obj["aux"] = True
+        if rec.grouping is not None:
+            obj["grouping"] = rec.grouping.to_json()
+        if rec.bits is not None:
+            obj["bits"] = rec.bits
+        records.append(obj)
+        offset += rec.shape[0] * rec.shape[1] * itemsize[rec.dtype]
+    return {"version": 1, "blocks": manifest.blocks, "records": records}

@@ -232,6 +232,13 @@ class TestCheckMatmul:
         deviation = float(out.split("deviation")[1].split()[0])
         assert deviation <= 1e-5
 
+    @pytest.mark.parametrize("count", ["0", "-4"])
+    def test_no_instances_is_an_error(self, capsys, count):
+        assert main(["check-matmul", "--instances", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --instances must be at least 1, got {count}\n"
+        assert captured.out == ""
+
 
 class TestReport:
     def test_two_task_example(self, tmp_path, capsys):
@@ -244,6 +251,15 @@ class TestReport:
         obj = json.loads((tmp_path / "summary.json").read_text())
         assert obj["task_count"] == 2
         assert obj["total_questions"] == 10500
+
+    def test_repeated_task_is_a_clean_failure(self, tmp_path, capsys):
+        csv_path = tmp_path / "results.csv"
+        csv_path.write_text("task,accuracy,questions\nhs,0.9,100\nhs,0.9,100\narc,0.1,100\n")
+        out = tmp_path / "summary.json"
+        assert main(["report", str(csv_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: task 'hs' is listed more than once\n"
+        assert captured.out == "" and not out.exists()
 
     def test_malformed_csv_is_a_clean_failure(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"

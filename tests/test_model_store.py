@@ -4,6 +4,7 @@ import builtins
 import json
 import os
 import re
+import stat
 import sys
 import tempfile
 import threading
@@ -40,6 +41,8 @@ from quantkit import (
 from quantkit import model_store
 from quantkit.model_store import atomic_write_bytes, atomic_write_text, blob_path, manifest_path
 
+from oracles import manifest_json
+
 
 def tiny_model(blocks=1, dim=4, seed=0):
     rng = np.random.default_rng(seed)
@@ -50,7 +53,7 @@ def tiny_model(blocks=1, dim=4, seed=0):
             name = layer_name(b, kind)
             records.append(TensorRecord(name=name, shape=(dim, dim), dtype="fp32"))
             tensors[name] = rng.normal(0, 1, (dim, dim)).astype(np.float32)
-    return ModelManifest.assemble(blocks, records), tensors
+    return ModelManifest(blocks, records), tensors
 
 
 def write_quantized_tiny_model(stem):
@@ -63,7 +66,7 @@ def write_quantized_tiny_model(stem):
     records = [q if r.name == q.name else r for r in manifest.records] + [scales]
     tensors[q.name] = np.ones((4, 4), dtype=np.int8)
     tensors[scales.name] = np.ones((4, 2), dtype=np.float32)
-    write_model(ModelManifest.assemble(1, records), tensors, stem)
+    write_model(ModelManifest(1, records), tensors, stem)
     with open(manifest_path(stem), encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -100,7 +103,7 @@ class TestManifestValidation:
             for k in KIND_ORDER[1:]
         ]
         with pytest.raises(ValueError, match="duplicate"):
-            ModelManifest.assemble(1, records)
+            ModelManifest(1, records)
 
     def test_wrong_layer_count_rejected(self):
         records = [
@@ -108,14 +111,14 @@ class TestManifestValidation:
             for k in KIND_ORDER[:-1]
         ]
         with pytest.raises(ValueError, match="canonical"):
-            ModelManifest.assemble(1, records)
+            ModelManifest(1, records)
 
     def test_aux_records_are_allowed_and_skipped(self):
         manifest, _ = tiny_model()
         records = list(manifest.records) + [
             TensorRecord(name="lm_head", shape=(4, 4), dtype="fp32", aux=True)
         ]
-        manifest2 = ModelManifest.assemble(1, records)
+        manifest2 = ModelManifest(1, records)
         assert len(manifest2.records) == 8
         assert [r.name for r in manifest2.layer_records()] == [
             layer_name(0, k) for k in KIND_ORDER
@@ -127,7 +130,7 @@ class TestManifestValidation:
 
     def test_layer_records_ordered_by_index(self):
         manifest, _ = tiny_model(blocks=2)
-        shuffled = ModelManifest.assemble(2, list(manifest.records)[::-1])
+        shuffled = ModelManifest(2, list(manifest.records)[::-1])
         names = [r.name for r in shuffled.layer_records()]
         assert names == [layer_name(b, k) for b in range(2) for k in KIND_ORDER]
 
@@ -197,7 +200,7 @@ class TestWriteRead:
         ]
         tensors = dict(tensors)
         tensors["blocks.0.q.codes"] = np.arange(-8, 8, dtype=np.int8).reshape(4, 4)
-        manifest = ModelManifest.assemble(1, records)
+        manifest = ModelManifest(1, records)
         write_model(manifest, tensors, tmp_path / "m")
         _, tensors2 = read_model(tmp_path / "m")
         assert np.array_equal(tensors2["blocks.0.q.codes"], tensors["blocks.0.q.codes"])
@@ -225,15 +228,6 @@ class TestWriteRead:
         tensors["blocks.0.k"] = tensors["blocks.0.k"].astype(np.float64)
         with pytest.raises(ValueError, match="dtype"):
             write_model(manifest, tensors, tmp_path / "m")
-
-    def test_non_canonical_offsets_rejected(self, tmp_path):
-        manifest, tensors = tiny_model()
-        # bypass assemble: offsets all zero
-        bad = ModelManifest(1, [
-            TensorRecord(name=r.name, shape=r.shape, dtype=r.dtype) for r in manifest.records
-        ])
-        with pytest.raises(ValueError, match="assemble"):
-            write_model(bad, tensors, tmp_path / "m")
 
 
 class LyingStream:
@@ -273,6 +267,30 @@ class TestAtomicWrites:
             atomic_write_bytes(target, LyingStream())
         assert target.read_bytes() == b"old"
         assert os.listdir(tmp_path) == ["b.bin"]
+
+
+class TestFileModes:
+    def test_files_get_the_mode_open_gives(self, tmp_path):
+        """0o666 less the umask, as ``open(path, "w")`` creates a file, and
+        the same bytes under any umask."""
+        manifest, tensors = tiny_model()
+        written = {}
+        for umask in (0o022, 0o077, 0o002):
+            d = tmp_path / oct(umask)
+            d.mkdir()
+            old = os.umask(umask)
+            try:
+                with open(d / "ref", "w"):
+                    pass
+                write_model(manifest, tensors, d / "m")
+                atomic_write_text(d / "t.txt", "text\n")
+            finally:
+                os.umask(old)
+            assert stat.S_IMODE(os.stat(d / "ref").st_mode) == 0o666 & ~umask
+            for name in ("m.bin", "m.manifest.json", "t.txt"):
+                assert stat.S_IMODE(os.stat(d / name).st_mode) == 0o666 & ~umask, (umask, name)
+            written[umask] = _file_bytes(d / "m")
+        assert len(set(written.values())) == 1
 
 
 class TestReadErrors:
@@ -458,6 +476,105 @@ class TestManifestJson:
         assert manifest_path(stem).endswith("model.manifest.json")
         assert blob_path(stem).endswith("model.bin")
 
+    NAMES = st.text(max_size=6) | st.sampled_from(
+        ['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r\b\f", "\u00e9t\u00e9", "\u2028\u2029",
+         "\U0001f600", "\ud7ff\ue000\uffff", "\ud800 lone"])
+    SCHEMES = st.none() | st.just(GroupingScheme.per_channel()) | st.integers(1, 2**40).map(
+        GroupingScheme.per_group)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_writer_text_equals_json_dumps(self, data):
+        """Any manifest the library accepts: optional fields present and
+        absent, names json must escape, and offsets past 2^32."""
+        blocks = data.draw(st.integers(1, 2), label="blocks")
+        dims = st.integers(1, 2**17)
+        records = []
+        for b in range(blocks):
+            for kind in KIND_ORDER:
+                name = layer_name(b, kind)
+                rows, cols = data.draw(st.tuples(dims, dims), label=name)
+                if data.draw(st.booleans(), label=f"quantize {name}"):
+                    g = data.draw(st.sampled_from([cols] + _divisors(cols)[:4]), label=name + " g")
+                    scheme = GroupingScheme.per_channel()
+                    if g < cols:
+                        scheme = GroupingScheme.per_group(g)
+                    scales = name + ".s" + data.draw(self.NAMES, label=f"scale suffix {name}")
+                    records.append(TensorRecord(name, (rows, cols), "int8", scale_ref=scales,
+                                                grouping=scheme, bits=data.draw(st.integers(2, 8))))
+                    records.append(TensorRecord(scales, (rows, cols // g), "fp32", aux=True))
+                else:  # an fp32 layer may carry any optional field
+                    records.append(TensorRecord(
+                        name, (rows, cols), "fp32",
+                        scale_ref=data.draw(st.none() | self.NAMES, label=f"scale_ref {name}"),
+                        grouping=data.draw(self.SCHEMES, label=f"grouping {name}"),
+                        bits=data.draw(st.none() | st.integers(), label=f"bits {name}")))
+        taken = {rec.name for rec in records}
+        for name in data.draw(st.lists(self.NAMES, max_size=4, unique=True), label="aux names"):
+            if name not in taken:
+                dtype = data.draw(st.sampled_from(["fp32", "int8"]))
+                records.append(TensorRecord(
+                    name, data.draw(st.tuples(dims, dims)), dtype,
+                    scale_ref=data.draw(st.none() | self.NAMES), aux=True,
+                    grouping=data.draw(self.SCHEMES), bits=data.draw(st.none() | st.integers())))
+        order = data.draw(st.permutations(records), label="record order")
+        manifest = ModelManifest(blocks, order)
+        text = model_store._manifest_text(manifest)
+        assert text == json.dumps(manifest_json(manifest), sort_keys=True, indent=2) + "\n"
+        assert model_store.ModelManifest.from_json_dict(json.loads(text)) == manifest
+
+
+class TestBuildAndCheckOnce:
+    """Each record is built once and each of its fields checked once."""
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        """A 2-block model with an aux record, a plan mixing per-channel and
+        per-group(3), and the quantized model written to ``tmp_path / "q"``."""
+        manifest, tensors = tiny_model(blocks=2, dim=6)
+        head = TensorRecord(name="lm_head", shape=(3, 6), dtype="fp32", aux=True)
+        manifest = ModelManifest(2, list(manifest.records) + [head])
+        tensors = dict(tensors, lm_head=np.ones((3, 6), dtype=np.float32))
+        names = [rec.name for rec in manifest.layer_records()]
+        plan = QuantPlan({name: GroupingScheme.per_group(3) if i % 3 else
+                          GroupingScheme.per_channel() for i, name in enumerate(names)}, 3, 8)
+        write_model(*quantized_view(manifest, tensors, plan), tmp_path / "q")
+        return manifest, tensors, names, plan
+
+    @pytest.fixture
+    def spied(self, model, monkeypatch):
+        """Counts, from here on, per record name: constructor checks, and
+        quantized-record checks."""
+        built, quantized = Counter(), Counter()
+        check_record, check_quantized = TensorRecord.__post_init__, model_store._check_quantized
+
+        def spy_record(rec):
+            built[rec.name] += 1
+            check_record(rec)
+
+        def spy_quantized(rec, by_name):
+            quantized[rec.name] += 1
+            check_quantized(rec, by_name)
+
+        monkeypatch.setattr(TensorRecord, "__post_init__", spy_record)
+        monkeypatch.setattr(model_store, "_check_quantized", spy_quantized)
+        return built, quantized
+
+    def test_quantized_view_builds_each_output_record_once(self, model, spied):
+        manifest, tensors, names, plan = model
+        built, quantized = spied
+        qmanifest, _ = quantized_view(manifest, tensors, plan)
+        assert built == Counter(dict.fromkeys(names + [n + ".scales" for n in names], 1))
+        assert quantized == Counter(dict.fromkeys(names, 1))
+        assert qmanifest.record("lm_head") is manifest.record("lm_head")
+
+    def test_open_model_checks_each_record_once(self, model, spied, tmp_path):
+        names = model[2]
+        built, quantized = spied
+        qmanifest, _ = open_model(tmp_path / "q")
+        assert built == Counter({rec.name: 1 for rec in qmanifest.records})
+        assert quantized == Counter(dict.fromkeys(names, 1))
+
 
 def _divisors(m):
     return [g for g in range(1, m + 1) if m % g == 0]
@@ -487,7 +604,7 @@ class TestRoundTripProperty:
                 assignments[name] = (
                     GroupingScheme.per_channel() if g is None else GroupingScheme.per_group(g)
                 )
-        manifest = ModelManifest.assemble(blocks, records)
+        manifest = ModelManifest(blocks, records)
         plan = QuantPlan(assignments, cols, bits)
         quantized = apply_plan(manifest, tensors, plan)
 

@@ -291,7 +291,7 @@ class TestApplyPlan:
         cfg = SynthConfig(blocks=6, dim=32, wall_blocks=(0, 3), wall_columns_per_layer=2, seed=9)
         manifest, tensors = generate(cfg)
         head = np.ones((3, 5), dtype=np.float32)
-        manifest = ModelManifest.assemble(
+        manifest = ModelManifest(
             manifest.blocks,
             list(manifest.records)
             + [TensorRecord(name="lm_head", shape=(3, 5), dtype="fp32", aux=True)],
@@ -309,7 +309,7 @@ class TestApplyPlan:
         last = manifest.records[-1].name  # only the last layer is quantized
         records = [r for r in manifest.records if r.name != last]
         records += [qmanifest.record(last), qmanifest.record(scale_record_name(last))]
-        mixed = ModelManifest.assemble(manifest.blocks, records)
+        mixed = ModelManifest(manifest.blocks, records)
         with pytest.raises(ValueError, match=rf"not fp32 \(already quantized\?\): \['{last}'\]"):
             apply_plan(mixed, {}, plan)  # no tensors: a layer lookup would be a KeyError
 
@@ -352,7 +352,7 @@ class TestDamagedQuantizedRecords:
         name = self.NAME if record == "codes" else scale_record_name(self.NAME)
         rec = qmanifest.record(name)
         with open(blob_path(tmp_path / "q"), "r+b") as fh:
-            fh.seek(rec.byte_offset + rec.nbytes - value.nbytes)  # its last element
+            fh.seek(qmanifest.byte_offset(name) + rec.nbytes - value.nbytes)  # its last element
             fh.write(value.tobytes())
         qmanifest, qtensors = reader(tmp_path / "q")
         with pytest.raises(ValueError, match=match):

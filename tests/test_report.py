@@ -47,3 +47,7 @@ class TestAggregateAccuracy:
     def test_non_positive_counts_rejected(self, count):
         with pytest.raises(ValueError):
             aggregate_accuracy([("bad", 0.5, count)])
+
+    def test_repeated_task_rejected(self):
+        with pytest.raises(ValueError, match="task 'hs' is listed more than once"):
+            aggregate_accuracy([("hs", 0.9, 100), ("hs", 0.9, 100), ("arc", 0.1, 100)])
