@@ -6,6 +6,12 @@ matrix crosses those columns, a wall inflates every per-channel scale and
 makes the whole layer quantize badly; detecting walls column-wise (a
 minimum fraction of rows exceeding a threshold) distinguishes them from
 isolated point outliers.
+
+Every pass takes its layer as a row source (see ``quantizer``): an
+in-memory matrix, or a record of an open model that ``profile_model`` and
+the planner's sweep get from ``model_store.row_source`` and read block by
+block.  So a pass holds one block of rows and this thread's block scratch,
+not the fp32 layer.
 """
 
 from __future__ import annotations
@@ -26,15 +32,18 @@ from .model_store import (
     atomic_write_text,
     layer_index_of,
     parse_layer_name,
+    row_source,
 )
 from .quantizer import GroupingScheme, QuantParams
 from .quantizer import (
-    _as_matrix,
+    _abs_rows,
+    _as_rows,
     _encode_into,
     _finite_max,
     _pairwise,
     _row_blocks,
     _scales_from_amax,
+    _scratch,
 )
 
 # First-block V-matrix weight maxima observed in public checkpoints.  The
@@ -120,44 +129,49 @@ class LayerMetrics:
 
 
 def _profile_layer(
-    w: np.ndarray,
+    w,
     groupings: Sequence[GroupingScheme],
     params: QuantParams,
     wall_cfg: WallDetectorConfig | None = None,
 ) -> tuple[float, list[int] | None, list[float]]:
-    """One pass over a layer: max_abs, wall columns (None without a config)
-    and, per grouping, the float64 squared-error sum of quantize_weight ->
-    dequantize, to the bit.
+    """One pass over a layer (a matrix or a row source): max_abs, wall
+    columns (None without a config) and, per grouping, the float64
+    squared-error sum of quantize_weight -> dequantize, to the bit.
 
     The flat layer is walked in leaves of at most _BLOCK elements, split as
     np.sum splits it (_pairwise), so every sum equals np.sum over the whole
-    layer.  A leaf works on the whole rows that hold its range: group
-    maxima are reduced once per size from the largest computed divisor
-    size, and every grouping and the wall RMS share one float64 copy of the
-    rows and one buffer.  Wall columns are counted afterwards, row block by
-    row block, against the threshold from the summed squares.
+    layer.  A leaf reads the whole rows that hold its range: group maxima
+    are reduced once per size from the largest computed divisor size, and
+    every grouping and the wall RMS share one float64 copy of the rows and
+    one work buffer, both in this thread's scratch.  Wall columns are
+    counted afterwards, reading the rows again block by block, against the
+    threshold from the summed squares.
     """
-    w = _as_matrix(w, "weight")
-    n, m = w.shape
+    src = _as_rows(w, "weight")
+    n, m = src.shape
     for grouping in groupings:
         grouping.validate_for(m)
     sizes = sorted({grouping.resolved_group_size(m) for grouping in groupings})
     rms_threshold = wall_cfg is not None and wall_cfg.magnitude_threshold is None
+    read = src.read_rows
     maxima = []
 
     def leaf(lo: int, hi: int) -> np.ndarray:
         first = lo // m
-        rows = w[first : -(-hi // m)]
+        rows = read(first, -(-hi // m))
         span = slice(lo - first * m, hi - first * m)  # the leaf's range within its rows
-        absw = np.abs(rows)
+        absw = _abs_rows(rows)
         maxima.append(_finite_max(absw, "weight"))
         k = len(rows)
         amax: dict[int, np.ndarray] = {}
         for g in sizes:
             base = max((f for f in amax if g % f == 0), default=None)
             amax[g] = (absw if base is None else amax[base]).reshape(k, m // g, -1).max(axis=2)
-        w64 = rows.astype(np.float64, copy=False)
-        buf = np.empty(rows.shape)
+        w64 = rows
+        if rows.dtype != np.float64:
+            w64 = _scratch("w64", rows.shape, np.float64)
+            np.copyto(w64, rows)
+        buf = _scratch("work", rows.shape, np.float64)  # absw's buffer: absw is done with
         part = buf.reshape(-1)[span]
         sums = np.empty(len(sizes) + rms_threshold)
         for i, g in enumerate(sizes):
@@ -170,35 +184,44 @@ def _profile_layer(
             sums[-1] = np.add.reduce(np.square(w64.reshape(-1)[span], out=part))
         return sums
 
-    sums = _pairwise(0, w.size, leaf)
+    sums = _pairwise(0, n * m, leaf)
     walls = None
     if wall_cfg is not None:
         if rms_threshold:
-            threshold = wall_cfg.rms_multiplier * float(np.sqrt(sums[-1] / w.size))
+            threshold = wall_cfg.rms_multiplier * float(np.sqrt(sums[-1] / (n * m)))
         else:
             threshold = float(wall_cfg.magnitude_threshold)
-        counts = sum((np.abs(w[b]) > threshold).sum(axis=0) for b in _row_blocks(n, m))
+        counts = 0
+        for b in _row_blocks(n, m):
+            absw = _abs_rows(read(b.start, b.stop))
+            counts = counts + np.greater(
+                absw, threshold, out=_scratch("mask", absw.shape, bool)).sum(axis=0)
         walls = [int(j) for j in np.nonzero(counts >= wall_cfg.row_fraction * n)[0]]
     sse = dict(zip(sizes, sums.tolist()))
     return float(max(maxima)), walls, [sse[gr.resolved_group_size(m)] for gr in groupings]
 
 
-def layer_max_abs(w: np.ndarray) -> float:
-    """Largest absolute value in the matrix, taken row block by row block."""
-    w = _as_matrix(w, "weight")
-    return float(max(_finite_max(np.abs(w[b]), "weight") for b in _row_blocks(*w.shape)))
+def layer_max_abs(w) -> float:
+    """Largest absolute value in the matrix (or row source), read row block
+    by row block."""
+    src = _as_rows(w, "weight")
+    read = src.read_rows
+    return float(max(_finite_max(_abs_rows(read(b.start, b.stop)), "weight")
+                     for b in _row_blocks(*src.shape)))
 
 
-def layer_rmse(w: np.ndarray, grouping: GroupingScheme, params: QuantParams) -> float:
+def layer_rmse(w, grouping: GroupingScheme, params: QuantParams) -> float:
     """RMSE between the weights and their quantize/dequantize image.
 
     Root of the mean over all N*M elements, accumulated in float64.
     """
-    (sse,) = _profile_layer(w, [grouping], params)[2]
-    return float(np.sqrt(sse / np.size(w)))
+    src = _as_rows(w, "weight")
+    (sse,) = _profile_layer(src, [grouping], params)[2]
+    n, m = src.shape
+    return float(np.sqrt(sse / (n * m)))
 
 
-def detect_walls(w: np.ndarray, cfg: WallDetectorConfig) -> list[int]:
+def detect_walls(w, cfg: WallDetectorConfig) -> list[int]:
     """Input columns where at least row_fraction * N entries exceed the threshold.
 
     Returned ascending.  Invariant under row permutation; equivariant
@@ -226,16 +249,23 @@ def _map_layers(fn: Callable, records: Iterable[TensorRecord]) -> list:
         return list(pool.map(named, records))
 
 
-def _fp32_layer_records(manifest: ModelManifest) -> list[TensorRecord]:
-    """The model's layer records, which must all be fp32 to be profiled or
-    quantized."""
-    records = manifest.layer_records()
-    bad = [r.name for r in records if r.dtype != "fp32"]
+def _check_fp32(manifest: ModelManifest, layers: Iterable[TensorRecord]) -> None:
+    """Every one of the model's layer records ``layers`` must be fp32 to be
+    profiled or quantized; the error names the first offenders by layer
+    index, and only they are sorted."""
+    bad = [r.name for r in layers if r.dtype != "fp32"]
     if bad:
+        bad.sort(key=manifest.layer_index)
         raise ValueError(
             f"the model's layers must be fp32 to be profiled or quantized; these are "
             f"not fp32 (already quantized?): {bad[:5]}"
         )
+
+
+def _fp32_layer_records(manifest: ModelManifest) -> list[TensorRecord]:
+    """The model's layer records in layer-index order, checked to be fp32."""
+    records = manifest.layer_records()
+    _check_fp32(manifest, records)
     return records
 
 
@@ -260,9 +290,10 @@ def profile_model(
     schemes = [GroupingScheme.per_channel(), *map(GroupingScheme.per_group, group_sizes)]
 
     def profile_one(rec) -> LayerMetrics:
-        w = tensors[rec.name]
+        w = row_source(tensors, rec.name)
         max_abs, walls, sse = _profile_layer(w, schemes, params, wall_cfg)
-        rmse = [float(np.sqrt(x / w.size)) for x in sse]  # as layer_rmse computes it
+        n, m = w.shape
+        rmse = [float(np.sqrt(x / (n * m))) for x in sse]  # as layer_rmse computes it
         return LayerMetrics(
             layer_index=manifest.layer_index(rec.name),
             name=rec.name,

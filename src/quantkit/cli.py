@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -176,6 +177,8 @@ def _divisors(m: int) -> list[int]:
 def cmd_check_matmul(args) -> int:
     if args.instances < 1:
         raise ValueError(f"--instances must be at least 1, got {args.instances}")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"--tolerance must be a finite non-negative number, got {args.tolerance}")
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     params = quantizer.QuantParams(8)
     max_dev = 0.0
@@ -324,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-matmul", help="integer kernel self-test against the fp64 oracle")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=50)
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=float, default=1e-5,
+                   help="largest relative deviation that passes, finite and >= 0 "
+                        "(default %(default)s)")
     p.set_defaults(func=cmd_check_matmul)
 
     p = sub.add_parser("report", help="aggregate task accuracies from a results CSV")

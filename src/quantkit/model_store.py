@@ -28,7 +28,13 @@ manifest, checks the layout against the blob's size before any byte is
 read, then reads one record per lookup into a read-only, 64-byte-aligned
 array, so a single pass over a model holds only the records in use.
 ``read_model`` is the same reader with every record looked up once and
-kept, for callers that visit records repeatedly.
+kept, for callers that visit records repeatedly.  The layer passes read
+less: ``row_source`` gives them a record of an open model as a row source
+(see ``quantizer``), whose ``read_rows`` reads whole rows with one
+positional read.  A record's rows lie next to each other in the blob, so
+rows [start, stop) are one byte range.  They land in the calling thread's
+64-byte-aligned row scratch, reused by every row read of that thread, so
+a block stays valid only until the thread's next row read.
 
 One writer turns records into a blob.  ``write_model`` looks each record up
 once, in record order, and streams its bytes into the blob's temp file, so
@@ -53,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import GroupingScheme, _check_bits
+from .quantizer import GroupingScheme, _aligned_empty, _check_bits, _scratch
 
 MANIFEST_VERSION = 1
 
@@ -437,15 +443,24 @@ def read_model(path: str | os.PathLike) -> tuple[ModelManifest, dict[str, np.nda
     return manifest, dict(records)
 
 
-_ALIGN = 64
+def _pread_into(fd: int, buf: np.ndarray, offset: int, name: str) -> None:
+    """Fill ``buf`` with the blob bytes at ``offset``: one read, unless the
+    buffer passes the 2 GiB read limit."""
+    done = 0
+    while done < len(buf):
+        got = os.preadv(fd, [buf[done:]], offset + done)
+        if got == 0:
+            raise ValueError(f"short read for record {name!r}: {done} of {len(buf)} "
+                             "bytes; the blob shrank after the model was opened")
+        done += got
 
 
 class _RecordReader(Mapping):
     """Read-only name -> array mapping that reads a record from the open blob
     on each access: a positional read (safe from many threads) into a
     fresh 64-byte-aligned buffer.  Nothing is cached, so a caller holds only
-    the records it keeps.  The blob stays open until the mapping is
-    collected.
+    the records it keeps.  The blob stays open until the mapping, and every
+    row source taken from it, is collected.
     """
 
     def __init__(self, manifest: ModelManifest, fd: int):
@@ -455,26 +470,56 @@ class _RecordReader(Mapping):
 
     def __getitem__(self, name: str) -> np.ndarray:
         rec = self._manifest.record(name)
-        offset = self._manifest.byte_offset(name)
-        raw = np.empty(rec.nbytes + _ALIGN - 1, dtype=np.uint8)
-        start = -raw.ctypes.data % _ALIGN
-        buf = raw[start:start + rec.nbytes]
-        done = 0
-        while done < rec.nbytes:  # one read, unless the record passes the 2 GiB read limit
-            got = os.preadv(self._fd, [buf[done:]], offset + done)
-            if got == 0:
-                raise ValueError(f"short read for record {name!r}: {done} of {rec.nbytes} "
-                                 "bytes; the blob shrank after the model was opened")
-            done += got
+        buf = _aligned_empty(rec.nbytes)
+        _pread_into(self._fd, buf, self._manifest.byte_offset(name), name)
         arr = buf.view(rec.numpy_dtype).reshape(rec.shape)
         arr.flags.writeable = False
         return arr
+
+    def row_source(self, name: str) -> "_RecordRows":
+        return _RecordRows(self, name)
 
     def __iter__(self):
         return (rec.name for rec in self._manifest.records)
 
     def __len__(self) -> int:
         return len(self._manifest.records)
+
+
+class _RecordRows:
+    """One record of an open blob as a row source.  The record's place, row
+    size and dtype are worked out once, so a block read is one positional
+    read into a cached scratch view.  Blocks land in the calling thread's
+    row scratch: each stays valid only until that thread's next row read."""
+
+    def __init__(self, reader: _RecordReader, name: str):
+        rec = reader._manifest.record(name)
+        self.shape, self.dtype = rec.shape, rec.numpy_dtype
+        self._reader = reader  # keeps the blob open
+        self._fd = reader._fd
+        self._offset = reader._manifest.byte_offset(name)
+        self._row_nbytes = rec.shape[1] * self.dtype.itemsize
+        self._name = name
+
+    def read_rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop) as an array in this thread's scratch."""
+        n, m = self.shape
+        if not 0 <= start < stop <= n:
+            raise IndexError(f"rows [{start}, {stop}) out of the {n} rows of record "
+                             f"{self._name!r}")
+        block = _scratch("rows", (stop - start, m), self.dtype)
+        offset = self._offset + start * self._row_nbytes
+        if os.preadv(self._fd, [block], offset) != block.nbytes:  # short, or past 2 GiB
+            _pread_into(self._fd, block.reshape(-1).view(np.uint8), offset, self._name)
+        return block
+
+
+def row_source(tensors: Mapping[str, np.ndarray], name: str):
+    """The named record as a row source for a layer pass: read in row blocks
+    when ``tensors`` is an open model's mapping (or has ``row_source`` of
+    its own), else the mapping's array, which is a row source already."""
+    rows = getattr(tensors, "row_source", None)
+    return tensors[name] if rows is None else rows(name)
 
 
 def _check_blob_size(manifest: ModelManifest, blob_len: int) -> None:

@@ -24,13 +24,14 @@ import numpy as np
 
 from .analyzer import (
     LayerMetrics,
+    _check_fp32,
     _fp32_layer_records,
     _map_layers,
     _profile_layer,
     layer_max_abs,
     layer_rmse,
 )
-from .model_store import ModelManifest, TensorRecord, _is_kind, _require_kind
+from .model_store import ModelManifest, TensorRecord, _is_kind, _require_kind, row_source
 from .quantizer import (
     GroupingScheme,
     QuantParams,
@@ -231,7 +232,7 @@ class _QuantizedView(Mapping):
 
     def _quantize(self, rec: TensorRecord) -> tuple[np.ndarray, np.ndarray]:
         try:
-            qt = quantize_weight(self._tensors[rec.name], rec.grouping, self._params)
+            qt = quantize_weight(row_source(self._tensors, rec.name), rec.grouping, self._params)
         except ValueError as exc:
             raise ValueError(f"layer {rec.name!r}: {exc}") from None
         return qt.values, qt.scales.reshape(rec.shape[0], -1)
@@ -275,7 +276,9 @@ def quantized_view(
     quantizes each layer once and holds one layer at a time.
     """
     params = QuantParams(plan.bits)
-    layer_names = {rec.name for rec in _fp32_layer_records(manifest)}
+    layers = [rec for rec in manifest.records if not rec.aux]
+    _check_fp32(manifest, layers)
+    layer_names = {rec.name for rec in layers}
     plan_names = set(plan.assignments)
     if layer_names != plan_names:
         missing = sorted(layer_names - plan_names)
@@ -368,16 +371,18 @@ def sweep_group_size(
     chosen = _select(
         [rec.name for rec in records],
         selection,
-        lambda: _map_layers(lambda rec: layer_max_abs(tensors[rec.name]), records),
+        lambda: _map_layers(lambda rec: layer_max_abs(row_source(tensors, rec.name)), records),
         lambda: _map_layers(
-            lambda rec: layer_rmse(tensors[rec.name], GroupingScheme.per_channel(), params),
+            lambda rec: layer_rmse(row_source(tensors, rec.name), GroupingScheme.per_channel(),
+                                   params),
             records,
         ),
     )
     selected = [rec for rec in records if rec.name in chosen]
     schemes = [GroupingScheme.per_group(g) for g in dict.fromkeys(int(g) for g in sizes)]
 
-    sse = _map_layers(lambda rec: _profile_layer(tensors[rec.name], schemes, params)[2], selected)
+    sse = _map_layers(
+        lambda rec: _profile_layer(row_source(tensors, rec.name), schemes, params)[2], selected)
     elems = [rec.shape[0] * rec.shape[1] for rec in selected]
     rows = []
     for i, scheme in enumerate(schemes):

@@ -6,11 +6,27 @@ output row, per-group splits each row into contiguous groups of
 quantized column-wise with one scale per column.  Scale factors are
 computed and stored in float32; integer codes always fit int8 because the
 supported bit widths top out at 8.
+
+The layer passes (``quantize_weight`` here, the profile and max_abs passes
+in ``analyzer``) take a weight as a row source: an in-memory matrix, or
+an object with ``shape``, ``dtype`` and ``read_rows(start, stop)`` that
+returns rows [start, stop) as an array, such as the one
+``model_store.row_source`` gives for a record of an open model.  A pass
+reads one block of rows at a time and is done with it before its next
+read, so a source may hand out each block in one buffer that its next
+read overwrites.  A pass's block temporaries (the float64 copy, the
+float64 work buffer, which first holds ``|w|``, and an open model's row
+buffer) come from ``_scratch``: one buffer per kind and thread, grown on
+demand and reused across blocks and layers, so no block-sized buffer is
+allocated per block.  A block that an open model's row source returns
+lives in that scratch: it stays valid only until the same thread's next
+row read.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +41,64 @@ _MIN_BITS = 2
 _MAX_BITS = 8
 
 # Elements per block of a layer pass.  A block's working set (its float32
-# rows, |w|, the float64 copy and the float64 buffer, about 1.5 MiB) stays
-# inside a 2 MiB per-core L2 cache, and bounds a pass's memory per thread.
+# rows, the float64 copy and the float64 buffer that first holds |w|, about
+# 1.25 MiB) stays inside a 2 MiB per-core L2 cache, and bounds a pass's
+# memory per thread.
 _BLOCK = 1 << 16
 # numpy's PW_BLOCKSIZE: np.sum splits no range of up to 128 elements, so a
 # smaller block would split where np.sum does not (see _pairwise).
 assert _BLOCK >= 128
+
+_ALIGN = 64
+# Cached scratch views per thread; past this many, the cache starts afresh.
+_SCRATCH_VIEWS = 64
+
+
+def _aligned_empty(nbytes: int) -> np.ndarray:
+    """A new uint8 buffer of ``nbytes`` that starts on a 64-byte boundary."""
+    raw = np.empty(nbytes + _ALIGN - 1, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start:start + nbytes]
+
+
+class _ThreadScratch(threading.local):
+    """One thread's block buffers: one per kind, and the array views of
+    them handed out so far, by (kind, shape, dtype)."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.views: dict[tuple, np.ndarray] = {}
+
+
+_thread_scratch = _ThreadScratch()
+
+
+def _scratch(kind: str, shape: tuple[int, ...], dtype, reserve: int = 0) -> np.ndarray:
+    """This thread's block buffer of ``kind``, as a C-ordered array of
+    ``shape`` and ``dtype``.
+
+    Each thread keeps one 64-byte-aligned buffer per kind, grown to the
+    largest request, or to ``reserve`` bytes if that is more, and kept
+    until the thread ends (the largest block's bytes, not the layer's).  A fresh 256-512 KiB temporary per block
+    would be an mmap, or heap growth that is trimmed again, and page-fault
+    on every block.  A repeated request is one dict lookup, which keeps
+    the Python work per block, and so the hand-offs of the interpreter
+    lock between threads, small.  The contents are the caller's to fill;
+    the thread's next request for the same kind reuses them.
+    """
+    scratch = _thread_scratch
+    key = (kind, shape, dtype)
+    view = scratch.views.get(key)
+    if view is None:
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        buf = scratch.buffers.get(kind)
+        if buf is None or len(buf) < max(nbytes, reserve):
+            buf = scratch.buffers[kind] = _aligned_empty(max(nbytes, reserve))
+            scratch.views.clear()  # drop the views of any smaller buffer
+        if len(scratch.views) >= _SCRATCH_VIEWS:
+            scratch.views.clear()
+        view = scratch.views[key] = buf[:nbytes].view(dtype).reshape(shape)
+    return view
 
 
 def _qmax(bits: int) -> int:
@@ -114,6 +182,8 @@ class GroupingScheme:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupingScheme":
+        """The scheme a JSON descriptor names.  Every per-channel descriptor
+        gives the one shared, frozen per-channel scheme."""
         if not isinstance(obj, dict) or "mode" not in obj:
             raise ValueError(f"malformed grouping descriptor: {obj!r}")
         if obj["mode"] == PER_GROUP:
@@ -121,11 +191,12 @@ class GroupingScheme:
         if obj["mode"] == PER_CHANNEL:
             if obj.get("group_size") is not None:
                 raise ValueError("per-channel descriptor must not carry a group size")
-            return cls.per_channel()
+            return _PER_CHANNEL
         raise ValueError(f"unknown grouping mode {obj['mode']!r}")
 
 
-# Every column-wise (activation) tensor's grouping; frozen, so one is shared.
+# Every column-wise (activation) tensor's grouping and every parsed
+# per-channel descriptor; frozen, so one is shared.
 _PER_CHANNEL = GroupingScheme.per_channel()
 
 
@@ -218,11 +289,38 @@ def _finite_max(a: np.ndarray, what: str):
     return top
 
 
+class _ArrayRows:
+    """An in-memory matrix as a row source: each block is a view of it."""
+
+    def __init__(self, w: np.ndarray):
+        self.shape, self.dtype, self._w = w.shape, w.dtype, w
+
+    def read_rows(self, start: int, stop: int) -> np.ndarray:
+        return self._w[start:stop]
+
+
+def _as_rows(w, what: str):
+    """``w`` as a row source: an object with ``read_rows`` is one already;
+    anything else must be a non-empty 2-D matrix."""
+    if hasattr(w, "read_rows"):
+        return w
+    return _ArrayRows(_as_matrix(w, what))
+
+
+def _abs_rows(rows: np.ndarray) -> np.ndarray:
+    """|rows| in this thread's float64 work scratch.  Every pass is done
+    with |rows| (it has taken the maxima) before it asks for the work
+    buffer, so the two share one buffer.  It is sized for the float64 work
+    from the start: a later float64 request does not grow it while |rows|
+    still holds the old buffer."""
+    return np.abs(rows, out=_scratch("work", rows.shape, rows.dtype, 8 * rows.size))
+
+
 def _row_blocks(n: int, m: int) -> list[slice]:
     """Consecutive row slices of an n x m layer, each of at most _BLOCK
-    elements or a single row."""
+    elements or a single row; the last one stops at row n."""
     step = max(1, _BLOCK // m)
-    return [slice(r, r + step) for r in range(0, n, step)]
+    return [slice(r, min(r + step, n)) for r in range(0, n, step)]
 
 
 def _pairwise(lo: int, hi: int, leaf) -> np.ndarray:
@@ -281,31 +379,37 @@ def _encode_into(
 def quantize_weight(
     w: np.ndarray, grouping: GroupingScheme, params: QuantParams
 ) -> QuantizedTensor:
-    """Quantize an N x M weight matrix with row-wise scale sharing.
+    """Quantize an N x M weight matrix (or row source) with row-wise scale
+    sharing.
 
     Per-channel yields one scale per row; per-group(g) partitions each row
     into M/g contiguous column groups (g must divide M) with one scale
     each.  Per-group with g = M produces the same codes and scale values
-    as per-channel.  Group maxima and codes are taken row block by row
-    block (_row_blocks), so the float64 work stays in cache.
+    as per-channel.  Two passes read the rows block by block
+    (_row_blocks): the first takes the group maxima, so a NaN, Inf or
+    out-of-range scale anywhere is an error before any code is written;
+    the second reads each block again and encodes it into the int8
+    output, with its float64 work in this thread's scratch.
     """
-    w = _as_matrix(w, "weight")
-    n, m = w.shape
+    src = _as_rows(w, "weight")
+    n, m = src.shape
     grouping.validate_for(m)
     g = grouping.resolved_group_size(m)
+    groups = m // g
 
-    w3 = w.reshape(n, m // g, g)
     blocks = _row_blocks(n, m)
-    amax = [np.abs(w3[b]).max(axis=2) for b in blocks]
-    amax = np.concatenate(amax) if len(amax) > 1 else amax[0]
+    read = src.read_rows
+    amax = np.empty((n, groups), src.dtype)
+    for b in blocks:
+        absw = _abs_rows(read(b.start, b.stop))
+        absw.reshape(-1, groups, g).max(axis=2, out=amax[b])
     _finite_max(amax, "weight")
     scales = _scales_from_amax(amax, params)
     s64 = scales.astype(np.float64)[:, :, None]
-    q = np.empty(w3.shape, np.int8)
-    buf = np.empty(w3[blocks[0]].shape)
+    q = np.empty((n, groups, g), np.int8)
     for b in blocks:
-        x = w3[b]
-        _encode_into(buf[: len(x)], x, s64[b], params, q[b])
+        x = read(b.start, b.stop).reshape(-1, groups, g)
+        _encode_into(_scratch("work", x.shape, np.float64), x, s64[b], params, q[b])
 
     if not grouping.is_per_group:
         scales = scales.reshape(n)

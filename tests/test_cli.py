@@ -239,6 +239,22 @@ class TestCheckMatmul:
         assert captured.err == f"error: --instances must be at least 1, got {count}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("tolerance, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+    def test_tolerance_that_is_not_finite_and_non_negative_is_an_error(
+        self, capsys, tolerance, shown
+    ):
+        assert main(["check-matmul", "--instances", "2", "--tolerance", tolerance]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --tolerance must be a finite non-negative number, got {shown}\n"
+        )
+        assert captured.out == ""
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        main(["check-matmul", "--instances", "2", "--tolerance", "0"])
+        captured = capsys.readouterr()
+        assert captured.err == "" and "(tolerance 0.0e+00)" in captured.out
+
 
 class TestReport:
     def test_two_task_example(self, tmp_path, capsys):

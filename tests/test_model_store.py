@@ -1,5 +1,6 @@
 """Container round-trip, determinism, and validation tests."""
 
+import bisect
 import builtins
 import json
 import os
@@ -716,13 +717,15 @@ class TestOpenModel:
 
 
 class CountingTensors(Mapping):
-    """A tensor mapping that counts fetches per name and the most fetched
-    arrays alive at once (an array is alive while its memory is)."""
+    """A tensor mapping that counts fetches per name (an array, or a row
+    source when the inner mapping gives them) and the most fetched objects
+    alive at once (an array is alive while its memory is)."""
 
     def __init__(self, tensors):
         self._tensors = tensors
         self._lock = threading.Lock()
         self.fetches = Counter()
+        self.bytes_read = Counter()  # per record, when a test counts the blob's reads
         self.live = self.peak = 0
 
     def __getitem__(self, name):
@@ -730,12 +733,20 @@ class CountingTensors(Mapping):
         owner = arr
         while isinstance(owner.base, np.ndarray):
             owner = owner.base
+        self._fetched(name, owner)
+        return arr
+
+    def row_source(self, name):
+        src = model_store.row_source(self._tensors, name)
+        self._fetched(name, src)
+        return src
+
+    def _fetched(self, name, owner):
         with self._lock:
             self.fetches[name] += 1
             self.live += 1
             self.peak = max(self.peak, self.live)
         weakref.finalize(owner, self._release)
-        return arr
 
     def _release(self):
         with self._lock:
@@ -750,14 +761,32 @@ class CountingTensors(Mapping):
 
 class TestOnePassAccess:
     """The one-pass stages fetch each layer once and hold few at a time, so
-    with open_model their memory follows the layer, not the model."""
+    with open_model their memory follows the block, not the model; and they
+    read each layer's bytes from the blob at most twice."""
 
     @pytest.fixture
-    def opened(self, tmp_path):
+    def opened(self, tmp_path, monkeypatch):
         cfg = SynthConfig(blocks=2, dim=32, wall_blocks=(0,), wall_columns_per_layer=1, seed=4)
         write_model(*generate(cfg), tmp_path / "m")
         manifest, tensors = open_model(tmp_path / "m")
-        return manifest, CountingTensors(tensors)
+        counting = CountingTensors(tensors)
+        starts = sorted((manifest.byte_offset(rec.name), rec.name) for rec in manifest.records)
+        real_preadv = os.preadv
+
+        def preadv(fd, buffers, offset):
+            got = real_preadv(fd, buffers, offset)
+            name = starts[bisect.bisect_right(starts, (offset, chr(0x10FFFF))) - 1][1]
+            with counting._lock:
+                counting.bytes_read[name] += got
+            return got
+
+        monkeypatch.setattr(os, "preadv", preadv)
+        return manifest, counting
+
+    @staticmethod
+    def read_ratios(manifest, tensors):
+        return {rec.name: tensors.bytes_read[rec.name] / rec.nbytes
+                for rec in manifest.layer_records()}
 
     def test_profile_model_fetches_each_layer_once(self, opened, monkeypatch):
         manifest, tensors = opened
@@ -765,6 +794,8 @@ class TestOnePassAccess:
         profile_model(manifest, tensors, QuantParams(8), group_sizes=[8, 16])
         assert tensors.fetches == Counter({rec.name: 1 for rec in manifest.layer_records()})
         assert tensors.peak <= 2 and tensors.live == 0
+        # Leaves, then the wall pass: each layer's bytes at most twice.
+        assert all(1 <= ratio <= 2 for ratio in self.read_ratios(manifest, tensors).values())
 
     def test_apply_plan_holds_one_layer_at_a_time(self, opened):
         manifest, tensors = opened
@@ -773,6 +804,8 @@ class TestOnePassAccess:
         apply_plan(manifest, tensors, plan)
         assert tensors.fetches == Counter(dict.fromkeys(names, 1))
         assert tensors.peak == 1 and tensors.live == 0
+        # The group maxima, then the codes: each layer's bytes twice.
+        assert set(self.read_ratios(manifest, tensors).values()) == {2.0}
 
     def test_write_model_streams_the_quantized_view_one_layer_at_a_time(self, opened, tmp_path):
         manifest, tensors = opened
@@ -781,6 +814,7 @@ class TestOnePassAccess:
         write_model(*quantized_view(manifest, tensors, plan), tmp_path / "q")
         assert tensors.fetches == Counter(dict.fromkeys(names, 1))
         assert tensors.peak == 1 and tensors.live == 0
+        assert set(self.read_ratios(manifest, tensors).values()) == {2.0}
 
     def test_threshold_sweep_fetches_a_selected_layer_at_most_twice(self, opened, monkeypatch):
         manifest, tensors = opened
@@ -792,3 +826,8 @@ class TestOnePassAccess:
         for name in names:
             assert 1 <= tensors.fetches[name] <= (2 if name in selected else 1), name
         assert tensors.peak <= 2 and tensors.live == 0
+        # The max_abs selection reads each layer once; a selected layer is
+        # read once more by its profile.
+        ratios = self.read_ratios(manifest, tensors)
+        assert {ratios[name] for name in names - selected} == {1.0}
+        assert {ratios[name] for name in selected} == {2.0}

@@ -150,6 +150,15 @@ class TestPlanJson:
             assert again.to_json_text() == plan.to_json_text()
         assert plan.fallbacks
 
+    def test_per_channel_assignments_share_one_scheme(self, wall_metrics):
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
+        parsed = QuantPlan.from_json_text(plan.to_json_text())
+        per_channel = [s for s in parsed.assignments.values() if not s.is_per_group]
+        assert len(per_channel) > 1
+        assert all(s is per_channel[0] for s in per_channel)
+        assert per_channel[0] is GroupingScheme.from_json({"mode": "per_channel"})
+        assert parsed == plan and parsed.to_json_text() == plan.to_json_text()
+
     def test_schema_fields(self, wall_metrics):
         plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
         obj = json.loads(plan.to_json_text())
@@ -312,6 +321,20 @@ class TestApplyPlan:
         mixed = ModelManifest(manifest.blocks, records)
         with pytest.raises(ValueError, match=rf"not fp32 \(already quantized\?\): \['{last}'\]"):
             apply_plan(mixed, {}, plan)  # no tensors: a layer lookup would be a KeyError
+
+    def test_non_fp32_layers_are_named_in_layer_index_order(self, wall_model, wall_metrics):
+        manifest, tensors = wall_model
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
+        qmanifest, _ = apply_plan(manifest, tensors, plan)
+        # Quantized layers placed in reverse layer order: the error still
+        # lists the first five by layer index.
+        quantized = [r.name for r in manifest.layer_records()][:7]
+        records = [r for r in manifest.records if r.name not in quantized]
+        for name in reversed(quantized):
+            records += [qmanifest.record(name), qmanifest.record(scale_record_name(name))]
+        mixed = ModelManifest(manifest.blocks, records)
+        with pytest.raises(ValueError, match=re.escape(f"(already quantized?): {quantized[:5]}")):
+            quantized_view(mixed, {}, plan)
 
     def test_quantized_model_round_trips_through_store(self, wall_model, wall_metrics, tmp_path):
         manifest, tensors = wall_model
