@@ -20,7 +20,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -29,6 +28,7 @@ import numpy as np
 from .model_store import (
     ModelManifest,
     TensorRecord,
+    _map_in_order,
     atomic_write_text,
     layer_index_of,
     parse_layer_name,
@@ -231,22 +231,16 @@ def detect_walls(w, cfg: WallDetectorConfig) -> list[int]:
 
 
 def _map_layers(fn: Callable, records: Iterable[TensorRecord]) -> list:
-    """[fn(rec) for rec in records] on QUANTKIT_THREADS threads (default 1);
-    a ValueError from ``fn`` is re-raised with the layer's name in front."""
+    """[fn(rec) for rec in records] on QUANTKIT_THREADS threads (default 1,
+    ``model_store._map_in_order``); a ValueError from ``fn`` is re-raised
+    with the layer's name in front."""
     def named(rec: TensorRecord):
         try:
             return fn(rec)
         except ValueError as exc:
             raise ValueError(f"layer {rec.name!r}: {exc}") from None
 
-    try:
-        workers = int(os.environ.get("QUANTKIT_THREADS", ""))
-    except ValueError:
-        workers = 1
-    if workers <= 1:
-        return [named(rec) for rec in records]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(named, records))
+    return _map_in_order(named, records)
 
 
 def _check_fp32(manifest: ModelManifest, layers: Iterable[TensorRecord]) -> None:

@@ -36,14 +36,19 @@ rows [start, stop) are one byte range.  They land in the calling thread's
 64-byte-aligned row scratch, reused by every row read of that thread, so
 a block stays valid only until the thread's next row read.
 
-One writer turns records into a blob.  ``write_model`` looks each record up
-once, in record order, and streams its bytes into the blob's temp file, so
-a mapping that computes records on lookup (``planner.quantized_view``) is
-written one record at a time.  The blob is renamed into place before the
-manifest, so a record that fails mid-stream changes neither file.  The
-manifest text is written for its fixed schema (``_manifest_text``), equal
-byte for byte to ``json.dumps(obj, sort_keys=True, indent=2)`` plus a
-newline, without ``json``'s pure-Python indenting encoder.
+One writer turns records into a blob.  ``write_model`` writes each record
+at its place in the blob's temp file (``ModelManifest.byte_offset``) with
+positional writes, one row block at a time from ``row_source``, on up to
+QUANTKIT_THREADS threads (``_map_in_order``).  So a mapping that computes
+records on lookup (``planner.quantized_view``) is written one row block
+per thread, and the bytes do not depend on the thread count.  A
+quantized record's task also writes its scale record, since a computed
+layer's scales are known only once its codes can be read.  The blob is
+renamed into place before the manifest, so a record that fails changes
+neither file.  The manifest text is written for its fixed schema
+(``_manifest_text``), equal byte for byte to ``json.dumps(obj,
+sort_keys=True, indent=2)`` plus a newline, without ``json``'s
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
@@ -54,12 +59,20 @@ import numbers
 import os
 import secrets
 import weakref
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Mapping
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizer import GroupingScheme, _aligned_empty, _check_bits, _scratch
+from .quantizer import (
+    GroupingScheme,
+    _aligned_empty,
+    _as_rows,
+    _check_bits,
+    _row_blocks,
+    _scratch,
+)
 
 MANIFEST_VERSION = 1
 
@@ -347,25 +360,55 @@ def blob_path(path: str | os.PathLike) -> str:
     return f"{os.fspath(path)}.bin"
 
 
+def _map_in_order(fn: Callable, items: Iterable) -> list:
+    """[fn(x) for x in items] on QUANTKIT_THREADS threads (1 when the
+    variable is unset or not a number), results in the order of ``items``.
+    An error is raised for the first failing item in that order; the calls
+    not yet started are cancelled, and every started one has ended by then."""
+    try:
+        workers = int(os.environ.get("QUANTKIT_THREADS", ""))
+    except ValueError:
+        workers = 1
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _pwrite_all(fd: int, data, nbytes: int, offset: int) -> int:
+    """Write the ``nbytes`` bytes of ``data`` (bytes or a C-contiguous
+    array) at ``offset``: one write, unless it passes the 2 GiB write limit."""
+    done = os.pwrite(fd, data, offset)
+    if done < nbytes:
+        view = memoryview(data).cast("B")
+        while done < nbytes:
+            done += os.pwrite(fd, view[done:], offset + done)
+    return done
+
+
 def atomic_write_bytes(path: str | os.PathLike, data) -> None:
     """Write via a temp file in the same directory, then rename.
 
-    ``data`` is bytes, or a sized iterable of buffers written in order (see
-    ``write_model``); ``len(data)`` is its byte count either way.  If
-    ``data`` raises part-way, the temp file is removed and ``path`` is
-    left as it was.  The temp file is created as ``open(path, "w")`` creates
-    a file, with mode 0o666 less the process umask, which the kernel applies.
+    ``data`` is bytes, or a sized blob whose ``write_into(fd)`` writes it
+    into the temp file's descriptor and returns the bytes it wrote (see
+    ``write_model``); ``len(data)`` is its byte count either way, and a
+    blob that writes another count is an error.  If writing raises, the
+    temp file is removed and ``path`` is left as it was.  The temp file is
+    created as ``open(path, "w")`` creates a file, with mode 0o666 less the
+    process umask, which the kernel applies.
     """
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path),
                        f".tmp-{secrets.token_hex(8)}-{os.path.basename(path)}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in [data] if isinstance(data, bytes) else data:
-                fh.write(chunk)
-            if fh.tell() != len(data):
-                raise ValueError(f"wrote {fh.tell()} bytes to {path}, expected {len(data)}")
+        try:
+            written = (_pwrite_all(fd, data, len(data), 0) if isinstance(data, bytes)
+                       else data.write_into(fd))
+        finally:
+            os.close(fd)
+        if written != len(data):
+            raise ValueError(f"wrote {written} bytes to {path}, expected {len(data)}")
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -389,30 +432,50 @@ def _check_names(manifest: ModelManifest, tensors: Mapping[str, np.ndarray]) -> 
         raise ValueError(f"input tensors not named by the manifest: {extra}")
 
 
-class _BlobStream:
-    """The blob as a sized iterable of buffers: each record is looked up once,
-    in record order, checked against its manifest entry and handed on as
-    bytes, so only the record being written is held."""
+class _BlobWriter:
+    """The blob as a sized object that writes itself into a file.
+
+    Each record is looked up once, as ``row_source(tensors, name)``,
+    checked against its manifest entry and written at its byte offset, row
+    block by row block (``_row_blocks``), so a task holds one block of its
+    record.  Records are tasks on the QUANTKIT_THREADS pool.  A quantized
+    record's scale record is written by that record's task, after its
+    codes: a mapping that computes a layer (``planner.quantized_view``)
+    has its scales only once the layer's row source is taken.
+    """
 
     def __init__(self, manifest: ModelManifest, tensors: Mapping[str, np.ndarray]):
         self._manifest = manifest
         self._tensors = tensors
+        owner = {rec.scale_ref: rec.name for rec in manifest.records  # scale -> its writer
+                 if not rec.aux and rec.dtype == "int8"}
+        self._scale_of = {layer: scale for scale, layer in owner.items()}
+        self._tasks = [rec for rec in manifest.records if rec.name not in owner]
 
     def __len__(self) -> int:
         return self._manifest.blob_nbytes
 
-    def __iter__(self):
-        for rec in self._manifest.records:
-            arr = self._tensors[rec.name]
-            if tuple(arr.shape) != rec.shape:
-                raise ValueError(
-                    f"tensor {rec.name!r} has shape {tuple(arr.shape)}, manifest says {rec.shape}"
-                )
-            if arr.dtype != rec.numpy_dtype:
-                raise ValueError(
-                    f"tensor {rec.name!r} has dtype {arr.dtype}, manifest says {rec.dtype}"
-                )
-            yield np.ascontiguousarray(arr).reshape(-1).view(np.uint8)
+    def write_into(self, fd: int) -> int:
+        """Write every record into ``fd``; the bytes written."""
+        return sum(_map_in_order(lambda rec: self._write(fd, rec), self._tasks))
+
+    def _write(self, fd: int, rec: TensorRecord) -> int:
+        src = row_source(self._tensors, rec.name)
+        if tuple(src.shape) != rec.shape:
+            raise ValueError(
+                f"tensor {rec.name!r} has shape {tuple(src.shape)}, manifest says {rec.shape}")
+        if src.dtype != rec.numpy_dtype:
+            raise ValueError(f"tensor {rec.name!r} has dtype {src.dtype}, manifest says {rec.dtype}")
+        read = _as_rows(src, rec.name).read_rows
+        offset = self._manifest.byte_offset(rec.name)
+        written = 0
+        for b in _row_blocks(*rec.shape):
+            block = np.ascontiguousarray(read(b.start, b.stop))
+            written += _pwrite_all(fd, block, block.nbytes, offset + written)
+        scale = self._scale_of.get(rec.name)
+        if scale is not None:
+            written += self._write(fd, self._manifest.record(scale))
+        return written
 
 
 def write_model(
@@ -420,16 +483,19 @@ def write_model(
 ) -> None:
     """Write ``<path>.bin``, then ``<path>.manifest.json``.
 
-    The blob takes the manifest's one layout.  ``tensors`` may compute its
-    records on lookup (``planner.quantized_view``): each is looked up once,
-    in record order, and streamed into the blob's temp file, so a record
-    that fails leaves neither file changed.  Output is byte-identical for
-    identical inputs; both files are written atomically.  Writing assumes
-    exclusive ownership of the target stem (single writer); reading is
-    pure and safe from concurrent contexts.
+    The blob takes the manifest's one layout.  Each record is looked up
+    once (``row_source``) and written at its offset in the blob's temp
+    file one row block at a time, on up to QUANTKIT_THREADS threads, so
+    ``tensors`` may compute its records on lookup
+    (``planner.quantized_view``) and is held one row block per thread.
+    The first failing record in record order is the error, and it leaves
+    neither file changed.  Output is byte-identical for identical inputs,
+    whatever the thread count; both files are written atomically.  Writing
+    assumes exclusive ownership of the target stem (single writer);
+    reading is pure and safe from concurrent contexts.
     """
     _check_names(manifest, tensors)
-    atomic_write_bytes(blob_path(path), _BlobStream(manifest, tensors))
+    atomic_write_bytes(blob_path(path), _BlobWriter(manifest, tensors))
     atomic_write_text(manifest_path(path), _manifest_text(manifest))
 
 

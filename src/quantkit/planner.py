@@ -9,13 +9,16 @@ serializable to JSON for reproducible application.
 Applying a plan needs no calibration data and treats each layer on its
 own, so it is one pass: ``quantized_view`` checks the plan and derives the
 quantized manifest from it before any layer is read, then quantizes a
-layer when it is looked up.  ``model_store.write_model`` streams that view
-to disk holding one layer at a time; ``apply_plan`` keeps every record.
+layer when it is looked up, or gives its codes as a row source that
+encodes each block as it is read.  ``model_store.write_model`` writes
+that view through the row sources, holding one row block per thread;
+``apply_plan`` keeps every record.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import Callable, Sequence
@@ -37,6 +40,10 @@ from .quantizer import (
     QuantParams,
     QuantizedTensor,
     AXIS_ROW,
+    _as_rows,
+    _encode_rows,
+    _scratch,
+    _weight_scales,
     fit_group_size,
     quantize_weight,
 )
@@ -216,11 +223,36 @@ def scale_record_name(name: str) -> str:
     return name + SCALE_SUFFIX
 
 
+class _CodeRows:
+    """A layer's int8 codes as a row source: each block of rows is read
+    from the fp32 source and encoded with the layer's scales into this
+    thread's ``codes`` scratch, valid until the thread's next code read."""
+
+    dtype = np.dtype(np.int8)
+
+    def __init__(self, src, scales: np.ndarray, params: QuantParams):
+        self.shape = src.shape
+        self._src, self._params = src, params
+        self._s64 = scales.astype(np.float64)[:, :, None]
+
+    def read_rows(self, start: int, stop: int) -> np.ndarray:
+        rows = self._src.read_rows(start, stop)
+        codes = _scratch("codes", rows.shape, np.int8)
+        return _encode_rows(codes, rows, self._s64[start:stop], self._params)
+
+
 class _QuantizedView(Mapping):
     """Name -> array mapping over a quantized model that quantizes a layer
-    when it is looked up.  The layer's scales wait for the next lookup of its
-    scale record, so a pass in record order quantizes each layer once; any
-    other lookup of a scale record quantizes its layer again."""
+    when it is looked up, or, through ``row_source``, gives its codes one
+    row block at a time.
+
+    A layer's scales wait in a slot keyed by its scale record (guarded by a
+    lock, for writers on many threads) until that record is looked up.  A
+    row source adds its layer's scales to the slots; a layer lookup keeps
+    its own alone, so a pass in record order of either kind quantizes each
+    layer once, and any other lookup of a scale record quantizes its layer
+    again.
+    """
 
     def __init__(self, qmanifest: ModelManifest, tensors: Mapping[str, np.ndarray],
                  params: QuantParams):
@@ -228,7 +260,8 @@ class _QuantizedView(Mapping):
         self._tensors = tensors
         self._params = params
         self._layer_of = {r.scale_ref: r for r in qmanifest.records if not r.aux}
-        self._pending: tuple[str, np.ndarray] | None = None  # (scale record, its scales)
+        self._scales: dict[str, np.ndarray] = {}  # scale record -> its layer's scales
+        self._lock = threading.Lock()
 
     def _quantize(self, rec: TensorRecord) -> tuple[np.ndarray, np.ndarray]:
         try:
@@ -237,16 +270,35 @@ class _QuantizedView(Mapping):
             raise ValueError(f"layer {rec.name!r}: {exc}") from None
         return qt.values, qt.scales.reshape(rec.shape[0], -1)
 
+    def row_source(self, name: str):
+        """The named record as a row source.  A layer's is its codes
+        (``_CodeRows``): its scales are taken here, reading the layer once,
+        so every error of the layer comes before any of its codes.  Any
+        other record is the lookup's array, or the source model's row
+        source for an aux record it passes through."""
+        rec = self._manifest.record(name)
+        if rec.aux:
+            return self[name] if name in self._layer_of else row_source(self._tensors, name)
+        try:
+            src = _as_rows(row_source(self._tensors, name), "weight")
+            scales = _weight_scales(src, rec.grouping, self._params)
+        except ValueError as exc:
+            raise ValueError(f"layer {name!r}: {exc}") from None
+        with self._lock:
+            self._scales[rec.scale_ref] = scales
+        return _CodeRows(src, scales, self._params)
+
     def __getitem__(self, name: str) -> np.ndarray:
         rec = self._manifest.record(name)
         if not rec.aux:
             values, scales = self._quantize(rec)
-            self._pending = (rec.scale_ref, scales)
+            with self._lock:
+                self._scales = {rec.scale_ref: scales}
             return values
-        pending = self._pending
-        if pending is not None and pending[0] == name:
-            self._pending = None
-            return pending[1]
+        with self._lock:
+            scales = self._scales.pop(name, None)
+        if scales is not None:
+            return scales
         if name in self._layer_of:
             return self._quantize(self._layer_of[name])[1]
         return self._tensors[name]
@@ -272,8 +324,10 @@ def quantized_view(
     records of the source pass through unchanged.  Every layer must be fp32,
     the plan must cover exactly the model's layers, and each per-group size
     must divide its layer's column count; all of this is checked before any
-    layer is read.  A pass in record order (``write_model`` streams one)
-    quantizes each layer once and holds one layer at a time.
+    layer is read.  A pass in record order quantizes each layer once.
+    ``write_model`` takes each layer's codes from the view's row source
+    one row block at a time, so it holds one row block per thread, not
+    one layer.
     """
     params = QuantParams(plan.bits)
     layers = [rec for rec in manifest.records if not rec.aux]

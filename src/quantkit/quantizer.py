@@ -15,8 +15,9 @@ returns rows [start, stop) as an array, such as the one
 reads one block of rows at a time and is done with it before its next
 read, so a source may hand out each block in one buffer that its next
 read overwrites.  A pass's block temporaries (the float64 copy, the
-float64 work buffer, which first holds ``|w|``, and an open model's row
-buffer) come from ``_scratch``: one buffer per kind and thread, grown on
+float64 work buffer, which first holds ``|w|``, an open model's row
+buffer, and the int8 code buffer of a quantized view's row source) come
+from ``_scratch``: one buffer per kind and thread, grown on
 demand and reused across blocks and layers, so no block-sized buffer is
 allocated per block.  A block that an open model's row source returns
 lives in that scratch: it stays valid only until the same thread's next
@@ -376,6 +377,36 @@ def _encode_into(
     return np.copysign(out, x, out=codes, casting="unsafe")
 
 
+def _weight_scales(src, grouping: GroupingScheme, params: QuantParams) -> np.ndarray:
+    """The (N, M/g) float32 scales of a row source under a row-wise grouping.
+
+    One pass reads the rows block by block (_row_blocks) and takes the group
+    maxima, so a NaN, Inf or out-of-range scale anywhere in the layer is an
+    error before any code of it is written.
+    """
+    n, m = src.shape
+    grouping.validate_for(m)
+    g = grouping.resolved_group_size(m)
+    groups = m // g
+    read = src.read_rows
+    amax = np.empty((n, groups), src.dtype)
+    for b in _row_blocks(n, m):
+        absw = _abs_rows(read(b.start, b.stop))
+        absw.reshape(-1, groups, g).max(axis=2, out=amax[b])
+    _finite_max(amax, "weight")
+    return _scales_from_amax(amax, params)
+
+
+def _encode_rows(codes: np.ndarray, rows: np.ndarray, s64: np.ndarray,
+                 params: QuantParams) -> np.ndarray:
+    """Encode a block of rows (k, M) into the int8 ``codes`` (k, M), with
+    the block's scales as float64 (k, M/g, 1); the float64 work is in this
+    thread's scratch."""
+    x = rows.reshape(len(rows), s64.shape[1], -1)
+    _encode_into(_scratch("work", x.shape, np.float64), x, s64, params, codes.reshape(x.shape))
+    return codes
+
+
 def quantize_weight(
     w: np.ndarray, grouping: GroupingScheme, params: QuantParams
 ) -> QuantizedTensor:
@@ -385,35 +416,22 @@ def quantize_weight(
     Per-channel yields one scale per row; per-group(g) partitions each row
     into M/g contiguous column groups (g must divide M) with one scale
     each.  Per-group with g = M produces the same codes and scale values
-    as per-channel.  Two passes read the rows block by block
-    (_row_blocks): the first takes the group maxima, so a NaN, Inf or
-    out-of-range scale anywhere is an error before any code is written;
-    the second reads each block again and encodes it into the int8
-    output, with its float64 work in this thread's scratch.
+    as per-channel.  Two passes read the rows block by block: the first
+    takes the scales (_weight_scales), so every error comes before any code
+    is written; the second reads each block again and encodes it into the
+    int8 output (_encode_rows).
     """
     src = _as_rows(w, "weight")
     n, m = src.shape
-    grouping.validate_for(m)
-    g = grouping.resolved_group_size(m)
-    groups = m // g
-
-    blocks = _row_blocks(n, m)
-    read = src.read_rows
-    amax = np.empty((n, groups), src.dtype)
-    for b in blocks:
-        absw = _abs_rows(read(b.start, b.stop))
-        absw.reshape(-1, groups, g).max(axis=2, out=amax[b])
-    _finite_max(amax, "weight")
-    scales = _scales_from_amax(amax, params)
+    scales = _weight_scales(src, grouping, params)
     s64 = scales.astype(np.float64)[:, :, None]
-    q = np.empty((n, groups, g), np.int8)
-    for b in blocks:
-        x = read(b.start, b.stop).reshape(-1, groups, g)
-        _encode_into(_scratch("work", x.shape, np.float64), x, s64[b], params, q[b])
+    q = np.empty((n, m), np.int8)
+    for b in _row_blocks(n, m):
+        _encode_rows(q[b], src.read_rows(b.start, b.stop), s64[b], params)
 
     if not grouping.is_per_group:
         scales = scales.reshape(n)
-    return QuantizedTensor._unchecked(q.reshape(n, m), scales, grouping, params.bits, AXIS_ROW)
+    return QuantizedTensor._unchecked(q, scales, grouping, params.bits, AXIS_ROW)
 
 
 def quantize_activation(a: np.ndarray, params: QuantParams) -> QuantizedTensor:

@@ -10,9 +10,27 @@ import numpy as np
 import pytest
 
 import quantkit
-from quantkit import GroupingScheme, dequantize, read_model
+from quantkit import (
+    GroupingScheme,
+    QuantPlan,
+    SynthConfig,
+    apply_plan,
+    dequantize,
+    generate,
+    open_model,
+    read_model,
+    write_model,
+)
 from quantkit.cli import main
+from quantkit.model_store import blob_path, manifest_path
 from quantkit.planner import read_quantized_layer
+from quantkit.quantizer import _row_blocks
+
+
+def pair_bytes(stem):
+    """The bytes of a model's manifest and blob."""
+    with open(manifest_path(stem), "rb") as mf, open(blob_path(stem), "rb") as bf:
+        return mf.read(), bf.read()
 
 
 def run_pipeline(workdir, seed=7, blocks=8, dim=32, wall_blocks=None):
@@ -324,6 +342,28 @@ class TestExitCodes:
         assert [(tmp_path / name).read_bytes() for name in ("mq.manifest.json", "mq.bin")] == old
         assert not list(tmp_path.glob(".tmp-*"))
 
+    def test_first_failing_layer_in_record_order_is_the_error_on_two_threads(
+            self, tmp_path, capsys, monkeypatch):
+        m, r, p, mq = run_pipeline(tmp_path, blocks=2, dim=384, wall_blocks="0")
+        old = [(tmp_path / name).read_bytes() for name in ("mq.manifest.json", "mq.bin")]
+        manifest, _ = open_model(m)
+        assert len(_row_blocks(384, 384)) == 3
+        with open(m + ".bin", "r+b") as fh:  # a NaN in the middle row block of each
+            for name in ("blocks.0.v", "blocks.1.k"):
+                fh.seek(manifest.byte_offset(name) + (200 * 384 + 7) * 4)
+                fh.write(np.float32(np.nan).tobytes())
+        del manifest, _
+        p8 = str(tmp_path / "p8.json")  # a new plan, so a new manifest would differ from the old
+        assert main(["plan", r, "--max-abs-threshold", "2.0", "--group-size", "8",
+                     "--out", p8]) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("QUANTKIT_THREADS", "2")
+        assert main(["quantize", m, "--plan", p8, "--out", mq]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 'blocks.0.v': weight contains NaN"), err
+        assert [(tmp_path / name).read_bytes() for name in ("mq.manifest.json", "mq.bin")] == old
+        assert not list(tmp_path.glob(".tmp-*"))
+
     def test_validation_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "p.json"
         bad.write_text("{}")
@@ -489,6 +529,46 @@ class TestThreadCountIndependence:
         assert outputs[0] == outputs[1]
         header = outputs[0][0].decode().split("\n")[0]
         assert header.endswith("rmse_pc,rmse_g8,rmse_g16,rmse_g32,wall_count")
+
+    def test_quantize_bytes_equal_across_thread_counts(self, tmp_path, monkeypatch):
+        """dim 384: every layer spans three row blocks, and the wall layers
+        are per-group."""
+        assert len(_row_blocks(384, 384)) == 3
+        m, r, p = str(tmp_path / "m"), str(tmp_path / "r.csv"), str(tmp_path / "p.json")
+        assert main(["synth", "--blocks", "2", "--dim", "384", "--seed", "3",
+                     "--wall-blocks", "1", "--out", m]) == 0
+        assert main(["analyze", m, "--out", r]) == 0
+        assert main(["plan", r, "--max-abs-threshold", "2.0", "--group-size", "128",
+                     "--out", p]) == 0
+        with open(p, encoding="utf-8") as fh:
+            selected = QuantPlan.from_json_text(fh.read()).selected_layers()
+        assert 0 < len(selected) < 14
+        outputs = set()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("QUANTKIT_THREADS", threads)
+            mq = str(tmp_path / f"q{threads}")
+            assert main(["quantize", m, "--plan", p, "--out", mq]) == 0
+            outputs.add(pair_bytes(mq))
+        assert len(outputs) == 1
+
+    def test_dict_writes_bytes_equal_across_thread_counts(self, tmp_path, monkeypatch):
+        """write_model of in-memory records, C- and Fortran-ordered, with
+        layers of three row blocks."""
+        manifest, tensors = generate(SynthConfig(blocks=1, dim=384, wall_blocks=(0,), seed=4))
+        fortran = {name: np.asfortranarray(arr) for name, arr in tensors.items()}
+        plan = QuantPlan({rec.name: GroupingScheme.per_group(128) if i % 2 else
+                          GroupingScheme.per_channel()
+                          for i, rec in enumerate(manifest.layer_records())}, 128, 8)
+        outputs = {"fp": set(), "q": set()}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QUANTKIT_THREADS", threads)
+            for order, arrays in (("c", tensors), ("f", fortran)):
+                for kind, model in (("fp", (manifest, arrays)),
+                                    ("q", apply_plan(manifest, arrays, plan))):
+                    stem = str(tmp_path / f"{kind}-{order}-{threads}")
+                    write_model(*model, stem)
+                    outputs[kind].add(pair_bytes(stem))
+        assert len(outputs["fp"]) == 1 and len(outputs["q"]) == 1
 
 
 class TestDeterminism:

@@ -39,7 +39,7 @@ from quantkit import (
     sweep_group_size,
     write_model,
 )
-from quantkit import model_store
+from quantkit import model_store, planner
 from quantkit.model_store import atomic_write_bytes, atomic_write_text, blob_path, manifest_path
 
 from oracles import manifest_json
@@ -230,13 +230,24 @@ class TestWriteRead:
         with pytest.raises(ValueError, match="dtype"):
             write_model(manifest, tensors, tmp_path / "m")
 
+    def test_dtype_mismatch_text_on_two_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QUANTKIT_THREADS", "2")
+        manifest, tensors = tiny_model(blocks=2)
+        write_model(manifest, tensors, tmp_path / "m")
+        old = _file_bytes(tmp_path / "m")
+        tensors["blocks.1.k"] = tensors["blocks.1.k"].astype(np.float64)
+        with pytest.raises(ValueError,
+                           match=r"^tensor 'blocks\.1\.k' has dtype float64, manifest says fp32$"):
+            write_model(manifest, tensors, tmp_path / "m")
+        assert _file_bytes(tmp_path / "m") == old
+        assert not list(tmp_path.glob(".tmp-*"))
+
 
 class LyingStream:
-    """A sized iterable of buffers whose length is not its byte count."""
+    """A sized blob whose length is not the byte count it writes."""
 
-    def __iter__(self):
-        yield b"abc"
-        yield np.arange(3, dtype=np.float32)
+    def write_into(self, fd):
+        return os.write(fd, b"abc") + os.write(fd, np.arange(3, dtype=np.float32).tobytes())
 
     def __len__(self):
         return 3
@@ -816,6 +827,18 @@ class TestOnePassAccess:
         assert tensors.peak == 1 and tensors.live == 0
         assert set(self.read_ratios(manifest, tensors).values()) == {2.0}
 
+    def test_write_model_streams_the_quantized_view_on_two_threads(self, opened, tmp_path,
+                                                                   monkeypatch):
+        manifest, tensors = opened
+        monkeypatch.setenv("QUANTKIT_THREADS", "2")
+        names = [rec.name for rec in manifest.layer_records()]
+        plan = QuantPlan({name: GroupingScheme.per_group(8) for name in names}, 8, 8)
+        write_model(*quantized_view(manifest, tensors, plan), tmp_path / "q")
+        assert tensors.fetches == Counter(dict.fromkeys(names, 1))
+        assert tensors.peak <= 2 and tensors.live == 0
+        # The group maxima, then the codes block by block: each layer's bytes twice.
+        assert set(self.read_ratios(manifest, tensors).values()) == {2.0}
+
     def test_threshold_sweep_fetches_a_selected_layer_at_most_twice(self, opened, monkeypatch):
         manifest, tensors = opened
         monkeypatch.setenv("QUANTKIT_THREADS", "2")
@@ -831,3 +854,42 @@ class TestOnePassAccess:
         ratios = self.read_ratios(manifest, tensors)
         assert {ratios[name] for name in names - selected} == {1.0}
         assert {ratios[name] for name in selected} == {2.0}
+
+
+class TestParallelWrites:
+    def test_many_threads_write_the_bytes_of_one(self, tmp_path, monkeypatch):
+        """More writer threads than cores, switching often.  Each layer's
+        scales pass from its row source to its scale record through the
+        view's shared slots: a lost slot update would quantize the layer
+        again (a quantize_weight call) and fetch it twice."""
+        cfg = SynthConfig(blocks=6, dim=48, wall_blocks=(0, 3), wall_columns_per_layer=1, seed=5)
+        write_model(*generate(cfg), tmp_path / "m")
+        manifest, opened = open_model(tmp_path / "m")
+        names = [rec.name for rec in manifest.layer_records()]
+        plan = QuantPlan({name: GroupingScheme.per_group(8) if i % 3 else
+                          GroupingScheme.per_channel() for i, name in enumerate(names)}, 8, 8)
+        monkeypatch.setenv("QUANTKIT_THREADS", "1")
+        write_model(*quantized_view(manifest, opened, plan), tmp_path / "one")
+        calls = []
+        monkeypatch.setattr(planner, "quantize_weight", lambda *args: calls.append(args))
+        monkeypatch.setenv("QUANTKIT_THREADS", "8")
+        counted = []
+
+        def write(k):
+            counted.append(CountingTensors(opened))
+            write_model(*quantized_view(manifest, counted[-1], plan), tmp_path / f"many{k}")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k in range(3):
+                worker = threading.Thread(target=write, args=(k,))
+                worker.start()
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == []
+        for k, tensors in enumerate(counted):
+            assert tensors.fetches == Counter(dict.fromkeys(names, 1))
+            assert _file_bytes(tmp_path / f"many{k}") == _file_bytes(tmp_path / "one")

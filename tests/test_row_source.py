@@ -258,3 +258,30 @@ class TestRowSourceMemory:
         output_growth = (4096 - 2048) * self.M
         assert peaks[4096] - peaks[2048] <= 1.25 * output_growth, peaks
         assert peaks[2048] < 2048 * self.M + 2048 * self.M * 4 // 3, peaks
+
+    @staticmethod
+    def streamed_quantize_peak(stem, w, grouping) -> int:
+        """The traced peak of write_model(*quantized_view(...)) of a model
+        whose blocks.0.q is ``w``, quantized under ``grouping``."""
+        write_layer(stem, w, fill=1.0)
+        manifest, opened = open_model(stem)
+        plan = QuantPlan({rec.name: grouping if rec.name == LAYER else PC
+                          for rec in manifest.layer_records()}, 128, 8)
+        return traced_peak(
+            lambda: write_model(*quantized_view(manifest, opened, plan), f"{stem}-q"))
+
+    def test_streamed_quantize_peaks_below_the_int8_layer(self, tmp_path):
+        """write_model takes a quantized view's codes one row block at a
+        time, so it never holds the int8 layer."""
+        w = draw_layer(self.M, self.M, seed=6, walls=2)
+        peak = self.streamed_quantize_peak(tmp_path / "m", w, PC)
+        assert peak < self.M * self.M, peak
+
+    @pytest.mark.parametrize("grouping", [PC, GroupingScheme.per_group(128)])
+    def test_streamed_quantize_peak_does_not_grow_with_the_layer(self, tmp_path, grouping):
+        """Doubling the rows adds the rows' scales to the peak (under an
+        eighth of the int8 bytes added, at g = 128), not their codes."""
+        peaks = {n: self.streamed_quantize_peak(tmp_path / str(n),
+                                                draw_layer(n, self.M, seed=n, walls=2), grouping)
+                 for n in (2048, 4096)}
+        assert peaks[4096] - peaks[2048] <= (4096 - 2048) * self.M // 8, peaks
