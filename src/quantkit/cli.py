@@ -4,7 +4,10 @@ group-size sweeps, a kernel self-test, and accuracy-report aggregation.
 Every subcommand is deterministic given its flags (seeds are explicit)
 and writes files atomically (temp file + rename), so identical
 invocations produce byte-identical artifacts.  The QUANTKIT_THREADS
-environment variable caps internal parallelism (default 1).
+environment variable caps internal parallelism (default 1): the layer
+passes of analyze and sweep, every model write, the tensor draws of synth
+and the layer quantization of ``planner.apply_plan``.  The artifacts do
+not depend on it.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ quantized manifest from it before any layer is read, then quantizes a
 layer when it is looked up, or gives its codes as a row source that
 encodes each block as it is read.  ``model_store.write_model`` writes
 that view through the row sources, holding one row block per thread;
-``apply_plan`` keeps every record.
+``apply_plan`` keeps every record, quantizing the layers on the
+QUANTKIT_THREADS pool and laying them out in record order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,14 @@ from .analyzer import (
     layer_max_abs,
     layer_rmse,
 )
-from .model_store import ModelManifest, TensorRecord, _is_kind, _require_kind, row_source
+from .model_store import (
+    ModelManifest,
+    TensorRecord,
+    _is_kind,
+    _map_in_order,
+    _require_kind,
+    row_source,
+)
 from .quantizer import (
     GroupingScheme,
     QuantParams,
@@ -367,9 +375,26 @@ def apply_plan(
     plan: QuantPlan,
 ) -> tuple[ModelManifest, dict[str, np.ndarray]]:
     """Quantize every layer under its assigned scheme, exactly as written:
-    :func:`quantized_view` with every record computed and kept."""
+    :func:`quantized_view` with every record computed and kept.
+
+    The layers are quantized on QUANTKIT_THREADS threads
+    (``model_store._map_in_order``), each by the view's own per-layer
+    quantize, and laid out in record order: a layer's codes, then its
+    scale record; aux records of the source pass through.  The first
+    failing layer in record order is the error.  ``dict(view)`` is not
+    run on threads: the view hands a layer's scales to its scale record
+    through one slot, which assumes a serial pass in record order.
+    """
     qmanifest, view = quantized_view(manifest, tensors, plan)
-    return qmanifest, dict(view)
+    layers = [rec for rec in qmanifest.records if not rec.aux]
+    quantized = dict(zip((rec.name for rec in layers), _map_in_order(view._quantize, layers)))
+    out: dict[str, np.ndarray] = {}
+    for rec in qmanifest.records:
+        if not rec.aux:
+            out[rec.name], out[rec.scale_ref] = quantized[rec.name]
+        elif rec.name not in out:  # a source aux record; scale records are in already
+            out[rec.name] = tensors[rec.name]
+    return qmanifest, out
 
 
 def read_quantized_layer(

@@ -9,7 +9,9 @@ and O/Down never affected.
 
 Every tensor is drawn from its own counter-based (Philox) stream keyed by
 a SHA-256 hash of the master seed and the tensor name, so content is a
-pure function of the config and independent of generation order.
+pure function of the config and independent of generation order.  The
+tensors are therefore drawn on the QUANTKIT_THREADS pool
+(``model_store._map_in_order``) with the same bytes at any thread count.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .model_store import KIND_ORDER, ModelManifest, TensorRecord, _require_kind, layer_name
+from .model_store import (
+    KIND_ORDER,
+    ModelManifest,
+    TensorRecord,
+    _map_in_order,
+    _require_kind,
+    layer_name,
+)
 
 WALL_KIND_UNIVERSE = ("q", "k", "v", "up", "gate")
 
@@ -119,7 +128,9 @@ def inject_walls(
 
     Returns a new array; all other entries are untouched.  Replacing
     (rather than adding to) the base values makes magnitude assertions on
-    the result exact: every wall entry has |w| in [lo, hi].
+    the result exact: every wall entry has |w| in [lo, hi].  The matrix
+    must be floating-point and ``hi`` at most its dtype's largest finite
+    value, so no wall entry is written as inf.
     """
     w = np.asarray(w)
     if w.ndim != 2:
@@ -130,9 +141,13 @@ def inject_walls(
     out_of_range = [c for c in columns if not 0 <= c < w.shape[1]]
     if out_of_range:
         raise ValueError(f"wall columns out of range [0, {w.shape[1]}): {out_of_range}")
+    if not np.issubdtype(w.dtype, np.inexact):
+        raise ValueError(f"expected a floating-point weight matrix, got dtype {w.dtype}")
     lo, hi = magnitude_range
-    if not 0 < lo <= hi:
-        raise ValueError(f"magnitude range must satisfy 0 < lo <= hi, got {lo}, {hi}")
+    top = float(np.finfo(w.dtype).max)  # a larger wall entry would be written as inf
+    if not 0 < lo <= hi <= top:
+        raise ValueError(f"magnitude range must satisfy 0 < lo <= hi <= {w.dtype} max "
+                         f"({top:.4g}), got {lo}, {hi}")
     out = np.array(w, copy=True)
     if not columns:
         return out
@@ -150,29 +165,31 @@ def _wall_columns(cfg: SynthConfig, block: int, name: str) -> list[int]:
     return sorted(int(c) for c in cols)
 
 
+def _draw(cfg: SynthConfig, block: int, kind: str) -> np.ndarray:
+    """The float32 tensor of one layer: its own stream's Gaussian draw, with
+    walls injected when the config puts them in this layer."""
+    name = layer_name(block, kind)
+    w = _stream(cfg.seed, f"tensor:{name}").normal(0.0, cfg.base_std, size=cfg.shape_of(kind))
+    w = w.astype(np.float32)
+    if block in cfg.wall_blocks and kind in cfg.wall_kinds and cfg.wall_columns_per_layer:
+        cols = _wall_columns(cfg, block, name)
+        w = inject_walls(
+            w, cols, cfg.wall_magnitude, seed=_stream_seed(cfg.seed, f"wall-values:{name}")
+        )
+    return w
+
+
 def generate(cfg: SynthConfig) -> tuple[ModelManifest, dict[str, np.ndarray]]:
     """Generate the full 7*blocks tensor set described by the config.
 
     Non-wall layers are N(0, base_std^2); wall layers additionally have
     ``wall_columns_per_layer`` randomly chosen input columns replaced by
     sign * U(lo, hi).  Output is a pure function of the config, including
-    the seed.
+    the seed.  Each tensor is drawn from its own stream, so the tensors
+    are drawn on QUANTKIT_THREADS threads and laid out in record order.
     """
-    wall_blocks = set(cfg.wall_blocks)
-    wall_kinds = set(cfg.wall_kinds)
-    records = []
-    tensors: dict[str, np.ndarray] = {}
-    for block in range(cfg.blocks):
-        for kind in KIND_ORDER:
-            name = layer_name(block, kind)
-            shape = cfg.shape_of(kind)
-            w = _stream(cfg.seed, f"tensor:{name}").normal(0.0, cfg.base_std, size=shape)
-            w = w.astype(np.float32)
-            if block in wall_blocks and kind in wall_kinds and cfg.wall_columns_per_layer:
-                cols = _wall_columns(cfg, block, name)
-                w = inject_walls(
-                    w, cols, cfg.wall_magnitude, seed=_stream_seed(cfg.seed, f"wall-values:{name}")
-                )
-            records.append(TensorRecord(name=name, shape=shape, dtype="fp32"))
-            tensors[name] = w
-    return ModelManifest(cfg.blocks, records), tensors
+    layers = [(block, kind) for block in range(cfg.blocks) for kind in KIND_ORDER]
+    drawn = _map_in_order(lambda layer: _draw(cfg, *layer), layers)
+    records = [TensorRecord(name=layer_name(block, kind), shape=cfg.shape_of(kind), dtype="fp32")
+               for block, kind in layers]
+    return ModelManifest(cfg.blocks, records), {rec.name: w for rec, w in zip(records, drawn)}

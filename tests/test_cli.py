@@ -530,6 +530,16 @@ class TestThreadCountIndependence:
         header = outputs[0][0].decode().split("\n")[0]
         assert header.endswith("rmse_pc,rmse_g8,rmse_g16,rmse_g32,wall_count")
 
+    def test_synth_bytes_equal_across_thread_counts(self, tmp_path, monkeypatch):
+        outputs = set()
+        for threads in ("1", "2"):
+            monkeypatch.setenv("QUANTKIT_THREADS", threads)
+            m = str(tmp_path / f"m{threads}")
+            assert main(["synth", "--blocks", "3", "--dim", "48", "--seed", "8",
+                         "--wall-blocks", "0,2", "--out", m]) == 0
+            outputs.add(pair_bytes(m))
+        assert len(outputs) == 1
+
     def test_quantize_bytes_equal_across_thread_counts(self, tmp_path, monkeypatch):
         """dim 384: every layer spans three row blocks, and the wall layers
         are per-group."""

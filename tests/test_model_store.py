@@ -818,6 +818,16 @@ class TestOnePassAccess:
         # The group maxima, then the codes: each layer's bytes twice.
         assert set(self.read_ratios(manifest, tensors).values()) == {2.0}
 
+    def test_apply_plan_on_two_threads_holds_a_layer_per_thread(self, opened, monkeypatch):
+        manifest, tensors = opened
+        monkeypatch.setenv("QUANTKIT_THREADS", "2")
+        names = [rec.name for rec in manifest.layer_records()]
+        plan = QuantPlan({name: GroupingScheme.per_group(8) for name in names}, 8, 8)
+        apply_plan(manifest, tensors, plan)
+        assert tensors.fetches == Counter(dict.fromkeys(names, 1))
+        assert tensors.peak <= 2 and tensors.live == 0
+        assert set(self.read_ratios(manifest, tensors).values()) == {2.0}
+
     def test_write_model_streams_the_quantized_view_one_layer_at_a_time(self, opened, tmp_path):
         manifest, tensors = opened
         names = [rec.name for rec in manifest.layer_records()]

@@ -349,6 +349,63 @@ class TestApplyPlan:
         assert np.all(err <= elem_scales / 2 + 1e-6 * elem_scales)
 
 
+class TestApplyPlanThreads:
+    """apply_plan quantizes its layers on the QUANTKIT_THREADS pool and lays
+    them out as a serial pass over the view would."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory, wall_model, wall_metrics):
+        stem = tmp_path_factory.mktemp("stored") / "m"
+        write_model(*wall_model, stem)
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
+        return stem, plan
+
+    @pytest.mark.parametrize("source", ["dict", "open_model"])
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_equals_a_serial_pass_over_the_view(self, stored, wall_model, source, threads,
+                                                monkeypatch):
+        stem, plan = stored
+        manifest, tensors = wall_model if source == "dict" else open_model(stem)
+        qmanifest, view = quantized_view(manifest, tensors, plan)
+        expected = dict(view)
+        monkeypatch.setenv("QUANTKIT_THREADS", threads)
+        got_manifest, got = apply_plan(manifest, tensors, plan)
+        assert got_manifest == qmanifest
+        assert list(got) == list(expected) == [rec.name for rec in qmanifest.records]
+        for name, arr in expected.items():
+            assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+            assert got[name].tobytes() == arr.tobytes(), name
+
+    def test_aux_records_pass_through_in_record_order(self, wall_model, wall_metrics,
+                                                      monkeypatch):
+        from quantkit import TensorRecord
+
+        manifest, tensors = wall_model
+        head = np.ones((3, 5), dtype=np.float32)
+        manifest = ModelManifest(
+            manifest.blocks,
+            [TensorRecord(name="embed", shape=(3, 5), dtype="fp32", aux=True)]
+            + list(manifest.records),
+        )
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
+        monkeypatch.setenv("QUANTKIT_THREADS", "2")
+        qmanifest, qtensors = apply_plan(manifest, dict(tensors, embed=head), plan)
+        assert list(qtensors) == [rec.name for rec in qmanifest.records]
+        assert qtensors["embed"] is head
+
+    def test_first_failing_layer_in_record_order_is_the_error(self, wall_model, wall_metrics,
+                                                              monkeypatch):
+        manifest, tensors = wall_model
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
+        bad = dict(tensors)
+        for name in ("blocks.1.v", "blocks.4.up"):
+            bad[name] = tensors[name].copy()
+            bad[name][3, 5] = np.nan
+        monkeypatch.setenv("QUANTKIT_THREADS", "2")
+        with pytest.raises(ValueError, match=r"^layer 'blocks\.1\.v': weight contains NaN"):
+            apply_plan(manifest, bad, plan)
+
+
 class TestDamagedQuantizedRecords:
     """read_quantized_layer builds its tensor from disk bytes, so it keeps
     QuantizedTensor's checks: one damaged code or scale is rejected."""

@@ -1,5 +1,7 @@
 """Synthetic model generator: determinism, wall placement, separation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,32 @@ class TestGenerate:
         assert tensors["blocks.0.q"].shape == (16, 16)
 
 
+class TestThreadCountIndependence:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SynthConfig(blocks=3, dim=32, wall_blocks=(0, 2), seed=12),
+            SynthConfig(blocks=2, dim=32, wall_blocks=(1,), kv_dim_divisor=2, seed=13),
+            SynthConfig(blocks=2, dim=32, wall_blocks=(0, 1), shared_wall_columns=False,
+                        seed=14),
+        ],
+        ids=["walls", "kv_dim_divisor_2", "per_layer_wall_columns"],
+    )
+    def test_manifest_and_bytes_equal_at_1_2_and_3_threads(self, cfg, monkeypatch):
+        models = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("QUANTKIT_THREADS", threads)
+            models.append(generate(cfg))
+        manifest, tensors = models[0]
+        assert list(tensors) == [rec.name for rec in manifest.records]
+        for other_manifest, other in models[1:]:
+            assert other_manifest == manifest
+            assert list(other) == list(tensors)
+            for name, w in tensors.items():
+                assert other[name].dtype == w.dtype and other[name].shape == w.shape, name
+                assert other[name].tobytes() == w.tobytes(), name
+
+
 class TestInjectWalls:
     def test_empty_column_list_is_identity(self):
         rng = np.random.default_rng(1)
@@ -214,3 +242,25 @@ class TestInjectWalls:
         c = inject_walls(w, [1], (50.0, 100.0), seed=6)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize(
+        "magnitude", [(1e39, 1e40), (1.0, np.inf)], ids=["past_float32_max", "infinite"])
+    def test_range_past_the_dtype_max_rejected(self, magnitude):
+        w = np.zeros((4, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"lo <= hi <= float32 max .*got "
+                                             + re.escape(f"{magnitude[0]}, {magnitude[1]}")):
+            inject_walls(w, [1], magnitude, seed=0)
+
+    def test_range_up_to_the_dtype_max_stays_finite(self):
+        top = float(np.finfo(np.float32).max)
+        out = inject_walls(np.zeros((64, 4), dtype=np.float32), [0, 3], (top / 2, top), seed=7)
+        assert np.isfinite(out).all()
+        assert np.abs(out[:, [0, 3]]).min() >= np.float32(top / 2)
+
+    def test_float64_matrix_takes_a_range_past_float32_max(self):
+        out = inject_walls(np.zeros((4, 4)), [2], (1e39, 1e40), seed=0)
+        assert np.isfinite(out).all() and np.abs(out[:, 2]).min() >= 1e39
+
+    def test_integer_matrix_rejected(self):
+        with pytest.raises(ValueError, match="floating-point"):
+            inject_walls(np.zeros((2, 4), dtype=np.int32), [1], (50.0, 100.0), seed=0)
