@@ -36,10 +36,12 @@ from .model_store import (
 )
 from .quantizer import GroupingScheme, QuantParams
 from .quantizer import (
+    _abs64,
     _abs_rows,
     _as_rows,
-    _encode_into,
     _finite_max,
+    _group_maxima,
+    _magnitudes_into,
     _pairwise,
     _row_blocks,
     _scales_from_amax,
@@ -140,12 +142,15 @@ def _profile_layer(
 
     The flat layer is walked in leaves of at most _BLOCK elements, split as
     np.sum splits it (_pairwise), so every sum equals np.sum over the whole
-    layer.  A leaf reads the whole rows that hold its range: group maxima
-    are reduced once per size from the largest computed divisor size, and
-    every grouping and the wall RMS share one float64 copy of the rows and
-    one work buffer, both in this thread's scratch.  Wall columns are
-    counted afterwards, reading the rows again block by block, against the
-    threshold from the summed squares.
+    layer.  A leaf reads the whole rows that hold its range and takes |w|
+    once: group maxima are reduced from it once per size, from the largest
+    computed divisor size, and every grouping and the wall RMS share one
+    float64 copy of it and one work buffer, both in this thread's scratch.
+    No step is signed: a grouping's error is |x| - mag*s with the code
+    magnitudes mag of |x| (quantizer._magnitudes_into), whose square is
+    (x - q*s)**2 to the bit, and the wall RMS sums |x|**2.  Wall columns
+    are counted afterwards, reading the rows again block by block, against
+    the threshold from the summed squares.
     """
     src = _as_rows(w, "weight")
     n, m = src.shape
@@ -160,28 +165,26 @@ def _profile_layer(
         first = lo // m
         rows = read(first, -(-hi // m))
         span = slice(lo - first * m, hi - first * m)  # the leaf's range within its rows
-        absw = _abs_rows(rows)
-        maxima.append(_finite_max(absw, "weight"))
+        a64 = _abs64(rows, _scratch("w64", rows.shape, np.float64))
         k = len(rows)
         amax: dict[int, np.ndarray] = {}
         for g in sizes:
             base = max((f for f in amax if g % f == 0), default=None)
-            amax[g] = (absw if base is None else amax[base]).reshape(k, m // g, -1).max(axis=2)
-        w64 = rows
-        if rows.dtype != np.float64:
-            w64 = _scratch("w64", rows.shape, np.float64)
-            np.copyto(w64, rows)
-        buf = _scratch("work", rows.shape, np.float64)  # absw's buffer: absw is done with
+            amax[g] = (_group_maxima(a64, g) if base is None
+                       else _group_maxima(amax[base], g // base))
+        # The finest maxima cover every element, so a NaN or Inf shows in them.
+        maxima.append(_finite_max(amax[sizes[0]] if sizes else a64, "weight"))
+        buf = _scratch("work", rows.shape, np.float64)
         part = buf.reshape(-1)[span]
         sums = np.empty(len(sizes) + rms_threshold)
         for i, g in enumerate(sizes):
-            scales = _scales_from_amax(amax[g], params).astype(np.float64)[:, :, None]
-            x = w64.reshape(k, m // g, g)
-            err = _encode_into(buf.reshape(x.shape), x, scales, params)
-            np.subtract(x, np.multiply(err, scales, out=err), out=err)  # codes -> error in place
+            scales = _scales_from_amax(amax[g], params, maxima[-1]).astype(np.float64)[:, :, None]
+            x = a64.reshape(k, m // g, g)
+            err = _magnitudes_into(buf.reshape(x.shape), x, scales, params)
+            np.subtract(x, np.multiply(err, scales, out=err), out=err)  # mag -> |error| in place
             sums[i] = np.add.reduce(np.square(part, out=part))
         if rms_threshold:
-            sums[-1] = np.add.reduce(np.square(w64.reshape(-1)[span], out=part))
+            sums[-1] = np.add.reduce(np.square(a64.reshape(-1)[span], out=part))
         return sums
 
     sums = _pairwise(0, n * m, leaf)

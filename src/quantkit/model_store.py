@@ -42,8 +42,9 @@ positional writes, one row block at a time from ``row_source``, on up to
 QUANTKIT_THREADS threads (``_map_in_order``).  So a mapping that computes
 records on lookup (``planner.quantized_view``) is written one row block
 per thread, and the bytes do not depend on the thread count.  A
-quantized record's task also writes its scale record, since a computed
-layer's scales are known only once its codes can be read.  The blob is
+quantized record's task also writes its scale record, after the record's
+last block: a computed layer's row source fills in its scales as its
+blocks are read, and carries them.  The blob is
 renamed into place before the manifest, so a record that fails changes
 neither file.  The manifest text is written for its fixed schema
 (``_manifest_text``), equal byte for byte to ``json.dumps(obj,
@@ -439,9 +440,10 @@ class _BlobWriter:
     checked against its manifest entry and written at its byte offset, row
     block by row block (``_row_blocks``), so a task holds one block of its
     record.  Records are tasks on the QUANTKIT_THREADS pool.  A quantized
-    record's scale record is written by that record's task, after its
-    codes: a mapping that computes a layer (``planner.quantized_view``)
-    has its scales only once the layer's row source is taken.
+    record's scale record is written by that record's task, after its last
+    block: from the record's row source when it carries ``scales`` (a layer
+    that ``planner.quantized_view`` quantizes block by block as it is read,
+    whose scales are complete only then), else looked up itself.
     """
 
     def __init__(self, manifest: ModelManifest, tensors: Mapping[str, np.ndarray]):
@@ -459,8 +461,9 @@ class _BlobWriter:
         """Write every record into ``fd``; the bytes written."""
         return sum(_map_in_order(lambda rec: self._write(fd, rec), self._tasks))
 
-    def _write(self, fd: int, rec: TensorRecord) -> int:
-        src = row_source(self._tensors, rec.name)
+    def _write(self, fd: int, rec: TensorRecord, src=None) -> int:
+        if src is None:
+            src = row_source(self._tensors, rec.name)
         if tuple(src.shape) != rec.shape:
             raise ValueError(
                 f"tensor {rec.name!r} has shape {tuple(src.shape)}, manifest says {rec.shape}")
@@ -474,7 +477,7 @@ class _BlobWriter:
             written += _pwrite_all(fd, block, block.nbytes, offset + written)
         scale = self._scale_of.get(rec.name)
         if scale is not None:
-            written += self._write(fd, self._manifest.record(scale))
+            written += self._write(fd, self._manifest.record(scale), getattr(src, "scales", None))
         return written
 
 

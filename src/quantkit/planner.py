@@ -10,16 +10,19 @@ Applying a plan needs no calibration data and treats each layer on its
 own, so it is one pass: ``quantized_view`` checks the plan and derives the
 quantized manifest from it before any layer is read, then quantizes a
 layer when it is looked up, or gives its codes as a row source that
-encodes each block as it is read.  ``model_store.write_model`` writes
-that view through the row sources, holding one row block per thread;
-``apply_plan`` keeps every record, quantizing the layers on the
-QUANTKIT_THREADS pool and laying them out in record order.
+encodes each block as it is read.  Each row block is read once: that read
+gives the block's scales and its codes, whose magnitudes come from the
+same ``|w|`` (see ``quantizer``), and the source keeps the layer's scales
+as it goes.  ``model_store.write_model`` writes that view through the row
+sources, holding one row block per thread, and writes a layer's scale
+record after its last block; ``apply_plan`` keeps every record,
+quantizing the layers on the QUANTKIT_THREADS pool and laying them out in
+record order.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import Callable, Sequence
@@ -51,7 +54,6 @@ from .quantizer import (
     _as_rows,
     _encode_rows,
     _scratch,
-    _weight_scales,
     fit_group_size,
     quantize_weight,
 )
@@ -233,43 +235,40 @@ def scale_record_name(name: str) -> str:
 
 class _CodeRows:
     """A layer's int8 codes as a row source: each block of rows is read
-    from the fp32 source and encoded with the layer's scales into this
-    thread's ``codes`` scratch, valid until the thread's next code read."""
+    once from the fp32 source and quantized (``quantizer._encode_rows``)
+    into this thread's ``codes`` scratch, valid until the thread's next
+    code read, and into its rows of ``scales``.  So ``scales``, the
+    layer's (N, M/g) float32 scales, is complete once every row has been
+    read.  An error names the layer."""
 
     dtype = np.dtype(np.int8)
 
-    def __init__(self, src, scales: np.ndarray, params: QuantParams):
+    def __init__(self, name: str, src, groups: int, params: QuantParams):
         self.shape = src.shape
-        self._src, self._params = src, params
-        self._s64 = scales.astype(np.float64)[:, :, None]
+        self.scales = np.empty((src.shape[0], groups), np.float32)
+        self._name, self._src, self._params = name, src, params
 
     def read_rows(self, start: int, stop: int) -> np.ndarray:
         rows = self._src.read_rows(start, stop)
         codes = _scratch("codes", rows.shape, np.int8)
-        return _encode_rows(codes, rows, self._s64[start:stop], self._params)
+        try:
+            return _encode_rows(codes, self.scales[start:stop], rows, self._params)
+        except ValueError as exc:
+            raise ValueError(f"layer {self._name!r}: {exc}") from None
 
 
 class _QuantizedView(Mapping):
     """Name -> array mapping over a quantized model that quantizes a layer
-    when it is looked up, or, through ``row_source``, gives its codes one
-    row block at a time.
-
-    A layer's scales wait in a slot keyed by its scale record (guarded by a
-    lock, for writers on many threads) until that record is looked up.  A
-    row source adds its layer's scales to the slots; a layer lookup keeps
-    its own alone, so a pass in record order of either kind quantizes each
-    layer once, and any other lookup of a scale record quantizes its layer
-    again.
-    """
+    when it, or its scale record, is looked up, or, through
+    ``row_source``, gives its codes one row block at a time, each block
+    read once.  The view keeps nothing: every lookup quantizes its layer,
+    and a layer's row source carries the layer's scales itself."""
 
     def __init__(self, qmanifest: ModelManifest, tensors: Mapping[str, np.ndarray],
                  params: QuantParams):
         self._manifest = qmanifest
         self._tensors = tensors
         self._params = params
-        self._layer_of = {r.scale_ref: r for r in qmanifest.records if not r.aux}
-        self._scales: dict[str, np.ndarray] = {}  # scale record -> its layer's scales
-        self._lock = threading.Lock()
 
     def _quantize(self, rec: TensorRecord) -> tuple[np.ndarray, np.ndarray]:
         try:
@@ -278,38 +277,38 @@ class _QuantizedView(Mapping):
             raise ValueError(f"layer {rec.name!r}: {exc}") from None
         return qt.values, qt.scales.reshape(rec.shape[0], -1)
 
+    def _owner(self, rec: TensorRecord) -> TensorRecord | None:
+        """The layer whose scale record the aux record ``rec`` is, or None
+        for an aux record of the source, which passes through."""
+        try:
+            layer = self._manifest.record(rec.name.removesuffix(SCALE_SUFFIX))
+        except KeyError:
+            return None
+        return layer if layer.scale_ref == rec.name else None
+
     def row_source(self, name: str):
         """The named record as a row source.  A layer's is its codes
-        (``_CodeRows``): its scales are taken here, reading the layer once,
-        so every error of the layer comes before any of its codes.  Any
-        other record is the lookup's array, or the source model's row
-        source for an aux record it passes through."""
+        (``_CodeRows``), which quantizes each row block as it is read and
+        fills the layer's ``scales`` as it goes.  Any other record is the
+        lookup's array, or the source model's row source for an aux record
+        it passes through."""
         rec = self._manifest.record(name)
         if rec.aux:
-            return self[name] if name in self._layer_of else row_source(self._tensors, name)
+            return self[name] if self._owner(rec) else row_source(self._tensors, name)
         try:
             src = _as_rows(row_source(self._tensors, name), "weight")
-            scales = _weight_scales(src, rec.grouping, self._params)
         except ValueError as exc:
             raise ValueError(f"layer {name!r}: {exc}") from None
-        with self._lock:
-            self._scales[rec.scale_ref] = scales
-        return _CodeRows(src, scales, self._params)
+        groups = self._manifest.record(rec.scale_ref).shape[1]
+        return _CodeRows(name, src, groups, self._params)
 
     def __getitem__(self, name: str) -> np.ndarray:
         rec = self._manifest.record(name)
-        if not rec.aux:
-            values, scales = self._quantize(rec)
-            with self._lock:
-                self._scales = {rec.scale_ref: scales}
-            return values
-        with self._lock:
-            scales = self._scales.pop(name, None)
-        if scales is not None:
-            return scales
-        if name in self._layer_of:
-            return self._quantize(self._layer_of[name])[1]
-        return self._tensors[name]
+        layer = self._owner(rec) if rec.aux else rec
+        if layer is None:
+            return self._tensors[name]
+        values, scales = self._quantize(layer)
+        return scales if rec.aux else values
 
     def __iter__(self):
         return (rec.name for rec in self._manifest.records)
@@ -332,10 +331,11 @@ def quantized_view(
     records of the source pass through unchanged.  Every layer must be fp32,
     the plan must cover exactly the model's layers, and each per-group size
     must divide its layer's column count; all of this is checked before any
-    layer is read.  A pass in record order quantizes each layer once.
-    ``write_model`` takes each layer's codes from the view's row source
-    one row block at a time, so it holds one row block per thread, not
-    one layer.
+    layer is read.  Each lookup of a layer or of its scale record
+    quantizes that layer.  ``write_model`` takes each layer's codes from
+    the view's row source one row block at a time, reading each block once,
+    and then the layer's scales from the same source, so it holds one row
+    block per thread, not one layer.
     """
     params = QuantParams(plan.bits)
     layers = [rec for rec in manifest.records if not rec.aux]
@@ -381,9 +381,7 @@ def apply_plan(
     (``model_store._map_in_order``), each by the view's own per-layer
     quantize, and laid out in record order: a layer's codes, then its
     scale record; aux records of the source pass through.  The first
-    failing layer in record order is the error.  ``dict(view)`` is not
-    run on threads: the view hands a layer's scales to its scale record
-    through one slot, which assumes a serial pass in record order.
+    failing layer in record order is the error.
     """
     qmanifest, view = quantized_view(manifest, tensors, plan)
     layers = [rec for rec in qmanifest.records if not rec.aux]

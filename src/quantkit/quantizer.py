@@ -14,14 +14,29 @@ returns rows [start, stop) as an array, such as the one
 ``model_store.row_source`` gives for a record of an open model.  A pass
 reads one block of rows at a time and is done with it before its next
 read, so a source may hand out each block in one buffer that its next
-read overwrites.  A pass's block temporaries (the float64 copy, the
-float64 work buffer, which first holds ``|w|``, an open model's row
-buffer, and the int8 code buffer of a quantized view's row source) come
-from ``_scratch``: one buffer per kind and thread, grown on
-demand and reused across blocks and layers, so no block-sized buffer is
-allocated per block.  A block that an open model's row source returns
-lives in that scratch: it stays valid only until the same thread's next
-row read.
+read overwrites.  A pass never writes into the rows a source returns:
+an in-memory matrix hands out views of the caller's array.
+
+Each row block is read once.  That one read gives ``|w|``, the group
+maxima, which are also the finiteness check, the block's scales (both
+groupings scale by row, so a block's scales depend only on its rows) and,
+from the same ``|w|``, its code magnitudes: ``min(floor(|x|/s + 0.5),
+qmax)``.  IEEE division is sign-symmetric, so ``|x|/s`` is ``|x/s|`` to
+the bit, and no pass does signed arithmetic: the int8 paths apply x's
+sign to the cast magnitudes with int8 operations, and the float path
+(``analyzer._profile_layer``) squares ``|x| - mag*s``, which is
+``(x - q*s)**2`` to the bit.  An error is raised by the first failing
+block; no caller sees a partly quantized layer, because
+``quantize_weight`` returns nothing when it raises and a file write
+removes its temp file.
+
+A pass's block temporaries (the float64 ``|w|``, the float64 work buffer,
+the sign mask, an open model's row buffer, and the int8 code buffer of a
+quantized view's row source) come from ``_scratch``: one
+buffer per kind and thread, grown on demand and reused across blocks and
+layers, so no block-sized buffer is allocated per block.  A block that
+an open model's row source returns lives in that scratch: it stays valid
+only until the same thread's next row read.
 """
 
 from __future__ import annotations
@@ -42,13 +57,22 @@ _MIN_BITS = 2
 _MAX_BITS = 8
 
 # Elements per block of a layer pass.  A block's working set (its float32
-# rows, the float64 copy and the float64 buffer that first holds |w|, about
-# 1.25 MiB) stays inside a 2 MiB per-core L2 cache, and bounds a pass's
-# memory per thread.
+# rows, the float64 |w| and the float64 work buffer in a profile, about
+# 1.25 MiB; the rows, the float64 |w| that the work is done in, the sign
+# mask and the int8 codes in a quantize, about 0.9 MiB) stays inside a
+# 2 MiB per-core L2 cache, and bounds a pass's memory per thread.
 _BLOCK = 1 << 16
 # numpy's PW_BLOCKSIZE: np.sum splits no range of up to 128 elements, so a
 # smaller block would split where np.sum does not (see _pairwise).
 assert _BLOCK >= 128
+
+# The smallest normal float32.  A normal scale s = fl32(amax / qmax) is
+# within a relative 2^-24 of amax / qmax, so for |x| <= amax, |x|/s + 0.5
+# stays below qmax + 1 and its floor is at most qmax: the clamp to qmax
+# changes nothing.  Only a subnormal scale, which keeps fewer bits, needs it.
+_NORMAL = float(np.finfo(np.float32).tiny)
+
+_F32_MAX = float(np.finfo(np.float32).max)
 
 _ALIGN = 64
 # Cached scratch views per thread; past this many, the cache starts afresh.
@@ -309,12 +333,37 @@ def _as_rows(w, what: str):
 
 
 def _abs_rows(rows: np.ndarray) -> np.ndarray:
-    """|rows| in this thread's float64 work scratch.  Every pass is done
-    with |rows| (it has taken the maxima) before it asks for the work
-    buffer, so the two share one buffer.  It is sized for the float64 work
-    from the start: a later float64 request does not grow it while |rows|
-    still holds the old buffer."""
+    """|rows| in rows' dtype in this thread's work scratch, for the passes
+    that need only |w| (layer_max_abs and the wall count).  It is sized
+    for the float64 work of the same block from the start, so a later
+    float64 request does not grow it."""
     return np.abs(rows, out=_scratch("work", rows.shape, rows.dtype, 8 * rows.size))
+
+
+def _abs64(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|x| into the float64 ``out``: x cast, then its magnitudes, which is
+    |x| to the bit for any float x, with no cast buffers in the float64
+    work that follows.  An integer x that holds its dtype's minimum is
+    rejected: np.abs in that dtype wraps it to itself, which gave its group
+    a negative or wrong scale."""
+    np.copyto(out, x)
+    np.abs(out, out=out)
+    if x.dtype.kind == "i" and out.max() > np.iinfo(x.dtype).max:
+        raise ValueError("scale factors must be positive and finite")
+    return out
+
+
+def _group_maxima(absx: np.ndarray, g: int) -> np.ndarray:
+    """The maxima of each row's groups of ``g`` consecutive elements of the
+    C-ordered (k, ...) array ``absx``, as (k, M/g).  One contiguous
+    reduction per group (np.maximum.reduceat) took 1.2-3x less time than
+    max over a (k, M/g, g) view for every g > 1 on a 64 x 1024 block; at
+    g = 1 each element is its own maximum."""
+    k = len(absx)
+    if g == 1:
+        return absx.reshape(k, -1).copy()
+    flat = absx.reshape(-1)
+    return np.maximum.reduceat(flat, np.arange(0, flat.size, g)).reshape(k, -1)
 
 
 def _row_blocks(n: int, m: int) -> list[slice]:
@@ -337,15 +386,15 @@ def _pairwise(lo: int, hi: int, leaf) -> np.ndarray:
     return _pairwise(lo, lo + half, leaf) + _pairwise(lo + half, hi, leaf)
 
 
-def _scales_from_amax(amax: np.ndarray, params: QuantParams) -> np.ndarray:
-    """float32 scales amax / qmax, 1.0 for all-zero groups; no inf, 0 or
-    negative scales."""
-    if amax.dtype.kind == "i" and amax.min() < 0:
-        # np.abs wraps a signed integer's minimum to itself.
-        raise ValueError("scale factors must be positive and finite")
-    if amax.dtype.itemsize > 4 and float(amax.max()) > float(np.finfo(np.float32).max):
-        raise ValueError(f"max_abs {float(amax.max())!r} exceeds the float32 range of scales")
-    scales = amax.astype(np.float32) / np.float32(params.qmax)
+def _scales_from_amax(amax: np.ndarray, params: QuantParams, top) -> np.ndarray:
+    """float32 scales amax / qmax, 1.0 for all-zero groups; no inf or 0
+    scales.  ``top`` is amax's maximum, which the caller has already taken
+    (_finite_max).  An error quotes ``top`` or the largest underflowing
+    maximum of ``amax``: in a layer pass, one row block's."""
+    if top > _F32_MAX:
+        raise ValueError(f"max_abs {float(top)!r} exceeds the float32 range of scales")
+    scales = amax.astype(np.float32)
+    scales /= np.float32(params.qmax)
     if not scales.all():
         scales[amax == 0] = np.float32(1.0)
         if not scales.all():
@@ -354,56 +403,60 @@ def _scales_from_amax(amax: np.ndarray, params: QuantParams) -> np.ndarray:
     return scales
 
 
-def _encode_into(
-    out: np.ndarray, x: np.ndarray, scales: np.ndarray, params: QuantParams, codes=None
+def _magnitudes_into(
+    out: np.ndarray, absx: np.ndarray, scales: np.ndarray, params: QuantParams, codes=None
 ) -> np.ndarray:
-    """Codes of x / scales: floor(|x/s| + 0.5) with x's sign (ties away from
-    zero), clamped to qmax because x/s can land at qmax + ulp.  The work is
-    done in float64 in ``out``, which must not alias x.
+    """Code magnitudes of |x| / scales: floor(|x|/s + 0.5) (ties away from
+    zero), clamped to qmax, which only a subnormal scale needs (see
+    _NORMAL).  IEEE division is sign-symmetric, so |x|/s is |x/s| to the
+    bit.  The work is done in float64 in ``out``, which may be ``absx``
+    itself; ``absx`` must not exceed the maxima its scales came from.
 
-    Without ``codes`` the codes are written into ``out`` as floats.  With an
-    integer ``codes`` array (int8) they are cast into it instead, and that
-    path has no floor pass: |x/s| + 0.5 is clamped to qmax first, and the
-    cast truncates toward zero, which on a non-negative value is the floor,
-    so the integers are the same.
+    Without ``codes`` the magnitudes are left in ``out`` as floats.  With an
+    int8 ``codes`` array they are cast into it instead, and that path has no
+    floor pass: the cast of |x|/s + 0.5 (clamped first, where needed)
+    truncates toward zero, which on a non-negative value is the floor, so
+    the integers are the same.
     """
-    np.divide(x, scales, out=out)
-    np.abs(out, out=out)
+    np.divide(absx, scales, out=out)
     out += 0.5
     if codes is None:
         np.floor(out, out=out)
-        codes = out
-    np.minimum(out, params.qmax, out=out)
-    return np.copysign(out, x, out=codes, casting="unsafe")
+    if scales.min() < _NORMAL:
+        np.minimum(out, params.qmax, out=out)
+    if codes is None:
+        return out
+    np.copyto(codes, out, casting="unsafe")
+    return codes
 
 
-def _weight_scales(src, grouping: GroupingScheme, params: QuantParams) -> np.ndarray:
-    """The (N, M/g) float32 scales of a row source under a row-wise grouping.
-
-    One pass reads the rows block by block (_row_blocks) and takes the group
-    maxima, so a NaN, Inf or out-of-range scale anywhere in the layer is an
-    error before any code of it is written.
-    """
-    n, m = src.shape
-    grouping.validate_for(m)
-    g = grouping.resolved_group_size(m)
-    groups = m // g
-    read = src.read_rows
-    amax = np.empty((n, groups), src.dtype)
-    for b in _row_blocks(n, m):
-        absw = _abs_rows(read(b.start, b.stop))
-        absw.reshape(-1, groups, g).max(axis=2, out=amax[b])
-    _finite_max(amax, "weight")
-    return _scales_from_amax(amax, params)
-
-
-def _encode_rows(codes: np.ndarray, rows: np.ndarray, s64: np.ndarray,
+def _encode_into(codes: np.ndarray, x: np.ndarray, absx: np.ndarray, scales: np.ndarray,
                  params: QuantParams) -> np.ndarray:
-    """Encode a block of rows (k, M) into the int8 ``codes`` (k, M), with
-    the block's scales as float64 (k, M/g, 1); the float64 work is in this
-    thread's scratch."""
-    x = rows.reshape(len(rows), s64.shape[1], -1)
-    _encode_into(_scratch("work", x.shape, np.float64), x, s64, params, codes.reshape(x.shape))
+    """The int8 codes of x / scales into ``codes``: the magnitudes of
+    ``absx``, the float64 |x| (_abs64), worked out in place in it
+    (_magnitudes_into), then x's sign, applied with int8 operations: with
+    m = -1 where x < 0 and 0 elsewhere, (c ^ m) - m is -c where x < 0 and
+    c elsewhere.  A -0.0 keeps the code 0, as a signed encoder gives it.
+    The sign mask is this thread's scratch."""
+    _magnitudes_into(absx, absx, scales, params, codes)
+    m = np.less(x, 0, out=_scratch("sign", x.shape, np.bool_)).view(np.int8)
+    np.negative(m, out=m)
+    np.bitwise_xor(codes, m, out=codes)
+    return np.subtract(codes, m, out=codes)
+
+
+def _encode_rows(codes: np.ndarray, scales: np.ndarray, rows: np.ndarray,
+                 params: QuantParams) -> np.ndarray:
+    """Quantize one block of rows (k, M) from its one read: |rows| in
+    float64 in this thread's work scratch, the group maxima, which are
+    also the finiteness check, the block's float32 scales into ``scales``
+    (k, M/g), and the int8 codes into ``codes`` (k, M), encoded from the
+    same |rows|.  The rows themselves are only read."""
+    x = rows.reshape(len(rows), scales.shape[1], -1)
+    absx = _abs64(x, _scratch("work", x.shape, np.float64))
+    amax = _group_maxima(absx, x.shape[2])
+    scales[...] = _scales_from_amax(amax, params, _finite_max(amax, "weight"))
+    _encode_into(codes.reshape(x.shape), x, absx, scales.astype(np.float64)[:, :, None], params)
     return codes
 
 
@@ -416,18 +469,19 @@ def quantize_weight(
     Per-channel yields one scale per row; per-group(g) partitions each row
     into M/g contiguous column groups (g must divide M) with one scale
     each.  Per-group with g = M produces the same codes and scale values
-    as per-channel.  Two passes read the rows block by block: the first
-    takes the scales (_weight_scales), so every error comes before any code
-    is written; the second reads each block again and encodes it into the
-    int8 output (_encode_rows).
+    as per-channel.  One pass reads the rows block by block, and each
+    block's one read gives its scales and its int8 codes (_encode_rows):
+    the code magnitudes come from the |w| the group maxima were taken
+    from, and the sign is applied with int8 operations.  The first failing
+    block is the error, and then nothing is returned.
     """
     src = _as_rows(w, "weight")
     n, m = src.shape
-    scales = _weight_scales(src, grouping, params)
-    s64 = scales.astype(np.float64)[:, :, None]
+    grouping.validate_for(m)
+    scales = np.empty((n, m // grouping.resolved_group_size(m)), np.float32)
     q = np.empty((n, m), np.int8)
     for b in _row_blocks(n, m):
-        _encode_rows(q[b], src.read_rows(b.start, b.stop), s64[b], params)
+        _encode_rows(q[b], scales[b], src.read_rows(b.start, b.stop), params)
 
     if not grouping.is_per_group:
         scales = scales.reshape(n)
@@ -437,15 +491,15 @@ def quantize_weight(
 def quantize_activation(a: np.ndarray, params: QuantParams) -> QuantizedTensor:
     """Quantize an M x P activation matrix with one scale per column.
 
-    The column maxima double as the finiteness check, and the codes are
-    encoded straight into the int8 result.
+    The column maxima of |a| double as the finiteness check, and the codes
+    are encoded from that same |a| straight into the int8 result.
     """
     a = _as_matrix(a, "activation")
-    amax = np.abs(a).max(axis=0)
-    _finite_max(amax, "activation")
-    scales = _scales_from_amax(amax, params)
+    absa = _abs64(a, _scratch("work", a.shape, np.float64))
+    amax = absa.max(axis=0)
+    scales = _scales_from_amax(amax, params, _finite_max(amax, "activation"))
     q = np.empty(a.shape, np.int8)
-    _encode_into(np.empty(a.shape), a, scales.astype(np.float64), params, q)
+    _encode_into(q, a, absa, scales.astype(np.float64), params)
     return QuantizedTensor._unchecked(q, scales, _PER_CHANNEL, params.bits, AXIS_COLUMN)
 
 

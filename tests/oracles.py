@@ -3,9 +3,11 @@
 The scalar ones share the quantization contract (float32 scales, round
 half away from zero, clamp to the symmetric code range) but are written as
 plain Python loops so they stay independent of the vectorized library
-paths they check.  The whole-layer ones are the unblocked forms of the
-library's blocked layer passes: the same arithmetic on full-size buffers,
-which the blocked passes must equal to the bit.  ``manifest_json`` builds
+paths they check.  The whole-layer ones are the unblocked, signed forms of
+the library's blocked layer passes: full-size buffers and the signed
+encoder the library's magnitude encoder replaced (``signed_codes``:
+x / s, then |.|, + 0.5, floor, the qmax clamp and x's sign), which the
+blocked passes must equal to the bit.  ``manifest_json`` builds
 a model manifest's JSON object for ``json.dumps``, the reference for the
 manifest writer's text.
 """
@@ -13,8 +15,6 @@ manifest writer's text.
 import math
 
 import numpy as np
-
-from quantkit.quantizer import _encode_into, _scales_from_amax
 
 
 def scalar_quantize_dequantize(w, group_size, bits):
@@ -116,6 +116,25 @@ def matmul_grouped_int64(w_codes, w_scales, a_codes, a_scales):
     return out * np.asarray(a_scales, dtype=np.float64)[None, :]
 
 
+def float32_scales(amax, qmax):
+    """float32 scales amax / qmax, 1.0 for all-zero groups."""
+    scales = amax.astype(np.float32) / np.float32(qmax)
+    scales[amax == 0] = np.float32(1.0)
+    return scales
+
+
+def signed_codes(x, scales, qmax):
+    """Codes of x / scales as float64, by signed arithmetic: x / s, its
+    magnitude rounded half away from zero and clamped to qmax, then x's
+    sign copied back."""
+    q = np.divide(x, scales, dtype=np.float64)
+    np.abs(q, out=q)
+    q += 0.5
+    np.floor(q, out=q)
+    np.minimum(q, qmax, out=q)
+    return np.copysign(q, x, out=q)
+
+
 def _whole_matrix(w):
     w = np.asarray(w)
     assert w.ndim == 2 and 0 not in w.shape
@@ -149,14 +168,12 @@ def whole_layer_profile(w, groupings, params, wall_cfg=None):
     for g in sorted({grouping.resolved_group_size(m) for grouping in groupings}):
         base = max((f for f in amax if g % f == 0), default=None)
         amax[g] = (absw if base is None else amax[base]).reshape(n, m // g, -1).max(axis=2)
-    buf = np.empty((n, m))
     sse = {}
     for g, group_amax in amax.items():
-        scales = _scales_from_amax(group_amax, params).astype(np.float64)[:, :, None]
+        scales = float32_scales(group_amax, params.qmax).astype(np.float64)[:, :, None]
         x = w64.reshape(n, m // g, g)
-        err = _encode_into(buf.reshape(x.shape), x, scales, params)
-        np.subtract(x, np.multiply(err, scales, out=err), out=err)
-        sse[g] = float(np.sum(np.square(buf, out=buf)))
+        err = x - signed_codes(x, scales, params.qmax) * scales
+        sse[g] = float(np.sum(np.square(err)))
     return float(absw.max()), walls, [sse[gr.resolved_group_size(m)] for gr in groupings]
 
 
@@ -171,8 +188,8 @@ def whole_layer_quantize_weight(w, grouping, params):
     grouping.validate_for(m)
     g = grouping.resolved_group_size(m)
     w3 = w.reshape(n, m // g, g)
-    scales = _scales_from_amax(np.abs(w3).max(axis=2), params)
-    codes = _encode_into(np.empty(w3.shape), w3, scales.astype(np.float64)[:, :, None], params)
+    scales = float32_scales(np.abs(w3).max(axis=2), params.qmax)
+    codes = signed_codes(w3, scales.astype(np.float64)[:, :, None], params.qmax)
     if not grouping.is_per_group:
         scales = scales.reshape(n)
     return codes.reshape(n, m).astype(np.int8), scales

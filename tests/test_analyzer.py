@@ -35,6 +35,7 @@ from quantkit.analyzer import (
 )
 from quantkit.quantizer import _pairwise
 
+from edge_values import KINDS, edge_weight
 from oracles import scalar_rmse, whole_layer_profile
 
 P8 = QuantParams(8)
@@ -201,6 +202,29 @@ class TestFusedProfileCore:
         for scheme, x in zip(schemes, sse):
             g = scheme.resolved_group_size(m)
             assert np.sqrt(x / w.size) == pytest.approx(scalar_rmse(w, g, bits), rel=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        m=st.sampled_from([1, 4, 12, 64, 130]),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+        bits=st.integers(2, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+        wall_cfg=st.sampled_from(WALL_CONFIGS),
+        budget=st.sampled_from(BUDGETS),
+        data=st.data(),
+    )
+    def test_sign_and_rounding_edges_match_the_oracles(self, n, m, kinds, bits, dtype, seed,
+                                                       wall_cfg, budget, data):
+        """Exact ties, +0.0 and -0.0, an entry at -qmax * s and subnormal
+        groups: the sign-free profile's max_abs, walls and every SSE equal
+        the signed whole-layer oracle's and the public path's to the bit."""
+        params = QuantParams(bits)
+        g = data.draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+        w = edge_weight(np.random.default_rng(seed), kinds, n, m, g, params.qmax, dtype)
+        schemes = [GroupingScheme.per_group(g)] + self.draw_schemes(m, data)
+        self.check_against_oracles(w, schemes, params, wall_cfg, budget)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving the synth/analyze/plan/quantize pipeline."""
 
+import gc
 import json
 import os
 import subprocess
@@ -502,6 +503,7 @@ class TestQuantizeMemory:
             work = tmp_path / str(blocks)
             work.mkdir()
             m, r, p, mq = run_pipeline(work, blocks=blocks, dim=128, wall_blocks="0")
+            gc.collect()  # no garbage and fresh GC counts: collections fall alike on every run
             tracemalloc.start()
             try:
                 assert main(["quantize", m, "--plan", p, "--out", mq + "-again"]) == 0

@@ -39,7 +39,7 @@ from quantkit import (
     sweep_group_size,
     write_model,
 )
-from quantkit import model_store, planner
+from quantkit import model_store, planner, quantizer
 from quantkit.model_store import atomic_write_bytes, atomic_write_text, blob_path, manifest_path
 
 from oracles import manifest_json
@@ -773,7 +773,7 @@ class CountingTensors(Mapping):
 class TestOnePassAccess:
     """The one-pass stages fetch each layer once and hold few at a time, so
     with open_model their memory follows the block, not the model; and they
-    read each layer's bytes from the blob at most twice."""
+    read each layer's bytes from the blob at most twice (quantize: once)."""
 
     @pytest.fixture
     def opened(self, tmp_path, monkeypatch):
@@ -815,8 +815,8 @@ class TestOnePassAccess:
         apply_plan(manifest, tensors, plan)
         assert tensors.fetches == Counter(dict.fromkeys(names, 1))
         assert tensors.peak == 1 and tensors.live == 0
-        # The group maxima, then the codes: each layer's bytes twice.
-        assert set(self.read_ratios(manifest, tensors).values()) == {2.0}
+        # Each block's one read gives its scales and codes: each layer's bytes once.
+        assert set(self.read_ratios(manifest, tensors).values()) == {1.0}
 
     def test_apply_plan_on_two_threads_holds_a_layer_per_thread(self, opened, monkeypatch):
         manifest, tensors = opened
@@ -826,7 +826,7 @@ class TestOnePassAccess:
         apply_plan(manifest, tensors, plan)
         assert tensors.fetches == Counter(dict.fromkeys(names, 1))
         assert tensors.peak <= 2 and tensors.live == 0
-        assert set(self.read_ratios(manifest, tensors).values()) == {2.0}
+        assert set(self.read_ratios(manifest, tensors).values()) == {1.0}
 
     def test_write_model_streams_the_quantized_view_one_layer_at_a_time(self, opened, tmp_path):
         manifest, tensors = opened
@@ -835,7 +835,7 @@ class TestOnePassAccess:
         write_model(*quantized_view(manifest, tensors, plan), tmp_path / "q")
         assert tensors.fetches == Counter(dict.fromkeys(names, 1))
         assert tensors.peak == 1 and tensors.live == 0
-        assert set(self.read_ratios(manifest, tensors).values()) == {2.0}
+        assert set(self.read_ratios(manifest, tensors).values()) == {1.0}
 
     def test_write_model_streams_the_quantized_view_on_two_threads(self, opened, tmp_path,
                                                                    monkeypatch):
@@ -846,8 +846,8 @@ class TestOnePassAccess:
         write_model(*quantized_view(manifest, tensors, plan), tmp_path / "q")
         assert tensors.fetches == Counter(dict.fromkeys(names, 1))
         assert tensors.peak <= 2 and tensors.live == 0
-        # The group maxima, then the codes block by block: each layer's bytes twice.
-        assert set(self.read_ratios(manifest, tensors).values()) == {2.0}
+        # Each block read once, for its scales and codes: each layer's bytes once.
+        assert set(self.read_ratios(manifest, tensors).values()) == {1.0}
 
     def test_threshold_sweep_fetches_a_selected_layer_at_most_twice(self, opened, monkeypatch):
         manifest, tensors = opened
@@ -866,12 +866,57 @@ class TestOnePassAccess:
         assert {ratios[name] for name in selected} == {2.0}
 
 
+class TestOnePassErrors:
+    """A quantized layer is read once, block by block, and its errors come
+    from the failing block, after earlier blocks' codes may have been
+    written: the error names the layer and leaves every file as it was."""
+
+    LAYER = "blocks.1.q"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "bad,source,grouping,match",
+        [
+            (np.nan, "open_model", 8, "weight contains NaN or Inf"),
+            (1e-44, "open_model", 1,
+             f"nonzero max_abs {float(np.float32(1e-44))!r} underflows its float32 scale to 0"),
+            (1e39, "dict", None, "max_abs 1e+39 exceeds the float32 range of scales"),
+        ],
+        ids=["nan", "underflow", "overflow"],
+    )
+    def test_bad_value_in_the_last_block(self, tmp_path, monkeypatch, threads, bad, source,
+                                         grouping, match):
+        manifest, tensors = generate(SynthConfig(blocks=2, dim=32, wall_blocks=(0,), seed=9))
+        layer = tensors[self.LAYER].astype(np.float64 if source == "dict" else np.float32)
+        layer[-1, 5] = bad  # the last row: with blocks of 4 rows, the eighth block
+        tensors = dict(tensors, **{self.LAYER: layer})
+        if source == "open_model":
+            write_model(manifest, tensors, tmp_path / "m")
+            manifest, tensors = open_model(tmp_path / "m")
+        plan = QuantPlan({rec.name: GroupingScheme.per_channel() if grouping is None
+                          else GroupingScheme.per_group(grouping)
+                          for rec in manifest.layer_records()}, 8, 8)
+        out = tmp_path / "q"
+        out.with_suffix(".bin").write_bytes(b"old blob")
+        out.with_suffix(".manifest.json").write_bytes(b"old manifest")
+        before = sorted(os.listdir(tmp_path))
+        monkeypatch.setenv("QUANTKIT_THREADS", threads)
+        monkeypatch.setattr(quantizer, "_BLOCK", 128)
+        assert len(quantizer._row_blocks(32, 32)) == 8
+        with pytest.raises(ValueError, match="^layer 'blocks\\.1\\.q': " + re.escape(match)):
+            write_model(*quantized_view(manifest, tensors, plan), out)
+        assert sorted(os.listdir(tmp_path)) == before
+        assert out.with_suffix(".bin").read_bytes() == b"old blob"
+        assert out.with_suffix(".manifest.json").read_bytes() == b"old manifest"
+
+
 class TestParallelWrites:
     def test_many_threads_write_the_bytes_of_one(self, tmp_path, monkeypatch):
         """More writer threads than cores, switching often.  Each layer's
-        scales pass from its row source to its scale record through the
-        view's shared slots: a lost slot update would quantize the layer
-        again (a quantize_weight call) and fetch it twice."""
+        scales pass from its row source to its scale record, written by the
+        same task: a scale record looked up through the view instead would
+        quantize the layer again (a quantize_weight call) and fetch it
+        twice."""
         cfg = SynthConfig(blocks=6, dim=48, wall_blocks=(0, 3), wall_columns_per_layer=1, seed=5)
         write_model(*generate(cfg), tmp_path / "m")
         manifest, opened = open_model(tmp_path / "m")

@@ -458,15 +458,11 @@ class TestQuantizedView:
         qmanifest, _ = quantized_view(manifest, {}, plan)  # a lookup would be a KeyError
         assert qmanifest == apply_plan(manifest, tensors, plan)[0]
 
-    def test_record_order_pass_quantizes_each_layer_once(self, wall_model, wall_metrics,
-                                                         counted):
-        manifest, tensors = wall_model
-        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
-        _, view = quantized_view(manifest, tensors, plan)
-        assert len(view) == 2 * len(manifest.records) and len(dict(view)) == len(view)
-        assert len(counted) == len(manifest.records)
-
-    def test_out_of_order_lookups_quantize_again(self, wall_model, wall_metrics, counted):
+    def test_every_lookup_quantizes_its_layer(self, wall_model, wall_metrics, counted):
+        """The view keeps no scales between lookups: a lookup of a layer or
+        of its scale record quantizes that layer, in any order, so a
+        record-order pass quantizes each layer twice.  (write_model takes a
+        layer's scales from its row source instead; see TestParallelWrites.)"""
         manifest, tensors = wall_model
         plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
         _, expected = apply_plan(manifest, tensors, plan)
@@ -476,7 +472,10 @@ class TestQuantizedView:
         lookups = [sname, name, sname, sname, name, "blocks.1.q", sname]
         for key in lookups:
             assert np.array_equal(view[key], expected[key]), key
-        assert len(counted) == 6  # only the scales lookup right after its layer reuses it
+        assert len(counted) == len(lookups)
+        counted.clear()
+        assert len(view) == 2 * len(manifest.records) and len(dict(view)) == len(view)
+        assert len(counted) == len(view)
 
     def test_lookup_errors_name_the_layer(self, wall_model, wall_metrics):
         manifest, tensors = wall_model

@@ -26,6 +26,7 @@ from quantkit import (
     quantizer,
 )
 
+from edge_values import KINDS, edge_values, edge_weight
 from oracles import (
     scalar_quantize_activation,
     scalar_quantize_dequantize,
@@ -278,6 +279,32 @@ class TestBlockedQuantizeWeight:
         assert qt.scales.dtype == scales.dtype and qt.scales.shape == scales.shape
         assert qt.scales.tobytes() == scales.tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        m=st.sampled_from([1, 4, 12, 64, 130]),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+        bits=st.integers(2, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.sampled_from([None, 128, 256]),
+        data=st.data(),
+    )
+    def test_sign_and_rounding_edges_match_whole_layer_oracle(self, n, m, kinds, bits, dtype,
+                                                               seed, budget, data):
+        """Exact ties, +0.0 and -0.0, an entry at -qmax * s and subnormal
+        groups: the magnitude encoder's codes and scales equal the signed
+        whole-layer oracle's to the bit."""
+        params = QuantParams(bits)
+        g = data.draw(st.sampled_from([d for d in range(1, m + 1) if m % d == 0]))
+        w = edge_weight(np.random.default_rng(seed), kinds, n, m, g, params.qmax, dtype)
+        scheme = GroupingScheme.per_channel() if g == m else GroupingScheme.per_group(g)
+        with mock.patch.object(quantizer, "_BLOCK", budget or quantizer._BLOCK):
+            qt = quantize_weight(w, scheme, params)
+        codes, scales = whole_layer_quantize_weight(w, scheme, params)
+        assert qt.values.dtype == codes.dtype and qt.values.tobytes() == codes.tobytes()
+        assert qt.scales.shape == scales.shape and qt.scales.tobytes() == scales.tobytes()
+
     @pytest.mark.parametrize("budget", [128, 256, 1000])
     @pytest.mark.parametrize("extra_rows", [0, 1])
     @pytest.mark.parametrize("g", [None, 2])
@@ -353,43 +380,10 @@ class TestQuantizeActivation:
         with pytest.raises(ValueError, match="activation contains NaN or Inf"):
             quantize_activation(a, P8)
 
-    @staticmethod
-    def _column(rng, kind, m, qmax, dtype):
-        """One activation column of the given kind; every kind's values are
-        exact in ``dtype``."""
-        sign = rng.choice([-1.0, 1.0], m)
-        if kind == "zero":
-            return np.zeros(m)
-        if kind == "neg_zero":
-            return np.full(m, -0.0)
-        if kind == "subnormal":
-            # float32-subnormal magnitudes whose scale does not underflow.
-            return rng.integers(127, 4000, m) * sign * 2.0**-149
-        if kind == "ties" and dtype == np.float64:
-            # Any float32 scale s: (k + 0.5) * s is exact in float64, so
-            # x / s lands exactly on the tie.
-            top = float(np.float32(rng.uniform(0.01, 100.0)))
-            s = float(np.float32(top) / np.float32(qmax))
-            col = (rng.integers(0, qmax, m) + 0.5) * s * sign
-            col[rng.integers(m)] = top
-            return col
-        if kind == "ties":
-            # A power-of-two scale keeps the ties exact in float32 too.
-            s = 2.0 ** int(rng.integers(-30, 30))
-            col = (rng.integers(0, qmax, m) + 0.5) * s * sign
-            col[rng.integers(m)] = -qmax * s
-            return col
-        col = rng.normal(0, 1, m) * 10.0 ** rng.uniform(-3, 3)
-        col[rng.random(m) < 0.2] = -0.0
-        return col
-
     @settings(max_examples=150, deadline=None)
     @given(
         m=st.integers(1, 12),
-        kinds=st.lists(
-            st.sampled_from(["normal", "ties", "zero", "neg_zero", "subnormal"]),
-            min_size=1, max_size=6,
-        ),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
         bits=st.integers(2, 8),
         dtype=st.sampled_from([np.float32, np.float64]),
         seed=st.integers(0, 2**32 - 1),
@@ -397,7 +391,7 @@ class TestQuantizeActivation:
     def test_matches_scalar_oracle(self, m, kinds, bits, dtype, seed):
         rng = np.random.default_rng(seed)
         qmax = QuantParams(bits).qmax
-        a = np.stack([self._column(rng, k, m, qmax, dtype) for k in kinds], axis=1).astype(dtype)
+        a = np.stack([edge_values(rng, k, m, qmax, dtype) for k in kinds], axis=1).astype(dtype)
         qt = quantize_activation(a, QuantParams(bits))
         codes, scales = scalar_quantize_activation(a, bits)
         assert qt.values.dtype == np.int8 and qt.values.tolist() == codes
