@@ -21,7 +21,7 @@ becomes a ``GroupingScheme``, and each ``byte_offset``.  Records carry no
 offsets: ``ModelManifest`` places them in record order, and a file's
 ``byte_offset`` values must equal those places.  ``ModelManifest`` then
 checks the model as a whole (names, canonical layers, and each quantized
-record's scale record) once.
+record's scale record, which it maps to its owner) once.
 
 One reader turns blob bytes into arrays.  ``open_model`` parses the
 manifest, checks the layout against the blob's size before any byte is
@@ -41,10 +41,10 @@ at its place in the blob's temp file (``ModelManifest.byte_offset``) with
 positional writes, one row block at a time from ``row_source``, on up to
 QUANTKIT_THREADS threads (``_map_in_order``).  So a mapping that computes
 records on lookup (``planner.quantized_view``) is written one row block
-per thread, and the bytes do not depend on the thread count.  A
-quantized record's task also writes its scale record, after the record's
-last block: a computed layer's row source fills in its scales as its
-blocks are read, and carries them.  The blob is
+per thread, and the bytes do not depend on the thread count.  A scale
+record is written by its owner's task (``ModelManifest.scale_owner``),
+after the owner's last block: a computed layer's row source fills in
+its scales as its blocks are read, and carries them.  The blob is
 renamed into place before the manifest, so a record that fails changes
 neither file.  The manifest text is written for its fixed schema
 (``_manifest_text``), equal byte for byte to ``json.dumps(obj,
@@ -268,9 +268,12 @@ class ModelManifest:
                 f"non-aux records must be exactly the {KINDS_PER_BLOCK * self.blocks} "
                 f"canonical layers; missing={missing[:5]} extra={extra[:5]}"
             )
+        owners: dict[str, TensorRecord] = {}
         for rec in self.records:
             if not rec.aux and rec.dtype == "int8":
                 _check_quantized(rec, by_name)
+                owners[rec.scale_ref] = rec
+        object.__setattr__(self, "_scale_owners", owners)
 
     @property
     def blob_nbytes(self) -> int:
@@ -282,6 +285,10 @@ class ModelManifest:
     def byte_offset(self, name: str) -> int:
         """Where the named record starts in the blob."""
         return self._offsets[name]
+
+    def scale_owner(self, name: str | None) -> TensorRecord | None:
+        """The quantized record owning scale record ``name`` (the last to name it), or None."""
+        return self._scale_owners.get(name)
 
     def layer_index(self, name: str) -> int:
         parsed = parse_layer_name(name)
@@ -307,7 +314,7 @@ class ModelManifest:
         _require_kind(raw, list, "manifest 'records'")
         manifest = cls(blocks=obj.get("blocks"), records=[TensorRecord.from_json(r) for r in raw])
         for entry, rec in zip(raw, manifest.records):
-            offset, expect = entry.get("byte_offset"), manifest._offsets[rec.name]
+            offset, expect = entry.get("byte_offset"), manifest.byte_offset(rec.name)
             if type(offset) is not int:
                 _require_kind(offset, int, f"tensor record {rec.name!r}: 'byte_offset'")
             if offset != expect:
@@ -328,14 +335,13 @@ def _manifest_text(manifest: ModelManifest) -> str:
     integers print as ``json`` prints them.  Keys appear in sorted order.
     """
     records = []
-    offset = 0
     for rec in manifest.records:
         fields = []
         if rec.aux:
             fields.append('"aux": true')
         if rec.bits is not None:
             fields.append('"bits": %d' % rec.bits)
-        fields.append('"byte_offset": %d' % offset)
+        fields.append('"byte_offset": %d' % manifest.byte_offset(rec.name))
         fields.append('"dtype": ' + _encode_str(rec.dtype))
         grouping = rec.grouping
         if grouping is not None:
@@ -348,7 +354,6 @@ def _manifest_text(manifest: ModelManifest) -> str:
             fields.append('"scale_ref": ' + _encode_str(rec.scale_ref))
         fields.append('"shape": [\n        %d,\n        %d\n      ]' % rec.shape)
         records.append("    {\n      " + ",\n      ".join(fields) + "\n    }")
-        offset += rec.nbytes
     return ('{\n  "blocks": %d,\n  "records": [\n' % manifest.blocks + ",\n".join(records)
             + '\n  ],\n  "version": %d\n}\n' % MANIFEST_VERSION)
 
@@ -439,20 +444,17 @@ class _BlobWriter:
     Each record is looked up once, as ``row_source(tensors, name)``,
     checked against its manifest entry and written at its byte offset, row
     block by row block (``_row_blocks``), so a task holds one block of its
-    record.  Records are tasks on the QUANTKIT_THREADS pool.  A quantized
-    record's scale record is written by that record's task, after its last
-    block: from the record's row source when it carries ``scales`` (a layer
-    that ``planner.quantized_view`` quantizes block by block as it is read,
-    whose scales are complete only then), else looked up itself.
+    record.  Records are tasks on the QUANTKIT_THREADS pool; a scale record
+    is written by its owner's task (``ModelManifest.scale_owner``) after the
+    owner's last block, from the owner's row source if it carries ``scales``
+    (a layer ``planner.quantized_view`` quantizes block by block as it is
+    read, whose scales are complete only then), else looked up itself.
     """
 
     def __init__(self, manifest: ModelManifest, tensors: Mapping[str, np.ndarray]):
         self._manifest = manifest
         self._tensors = tensors
-        owner = {rec.scale_ref: rec.name for rec in manifest.records  # scale -> its writer
-                 if not rec.aux and rec.dtype == "int8"}
-        self._scale_of = {layer: scale for scale, layer in owner.items()}
-        self._tasks = [rec for rec in manifest.records if rec.name not in owner]
+        self._tasks = [rec for rec in manifest.records if not manifest.scale_owner(rec.name)]
 
     def __len__(self) -> int:
         return self._manifest.blob_nbytes
@@ -475,8 +477,8 @@ class _BlobWriter:
         for b in _row_blocks(*rec.shape):
             block = np.ascontiguousarray(read(b.start, b.stop))
             written += _pwrite_all(fd, block, block.nbytes, offset + written)
-        scale = self._scale_of.get(rec.name)
-        if scale is not None:
+        scale = rec.scale_ref
+        if self._manifest.scale_owner(scale) is rec:
             written += self._write(fd, self._manifest.record(scale), getattr(src, "scales", None))
         return written
 

@@ -15,15 +15,16 @@ gives the block's scales and its codes, whose magnitudes come from the
 same ``|w|`` (see ``quantizer``), and the source keeps the layer's scales
 as it goes.  ``model_store.write_model`` writes that view through the row
 sources, holding one row block per thread, and writes a layer's scale
-record after its last block; ``apply_plan`` keeps every record,
-quantizing the layers on the QUANTKIT_THREADS pool and laying them out in
-record order.
+record (``ModelManifest.scale_owner``) after its last block;
+``apply_plan`` keeps every record, quantizing the layers on the
+QUANTKIT_THREADS pool and laying them out in record order.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from collections.abc import Mapping
 from typing import Callable, Sequence
 
@@ -59,7 +60,6 @@ from .quantizer import (
 )
 
 PLAN_VERSION = 1
-SCALE_SUFFIX = ".scales"
 
 DEFAULT_GROUP_SIZE = 1024
 DEFAULT_MAX_ABS_THRESHOLD = 2.0
@@ -86,6 +86,8 @@ class PlanConfig:
         modes = sum(x is not None for x in (self.max_abs_threshold, self.top_k, self.explicit))
         if modes != 1:
             raise ValueError("exactly one selection mode must be set")
+        if self.max_abs_threshold is not None and math.isnan(self.max_abs_threshold):
+            raise ValueError("max_abs_threshold must be a number, got nan")
         if self.top_k is not None and self.top_k < 0:
             raise ValueError("top_k must be non-negative")
         if self.group_size < 1:
@@ -96,15 +98,30 @@ class PlanConfig:
 class QuantPlan:
     """Per-layer grouping assignment, ordered by layer index.
 
-    ``fallbacks`` records layers whose requested group size did not
-    divide their input dimension and was replaced by the largest divisor
-    not exceeding it.
+    The constructor checks ``group_size`` (an integer >= 1) and ``bits``
+    (in [2, 8]), for plans built in Python and plans read from a file alike.
     """
 
     assignments: dict[str, GroupingScheme]
     group_size: int
     bits: int
-    fallbacks: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        _require_kind(self.group_size, int, "plan 'group_size'")
+        _require_kind(self.bits, int, "plan 'bits'")
+        if self.group_size < 1:
+            raise ValueError(f"plan 'group_size' must be positive, got {self.group_size!r}")
+        try:
+            QuantParams(self.bits)
+        except ValueError as exc:
+            raise ValueError(f"plan 'bits': {exc}") from None
+
+    @property
+    def fallbacks(self) -> dict[str, int]:
+        """Layer -> size of each per-group assignment whose size is not
+        ``group_size`` (``build_plan``'s largest-divisor fallbacks)."""
+        return {name: s.group_size for name, s in self.assignments.items()
+                if s.is_per_group and s.group_size != self.group_size}
 
     @property
     def per_group_fraction(self) -> float:
@@ -121,8 +138,8 @@ class QuantPlan:
             "assignments": {name: s.to_json() for name, s in self.assignments.items()},
             "per_group_fraction": self.per_group_fraction,
         }
-        if self.fallbacks:
-            obj["fallbacks"] = dict(sorted(self.fallbacks.items()))
+        if fallbacks := self.fallbacks:
+            obj["fallbacks"] = fallbacks
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
     @classmethod
@@ -136,18 +153,9 @@ class QuantPlan:
         version = obj.get("version")
         if not _is_kind(version, int) or version != PLAN_VERSION:
             raise ValueError(f"unsupported plan version {version!r}")
-        for key, kind in (("group_size", int), ("bits", int), ("assignments", dict)):
-            _require_kind(obj.get(key), kind, f"plan {key!r}")
-        if obj["group_size"] < 1:
-            raise ValueError(f"plan 'group_size' must be positive, got {obj['group_size']!r}")
-        try:
-            QuantParams(obj["bits"])
-        except ValueError as exc:
-            raise ValueError(f"plan 'bits': {exc}") from None
+        _require_kind(obj.get("assignments"), dict, "plan 'assignments'")
         fallbacks = obj.get("fallbacks", {})
         _require_kind(fallbacks, dict, "plan 'fallbacks'")
-        for name, size in fallbacks.items():
-            _require_kind(size, int, f"plan fallback for {name!r}")
         try:
             assignments = {
                 name: GroupingScheme.from_json(desc) for name, desc in obj["assignments"].items()
@@ -155,12 +163,12 @@ class QuantPlan:
         except ValueError as exc:
             raise ValueError(f"malformed plan JSON: {exc}") from exc
         for name, size in fallbacks.items():
+            _require_kind(size, int, f"plan fallback for {name!r}")
             scheme = assignments.get(name)
             if scheme is None or not scheme.is_per_group or scheme.group_size != size:
                 raise ValueError(f"plan fallback for {name!r} is {size}, but its assignment is "
                                  f"{scheme.to_json() if scheme else None}")
-        plan = cls(assignments=assignments, group_size=obj["group_size"], bits=obj["bits"],
-                   fallbacks=fallbacks)
+        plan = cls(assignments=assignments, group_size=obj.get("group_size"), bits=obj.get("bits"))
         if "per_group_fraction" in obj:
             fraction = obj["per_group_fraction"]
             _require_kind(fraction, float, "plan 'per_group_fraction'")
@@ -198,8 +206,8 @@ def build_plan(metrics: list[LayerMetrics], cfg: PlanConfig) -> QuantPlan:
 
     The bit width comes from the metrics, which must agree on it.  When
     the group size does not divide a selected layer's column count, the
-    size falls back to the largest divisor and the layer is listed in the
-    plan's fallbacks.
+    size falls back to the largest divisor, which makes the layer one of
+    the plan's fallbacks.
     """
     if not metrics:
         raise ValueError("metrics must be non-empty")
@@ -214,23 +222,16 @@ def build_plan(metrics: list[LayerMetrics], cfg: PlanConfig) -> QuantPlan:
         lambda: [m.max_abs for m in ordered],
         lambda: [m.rmse for m in ordered],
     )
-    assignments: dict[str, GroupingScheme] = {}
-    fallbacks: dict[str, int] = {}
-    for m in ordered:
-        if m.name not in selected:
-            assignments[m.name] = GroupingScheme.per_channel()
-            continue
-        g = fit_group_size(m.cols, cfg.group_size)
-        if g != cfg.group_size:
-            fallbacks[m.name] = g
-        assignments[m.name] = GroupingScheme.per_group(g)
-    return QuantPlan(
-        assignments=assignments, group_size=cfg.group_size, bits=params.bits, fallbacks=fallbacks
-    )
+    assignments = {
+        m.name: (GroupingScheme.per_group(fit_group_size(m.cols, cfg.group_size))
+                 if m.name in selected else GroupingScheme.per_channel())
+        for m in ordered
+    }
+    return QuantPlan(assignments=assignments, group_size=cfg.group_size, bits=params.bits)
 
 
 def scale_record_name(name: str) -> str:
-    return name + SCALE_SUFFIX
+    return name + ".scales"
 
 
 class _CodeRows:
@@ -259,10 +260,10 @@ class _CodeRows:
 
 class _QuantizedView(Mapping):
     """Name -> array mapping over a quantized model that quantizes a layer
-    when it, or its scale record, is looked up, or, through
-    ``row_source``, gives its codes one row block at a time, each block
-    read once.  The view keeps nothing: every lookup quantizes its layer,
-    and a layer's row source carries the layer's scales itself."""
+    when it, or its scale record (``scale_owner``), is looked up, or,
+    through ``row_source``, gives its codes one row block at a time, each
+    block read once.  The view keeps nothing: every lookup quantizes its
+    layer, and a layer's row source carries the layer's scales itself."""
 
     def __init__(self, qmanifest: ModelManifest, tensors: Mapping[str, np.ndarray],
                  params: QuantParams):
@@ -277,15 +278,6 @@ class _QuantizedView(Mapping):
             raise ValueError(f"layer {rec.name!r}: {exc}") from None
         return qt.values, qt.scales.reshape(rec.shape[0], -1)
 
-    def _owner(self, rec: TensorRecord) -> TensorRecord | None:
-        """The layer whose scale record the aux record ``rec`` is, or None
-        for an aux record of the source, which passes through."""
-        try:
-            layer = self._manifest.record(rec.name.removesuffix(SCALE_SUFFIX))
-        except KeyError:
-            return None
-        return layer if layer.scale_ref == rec.name else None
-
     def row_source(self, name: str):
         """The named record as a row source.  A layer's is its codes
         (``_CodeRows``), which quantizes each row block as it is read and
@@ -294,7 +286,8 @@ class _QuantizedView(Mapping):
         it passes through."""
         rec = self._manifest.record(name)
         if rec.aux:
-            return self[name] if self._owner(rec) else row_source(self._tensors, name)
+            owned = self._manifest.scale_owner(name) is not None
+            return self[name] if owned else row_source(self._tensors, name)
         try:
             src = _as_rows(row_source(self._tensors, name), "weight")
         except ValueError as exc:
@@ -303,12 +296,11 @@ class _QuantizedView(Mapping):
         return _CodeRows(name, src, groups, self._params)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        rec = self._manifest.record(name)
-        layer = self._owner(rec) if rec.aux else rec
-        if layer is None:
+        layer = self._manifest.scale_owner(name) or self._manifest.record(name)
+        if layer.aux:  # a source aux record, which passes through
             return self._tensors[name]
         values, scales = self._quantize(layer)
-        return scales if rec.aux else values
+        return values if layer.name == name else scales
 
     def __iter__(self):
         return (rec.name for rec in self._manifest.records)

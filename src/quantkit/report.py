@@ -36,8 +36,15 @@ class TaskResult:
 @dataclass(frozen=True)
 class EvalSummary:
     tasks: tuple[TaskResult, ...]
-    avg: float
-    wt_avg: float
+
+    @property
+    def avg(self) -> float:
+        return sum(t.accuracy for t in self.tasks) / len(self.tasks)
+
+    @property
+    def wt_avg(self) -> float:
+        return (sum(t.accuracy * t.question_count for t in self.tasks)
+                / sum(t.question_count for t in self.tasks))
 
 
 def aggregate_accuracy(tasks: Iterable[TaskResult | Sequence]) -> EvalSummary:
@@ -58,7 +65,4 @@ def aggregate_accuracy(tasks: Iterable[TaskResult | Sequence]) -> EvalSummary:
         if t.name in seen:
             raise ValueError(f"task {t.name!r} is listed more than once")
         seen.add(t.name)
-    total_questions = sum(t.question_count for t in normalized)
-    avg = sum(t.accuracy for t in normalized) / len(normalized)
-    wt_avg = sum(t.accuracy * t.question_count for t in normalized) / total_questions
-    return EvalSummary(tasks=normalized, avg=avg, wt_avg=wt_avg)
+    return EvalSummary(tasks=normalized)

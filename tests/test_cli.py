@@ -13,15 +13,19 @@ import pytest
 import quantkit
 from quantkit import (
     GroupingScheme,
+    QuantParams,
     QuantPlan,
     SynthConfig,
+    WallDetectorConfig,
     apply_plan,
     dequantize,
     generate,
     open_model,
+    profile_model,
     read_model,
     write_model,
 )
+from quantkit.analyzer import metrics_csv_text
 from quantkit.cli import main
 from quantkit.model_store import blob_path, manifest_path
 from quantkit.planner import read_quantized_layer
@@ -113,6 +117,60 @@ class TestSynthAnalyze:
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    SYNTH_BASE = ["--blocks", "2", "--dim", "16", "--seed", "5", "--wall-blocks", "0"]
+
+    @pytest.mark.parametrize(
+        "flags,settings",
+        [
+            pytest.param(["--base-std", "0.05"], {"base_std": 0.05}, id="base_std"),
+            pytest.param(["--wall-magnitude", "10,20"], {"wall_magnitude": [10.0, 20.0]},
+                         id="wall_magnitude"),
+            pytest.param(["--per-layer-wall-columns"], {"shared_wall_columns": False},
+                         id="per_layer_wall_columns"),
+            pytest.param(["--kv-divisor", "2"], {"kv_dim_divisor": 2}, id="kv_divisor"),
+            pytest.param(["--wall-columns", "2"], {"wall_columns_per_layer": 2},
+                         id="wall_columns"),
+            pytest.param(["--wall-kinds", "q,up"], {"wall_kinds": ["q", "up"]}, id="wall_kinds"),
+        ],
+    )
+    def test_synth_flag_writes_what_its_config_setting_writes(self, tmp_path, flags, settings):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(settings))
+        stems = {name: str(tmp_path / name) for name in ("flag", "config", "base")}
+        assert main(["synth", *self.SYNTH_BASE, *flags, "--out", stems["flag"]]) == 0
+        assert main(["synth", *self.SYNTH_BASE, "--config", str(cfg_path),
+                     "--out", stems["config"]]) == 0
+        assert main(["synth", *self.SYNTH_BASE, "--out", stems["base"]]) == 0
+        assert pair_bytes(stems["flag"]) == pair_bytes(stems["config"])
+        assert pair_bytes(stems["flag"]) != pair_bytes(stems["base"])
+
+    @pytest.mark.parametrize(
+        "flags,wall_cfg",
+        [
+            pytest.param(["--wall-abs-threshold", "5"], WallDetectorConfig.absolute(5.0),
+                         id="abs_threshold"),
+            pytest.param(["--wall-rms-mult", "3"], WallDetectorConfig(rms_multiplier=3.0),
+                         id="rms_mult"),
+            pytest.param(["--wall-rms-mult", "3", "--wall-row-fraction", "0.1"],
+                         WallDetectorConfig(rms_multiplier=3.0, row_fraction=0.1),
+                         id="row_fraction"),
+            pytest.param(["--wall-abs-threshold", "0.05", "--wall-row-fraction", "0.1"],
+                         WallDetectorConfig.absolute(0.05, row_fraction=0.1),
+                         id="abs_row_fraction"),
+        ],
+    )
+    def test_analyze_wall_flags_profile_with_their_config(self, tmp_path, flags, wall_cfg):
+        # Each case's last flag changes the CSV that the flags before it give.
+        m = str(tmp_path / "m")
+        assert main(["synth", *self.SYNTH_BASE, "--out", m]) == 0
+        r, without = tmp_path / "r.csv", tmp_path / "without.csv"
+        assert main(["analyze", m, *flags, "--out", str(r)]) == 0
+        assert main(["analyze", m, *flags[:-2], "--out", str(without)]) == 0
+        manifest, tensors = read_model(m)
+        expected = metrics_csv_text(profile_model(manifest, tensors, QuantParams(8), wall_cfg))
+        assert r.read_text() == expected
+        assert expected != without.read_text()
 
     def test_synth_no_walls(self, tmp_path):
         m = str(tmp_path / "m")
@@ -364,6 +422,21 @@ class TestExitCodes:
         assert err.startswith("error: layer 'blocks.0.v': weight contains NaN"), err
         assert [(tmp_path / name).read_bytes() for name in ("mq.manifest.json", "mq.bin")] == old
         assert not list(tmp_path.glob(".tmp-*"))
+
+    def test_nan_selection_threshold_is_an_error(self, tmp_path, capsys):
+        m, r = str(tmp_path / "m"), str(tmp_path / "r.csv")
+        assert main(["synth", "--blocks", "2", "--dim", "16", "--seed", "1",
+                     "--wall-blocks", "0", "--out", m]) == 0
+        assert main(["analyze", m, "--out", r]) == 0
+        capsys.readouterr()
+        for argv, out in (
+            (["plan", r, "--group-size", "4"], tmp_path / "p.json"),
+            (["sweep", m, "--sizes", "4"], tmp_path / "s.csv"),
+        ):
+            assert main([*argv, "--max-abs-threshold", "nan", "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: max_abs_threshold must be a number, got nan\n"
+            assert captured.out == "" and not out.exists()
 
     def test_validation_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "p.json"

@@ -385,6 +385,37 @@ class TestQuantizedRecordContract:
         manifest, _ = read_model(tmp_path / "q")
         assert manifest.record("blocks.0.q").scale_ref == "blocks.0.q.s"
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_a_scale_record_two_layers_name_is_written_once_by_the_last(
+            self, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("QUANTKIT_THREADS", threads)
+        manifest, tensors = tiny_model()
+        pc = GroupingScheme.per_channel()
+        shared = TensorRecord(name="shared.s", shape=(4, 1), dtype="fp32", aux=True)
+        quantized = {name: TensorRecord(name=name, shape=(4, 4), dtype="int8",
+                                        scale_ref=shared.name, grouping=pc, bits=8)
+                     for name in ("blocks.0.q", "blocks.0.k")}
+        manifest = ModelManifest(1, [quantized.get(r.name, r) for r in manifest.records]
+                                 + [shared])
+        assert manifest.scale_owner("shared.s") is manifest.record("blocks.0.k")
+        assert manifest.scale_owner("blocks.0.k") is None
+        assert manifest.scale_owner(None) is None
+        writes = Counter()
+        real_write = model_store._BlobWriter._write
+
+        def counting_write(self, fd, rec, src=None):
+            writes[rec.name] += 1
+            return real_write(self, fd, rec, src)
+
+        monkeypatch.setattr(model_store._BlobWriter, "_write", counting_write)
+        tensors.update({name: np.full((4, 4), 3, np.int8) for name in quantized},
+                       **{shared.name: np.arange(1, 5, dtype=np.float32).reshape(4, 1)})
+        write_model(manifest, tensors, tmp_path / "m")
+        assert set(writes.values()) == {1} and len(writes) == len(manifest.records)
+        again, arrays = read_model(tmp_path / "m")
+        assert again == manifest
+        assert all(arrays[name].tobytes() == arr.tobytes() for name, arr in tensors.items())
+
     @pytest.mark.parametrize(
         "field,value,match",
         [

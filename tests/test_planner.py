@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quantkit import (
     GroupingScheme,
@@ -28,7 +30,7 @@ from quantkit import (
     write_model,
 )
 from quantkit import planner
-from quantkit.model_store import blob_path
+from quantkit.model_store import KIND_ORDER, blob_path, layer_name
 from quantkit.planner import read_quantized_layer, scale_record_name
 
 P8 = QuantParams(8)
@@ -113,6 +115,10 @@ class TestBuildPlan:
             PlanConfig(max_abs_threshold=1.0, top_k=2)
         with pytest.raises(ValueError):
             PlanConfig()
+
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError, match="max_abs_threshold must be a number, got nan"):
+            PlanConfig(max_abs_threshold=float("nan"))
 
     def test_empty_metrics_rejected(self):
         with pytest.raises(ValueError):
@@ -225,6 +231,57 @@ class TestPlanJson:
     def test_non_object_json_rejected(self, text):
         with pytest.raises(ValueError, match="plan JSON must be an object"):
             QuantPlan.from_json_text(text)
+
+    def test_fallbacks_are_derived_when_a_file_lists_none(self, wall_metrics):
+        plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=7))
+        obj = json.loads(plan.to_json_text())
+        del obj["fallbacks"]
+        parsed = QuantPlan.from_json_text(json.dumps(obj))
+        assert parsed.fallbacks == {name: 4 for name in plan.selected_layers()}
+        assert parsed == plan and parsed.to_json_text() == plan.to_json_text()
+
+
+def _fallbacks_of(plan):
+    """The per-group assignments whose size differs from the plan's group size."""
+    return {name: s.group_size for name, s in plan.assignments.items()
+            if s.is_per_group and s.group_size != plan.group_size}
+
+
+LAYER_NAMES = st.builds(layer_name, st.integers(0, 99), st.sampled_from(KIND_ORDER))
+SCHEMES = st.just(PC) | st.integers(1, 2**40).map(GroupingScheme.per_group)
+
+
+class TestPlanConstructor:
+    @pytest.mark.parametrize(
+        "group_size,bits,match",
+        [
+            pytest.param(0, 8, "plan 'group_size' must be positive, got 0", id="zero_size"),
+            pytest.param(True, 8, "plan 'group_size' must be int, got True", id="bool_size"),
+            pytest.param(8, 9, "plan 'bits': bits must be an integer in [2, 8], got 9",
+                         id="bits_9"),
+            pytest.param(8, 8.0, "plan 'bits' must be int, got 8.0", id="float_bits"),
+        ],
+    )
+    def test_bad_field_rejected(self, group_size, bits, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            QuantPlan({"blocks.0.q": PC}, group_size, bits)
+
+    @settings(max_examples=200, deadline=None)
+    @given(assignments=st.dictionaries(LAYER_NAMES, SCHEMES, max_size=8),
+           group_size=st.integers(), bits=st.integers())
+    @example(assignments={"blocks.0.q": PC}, group_size=0, bits=8)
+    @example(assignments={"blocks.0.q": PC}, group_size=8, bits=9)
+    @example(assignments={"blocks.0.q": GroupingScheme.per_group(4)}, group_size=8, bits=8)
+    def test_every_plan_it_accepts_round_trips(self, assignments, group_size, bits):
+        try:
+            plan = QuantPlan(assignments, group_size, bits)
+        except ValueError as exc:
+            assert group_size < 1 or not 2 <= bits <= 8
+            assert str(exc).startswith(("plan 'group_size'", "plan 'bits'"))
+            return
+        again = QuantPlan.from_json_text(plan.to_json_text())
+        assert again == plan
+        assert again.fallbacks == plan.fallbacks == _fallbacks_of(plan)
 
 
 class TestApplyPlan:
