@@ -39,6 +39,7 @@ from .quantizer import (
     _abs64,
     _abs_rows,
     _as_rows,
+    _check_bits,
     _finite_max,
     _group_maxima,
     _magnitudes_into,
@@ -150,7 +151,8 @@ def _profile_layer(
     magnitudes mag of |x| (quantizer._magnitudes_into), whose square is
     (x - q*s)**2 to the bit, and the wall RMS sums |x|**2.  Wall columns
     are counted afterwards, reading the rows again block by block, against
-    the threshold from the summed squares.
+    the threshold from the summed squares; a layer whose max |w| is not
+    above the threshold has none, and is not read again.
     """
     src = _as_rows(w, "weight")
     n, m = src.shape
@@ -188,20 +190,26 @@ def _profile_layer(
         return sums
 
     sums = _pairwise(0, n * m, leaf)
+    max_abs = float(max(maxima))
     walls = None
     if wall_cfg is not None:
         if rms_threshold:
             threshold = wall_cfg.rms_multiplier * float(np.sqrt(sums[-1] / (n * m)))
         else:
             threshold = float(wall_cfg.magnitude_threshold)
-        counts = 0
-        for b in _row_blocks(n, m):
-            absw = _abs_rows(read(b.start, b.stop))
-            counts = counts + np.greater(
-                absw, threshold, out=_scratch("mask", absw.shape, bool)).sum(axis=0)
-        walls = [int(j) for j in np.nonzero(counts >= wall_cfg.row_fraction * n)[0]]
+        walls = []
+        # The count compares |x| in the rows' dtype (a float32 layer against
+        # the threshold rounded to float32); max_abs, which that dtype holds
+        # exactly, compared the same way tells whether any element can count.
+        if np.greater(np.array(max_abs, dtype=src.dtype), threshold):
+            counts = 0
+            for b in _row_blocks(n, m):
+                absw = _abs_rows(read(b.start, b.stop))
+                counts = counts + np.greater(
+                    absw, threshold, out=_scratch("mask", absw.shape, bool)).sum(axis=0)
+            walls = [int(j) for j in np.nonzero(counts >= wall_cfg.row_fraction * n)[0]]
     sse = dict(zip(sizes, sums.tolist()))
-    return float(max(maxima)), walls, [sse[gr.resolved_group_size(m)] for gr in groupings]
+    return max_abs, walls, [sse[gr.resolved_group_size(m)] for gr in groupings]
 
 
 def layer_max_abs(w) -> float:
@@ -356,7 +364,8 @@ def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
     """Parse a metrics CSV back into per-channel LayerMetrics (no group_rmse).
 
     Each row must name a layer once, at the layer_index its name gives, with
-    positive cols, a non-negative wall_count and finite max_abs and rmse_pc;
+    positive cols, bits in [2, 8], a non-negative wall_count and finite
+    max_abs and rmse_pc;
     an error names the row by the file line it ends on.
     """
     rows = _csv_rows(path)
@@ -378,6 +387,10 @@ def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed metrics row at line {line} ({exc!r}): {row!r}") from exc
         where = f"metrics row at line {line} ({m.name!r})"
+        try:
+            _check_bits(m.bits)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         parsed = parse_layer_name(m.name)
         if parsed is None:
             raise ValueError(f"{where}: not a layer name")

@@ -5,25 +5,36 @@ BLAS.  Every partial sum of a product over ``depth`` inner columns is an
 integer no larger than depth * qmax_w * qmax_a, and a float32 significand
 holds every integer up to 2^24, so a float32 product over at most
 2^24 // (qmax_w * qmax_a) columns (1040 at 8 bits) is exact in any
-summation order.  One loop serves both grouping modes: each group of g
-input columns is multiplied in chunks of at most that depth, the chunk
-products are summed exactly in float64, and the group's integer product,
-cast once to float64 (an exact cast), is rescaled in place by the group's
-weight scales and added into a float64 accumulator in ascending group
-order; the column scales are then applied in place.  No step multiplies
-float32 by float64, which numpy would do through a slower mixed-type
-loop.  The accumulator starts at +0.0, so no output is -0.0 even where
-every term is.  The kernel itself therefore
-introduces no rounding: all error in a quantized product comes from
-quantizing the operands.  Per-channel is the single-group case, so a
-per-group weight with g = M gives the same bits as per-channel.
+summation order, whatever blocking or thread count BLAS picks.  One
+routine serves both grouping modes.  The weight codes of the G groups of
+g input columns are the (G, N, g) view ``reshape(N, G, g).transpose(1, 0,
+2)`` of the cast, and the activation rows the (G, g, P) view, so a batch
+of consecutive groups is one stacked ``np.matmul``: a group wider than
+that depth is multiplied in chunks at the same column edges in every
+group, and the chunk products are summed exactly in float64.  A batch
+holds ``max(1, _BLOCK // (N * P))`` groups, so its float32 products take
+at most ``quantizer._BLOCK`` elements (one group's, if that is more), and
+a batch that fits lives in this thread's block scratch
+(``quantizer._scratch``) rather than in fresh memory per call.  The
+batch's integer products are cast once to float64 (an exact cast),
+rescaled in place by their groups' weight scales, and added one group at
+a time into a float64 accumulator, in ascending group order; the column
+scales are then applied in place.  Per-channel is the one-group case,
+one plain product with the same steps, so a per-group weight with g = M
+gives the same bits as per-channel.  No step multiplies float32 by
+float64, which numpy would do through a slower mixed-type loop.  The
+accumulator starts at +0.0, so no output is -0.0 even where every term
+is.  The kernel itself therefore introduces no rounding: all error in a
+quantized product comes from quantizing the operands.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .quantizer import AXIS_COLUMN, AXIS_ROW, QuantizedTensor, _qmax
+from .quantizer import _BLOCK, AXIS_COLUMN, AXIS_ROW, QuantizedTensor, _qmax, _scratch
 
 # Every integer of magnitude up to 2^24 is exact in float32.
 _FLOAT32_EXACT = 2**24
@@ -40,26 +51,59 @@ def _check_operands(wq: QuantizedTensor, aq: QuantizedTensor) -> None:
         )
 
 
+def _exact_product(w: np.ndarray, a: np.ndarray, depth: int) -> np.ndarray:
+    """The integer product ``w @ a`` of float32 codes (plain or stacked),
+    exact: chunks of at most ``depth`` inner columns, each exact in float32,
+    are summed in float64."""
+    inner = w.shape[-1]
+    if inner <= depth:
+        return w @ a
+    part = w[..., :depth] @ a[..., :depth, :]
+    for lo in range(depth, inner, depth):
+        part = np.add(part, w[..., lo : lo + depth] @ a[..., lo : lo + depth, :], dtype=np.float64)
+    return part
+
+
+def _add_groups(acc: np.ndarray, w: np.ndarray, a: np.ndarray, w_scales: np.ndarray,
+                depth: int) -> None:
+    """Add the scaled products of a batch of groups (stacked operands) into
+    ``acc``, one group at a time in ascending order.  A batch of at most
+    _BLOCK products within one chunk is computed in this thread's scratch:
+    a fresh 256-768 KiB temporary per call would be an mmap, or heap growth
+    that is trimmed again, and page-fault on every call."""
+    shape = (w.shape[0], w.shape[1], a.shape[2])
+    if math.prod(shape) <= _BLOCK and w.shape[2] <= depth:
+        parts = _scratch("parts", shape, np.float64)
+        parts[...] = np.matmul(w, a, out=_scratch("parts32", shape, np.float32))
+    else:
+        parts = _exact_product(w, a, depth).astype(np.float64, copy=False)
+    parts *= w_scales
+    for part in parts:
+        acc += part
+
+
 def _matmul(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
     n, m = wq.values.shape
+    p = aq.values.shape[1]
     g = wq.grouping.resolved_group_size(m)
+    groups = m // g
     depth = _FLOAT32_EXACT // (_qmax(wq.bits) * _qmax(aq.bits))
     w = wq.values.astype(np.float32)
     a = aq.values.astype(np.float32)
-    w_scales = wq.scales.astype(np.float64).reshape(n, m // g)
-    acc = np.zeros((n, a.shape[1]), dtype=np.float64)
-    first = min(g, depth)
-    # Column ranges, within a group, of the chunks after the first; empty
-    # unless g > depth.  Their products are summed in float64.
-    more = [(lo, min(lo + depth, g)) for lo in range(depth, g, depth)]
-    for k in range(m // g):
-        s = k * g
-        part = w[:, s : s + first] @ a[s : s + first]
-        for lo, hi in more:
-            part = np.add(part, w[:, s + lo : s + hi] @ a[s + lo : s + hi], dtype=np.float64)
-        part = part.astype(np.float64, copy=False)
-        part *= w_scales[:, k, None]
+    w_scales = wq.scales.astype(np.float64).reshape(n, groups)
+    acc = np.zeros((n, p), dtype=np.float64)
+    if groups == 1:
+        part = _exact_product(w, a, depth).astype(np.float64, copy=False)
+        part *= w_scales
         acc += part
+    else:
+        # Group k's codes are stack[k] (n x g), a strided view of the cast.
+        stack = w.reshape(n, groups, g).transpose(1, 0, 2)
+        a = a.reshape(groups, g, p)
+        w_scales = w_scales.T[:, :, None]
+        batch = max(1, _BLOCK // max(n * p, 1))
+        for k in range(0, groups, batch):
+            _add_groups(acc, stack[k : k + batch], a[k : k + batch], w_scales[k : k + batch], depth)
     acc *= aq.scales.astype(np.float64)
     return acc
 
@@ -79,11 +123,13 @@ def matmul_per_channel(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
 def matmul_per_group(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
     """Multiply a per-group quantized weight by a per-channel activation.
 
-    Each group of g columns is multiplied exactly in float32, in chunks of
-    at most 2^24 // (qmax_w * qmax_a) columns whose integer products are
-    summed in float64, rescaled by its own weight scale, and added into a
-    float64 accumulator; the column scales are applied last.  With g = M
-    this is bit-identical to :func:`matmul_per_channel`.
+    Batches of consecutive groups of g columns are multiplied exactly in
+    float32 as one stacked product, in chunks of at most
+    2^24 // (qmax_w * qmax_a) columns whose integer products are summed in
+    float64; each group's product is rescaled by its own weight scale and
+    added into a float64 accumulator in ascending group order, and the
+    column scales are applied last.  With g = M this is bit-identical to
+    :func:`matmul_per_channel`.
     """
     _check_operands(wq, aq)
     if not wq.grouping.is_per_group:

@@ -388,6 +388,40 @@ class TestDetectWalls:
         with pytest.raises(ValueError):
             WallDetectorConfig(magnitude_threshold=None, rms_multiplier=None)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        m=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        relative=st.booleans(),
+        ulps=st.sampled_from([-1, -0.25, 0, 0.25, 1]),
+        row_fraction=st.sampled_from([0.01, 0.5, 1.0]),
+    )
+    def test_threshold_at_the_layer_max_matches_the_oracle(self, n, m, seed, relative, ulps,
+                                                           row_fraction):
+        # The threshold sits at max |w| or up to one float32 ulp either side;
+        # a quarter ulp is a float64 threshold that rounds to the max in
+        # float32, where the count compares.  The walls must be the
+        # oracle's whether or not the wall pass is skipped.
+        rng = np.random.default_rng(seed)
+        w = rng.normal(0, 1, (n, m)).astype(np.float32)
+        w[:, rng.integers(m)] *= 50.0
+        top = np.abs(w).max()
+        step = float(np.spacing(top))
+        target = (float(np.nextafter(top, np.float32(0 if ulps < 0 else np.inf)))
+                  if abs(ulps) == 1 else float(top) + ulps * step)
+        if relative:
+            rms = float(np.sqrt(np.mean(np.square(w.astype(np.float64)))))
+            cfg = WallDetectorConfig(rms_multiplier=target / rms, row_fraction=row_fraction)
+        else:
+            cfg = WallDetectorConfig.absolute(target, row_fraction=row_fraction)
+        walls = detect_walls(w, cfg)
+        assert walls == whole_layer_profile(w, (), P8, cfg)[1]
+        if ulps > -1:
+            assert walls == []
+        elif row_fraction * n <= 1:  # one element above the threshold is a wall
+            assert walls
+
     @pytest.mark.parametrize("rho", [0.0, 1.5, -0.1])
     def test_row_fraction_range(self, rho):
         with pytest.raises(ValueError):
@@ -507,6 +541,10 @@ class TestCsvAndPlotData:
                          id="zero_cols"),
             pytest.param("wall_count", "-1", r"line 4 \('blocks.0.v'\).*got 16 and -1",
                          id="negative_wall_count"),
+            pytest.param("bits", "9", r"line 4 \('blocks.0.v'\): bits must be an integer in "
+                         r"\[2, 8\], got 9", id="bits_above_eight"),
+            pytest.param("bits", "1", r"line 4 \('blocks.0.v'\): bits must be an integer",
+                         id="bits_below_two"),
             pytest.param("name", "x" * 200_000, r"malformed CSV in .*bad\.csv: field larger",
                          id="field_past_csv_limit"),
         ],

@@ -549,6 +549,9 @@ class TestDamagedInputs:
                          "line 4 ('blocks.0.v'): cols must be positive", id="negative_cols"),
             pytest.param(lambda rows: rows[3].__setitem__(1, "x" * 200_000),
                          "malformed CSV in", id="field_past_csv_limit"),
+            pytest.param(lambda rows: [row.__setitem__(5, "9") for row in rows[1:]],
+                         "line 2 ('blocks.0.q'): bits must be an integer in [2, 8], got 9",
+                         id="bits_nine"),
         ],
     )
     def test_bad_metrics_row_is_a_clean_failure(

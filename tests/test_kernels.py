@@ -1,18 +1,26 @@
 """Quantized matmul kernels against the float64 and int64 references.
 
-Both kernels run one group loop that multiplies the int8 codes exactly in
-float32 chunks of at most 2^24 // (qmax_w * qmax_a) columns and
-accumulates in float64, so a quantized product must equal the grouped
-int64 oracle byte for byte and match the reference product of the
-dequantized operands up to float reassociation; any larger deviation is
-a kernel bug, not quantization error.
+Both kernels multiply the int8 codes exactly in float32 chunks of at most
+2^24 // (qmax_w * qmax_a) columns, a batch of groups per stacked product,
+and accumulate in float64 in ascending group order, so a quantized
+product must equal the grouped int64 oracle byte for byte and match the
+reference product of the dequantized operands up to float reassociation;
+any larger deviation is a kernel bug, not quantization error.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quantkit
 from quantkit import (
     GroupingScheme,
     QuantParams,
@@ -23,6 +31,7 @@ from quantkit import (
     quantize_weight,
     reference_matmul_fp,
 )
+from quantkit.quantizer import _BLOCK, AXIS_COLUMN, AXIS_ROW, QuantizedTensor
 
 from oracles import matmul_descending_k, matmul_grouped_int64
 
@@ -35,6 +44,12 @@ def random_operands(rng, n, m, p, wall_columns=()):
         w[:, c] = rng.uniform(50, 100, n) * rng.choice([-1.0, 1.0], n)
     a = rng.normal(0, 1, (m, p)).astype(np.float32)
     return w, a
+
+
+def batches(n, m, p, g):
+    """Groups per stacked product, and the number of groups, of an
+    (n x m) @ (m x p) product at group size g (the kernel's batch rule)."""
+    return max(1, _BLOCK // (n * p)), m // g
 
 
 def rel_frobenius(x, ref):
@@ -158,6 +173,15 @@ class TestPerGroupKernel:
         )
         assert dev_pg < dev_pc
 
+    @pytest.mark.parametrize("n,p", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_operands_give_an_empty_product(self, n, p):
+        wq = QuantizedTensor(np.zeros((n, 4), np.int8), np.ones((n, 2), np.float32),
+                             GroupingScheme.per_group(2), 8, AXIS_ROW)
+        aq = QuantizedTensor(np.zeros((4, p), np.int8), np.ones(p, np.float32),
+                             GroupingScheme.per_channel(), 8, AXIS_COLUMN)
+        out = matmul_per_group(wq, aq)
+        assert out.shape == (n, p) and out.dtype == np.float64
+
     def test_rejects_per_channel_weight(self):
         wq = quantize_weight(np.ones((2, 4), dtype=np.float32), GroupingScheme.per_channel(), P8)
         aq = quantize_activation(np.ones((4, 2), dtype=np.float32), P8)
@@ -238,6 +262,110 @@ class TestExactAgainstIntegerOracle:
         self._assert_both_kernels_exact(w, a, bits, 8, g)
         self._assert_both_kernels_exact(w, a, 8, bits, g)
 
+    @pytest.mark.parametrize("g", [1, 2, 4, 8])
+    @pytest.mark.parametrize(
+        "n,m,p",
+        [
+            pytest.param(64, 128, 300, id="ragged_batches"),
+            pytest.param(128, 64, 300, id="one_group_per_batch"),
+        ],
+    )
+    def test_several_batches(self, n, m, p, g):
+        batch, groups = batches(n, m, p, g)
+        assert groups > batch and (batch == 1 or groups % batch)
+        rng = np.random.default_rng(g)
+        w, a = random_operands(rng, n, m, p, wall_columns=(5, 77 % m))
+        w *= (10.0 ** rng.uniform(-3, 3, m)).astype(np.float32)
+        self._assert_both_kernels_exact(w, a, 8, 8, g)
+
+    @pytest.mark.parametrize(
+        "bits,n,p",
+        [
+            pytest.param(8, 2, 3, id="8bit_one_batch"),
+            pytest.param(8, 128, 200, id="8bit_ragged_batches"),
+            pytest.param(7, 2, 3, id="7bit_one_batch"),
+        ],
+    )
+    def test_groups_that_each_cross_the_chunk(self, bits, n, p):
+        # Three groups of g columns, the first odd count past one chunk
+        # (1041 at 8 bits, 4229 at 7), so each needs a second chunk.  Every
+        # code is +/-qmax, so a group's product is +/-g * qmax^2, odd and
+        # above 2^24: float32 cannot hold it.  Group magnitudes differ, so
+        # the scales do too.
+        qmax = QuantParams(bits).qmax
+        g = (2**24 // (qmax * qmax) + 1) | 1
+        m = 3 * g
+        rng = np.random.default_rng(bits)
+        signs = rng.choice([-1.0, 1.0], (n, 3)) * 10.0 ** rng.uniform(-2, 2, 3)
+        w = np.repeat(signs, g, axis=1).astype(np.float32)
+        a = np.tile(rng.choice([-1.0, 1.0], p), (m, 1)).astype(np.float32)
+        if n * p > 6:
+            assert batches(n, m, p, g) == (2, 3)
+        self._assert_both_kernels_exact(w, a, bits, bits, g)
+
+
+class TestBlasThreads:
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # The thread counts must be set before numpy loads, so each product
+        # runs in its own interpreter.  Each group's product (64 x 32 x 300)
+        # is large enough for OpenBLAS to split it over two threads, and the
+        # eight groups run in three batches.
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from quantkit import (GroupingScheme, QuantParams, matmul_per_channel,
+                                  matmul_per_group, quantize_activation, quantize_weight)
+            rng = np.random.default_rng(18)
+            w = rng.normal(0, 1, (64, 256)).astype(np.float32)
+            w[:, 9] *= 80.0
+            a = rng.normal(0, 1, (256, 300)).astype(np.float32)
+            aq = quantize_activation(a, QuantParams(8))
+            digest = hashlib.sha256()
+            for grouping, kernel in ((GroupingScheme.per_group(32), matmul_per_group),
+                                     (GroupingScheme.per_channel(), matmul_per_channel)):
+                wq = quantize_weight(w, grouping, QuantParams(8))
+                digest.update(kernel(wq, aq).tobytes())
+            print(digest.hexdigest())
+        """)
+        assert batches(64, 256, 300, 32) == (3, 8)
+        src = os.path.dirname(os.path.dirname(quantkit.__file__))
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                    text=True, env=env, timeout=120)
+            assert result.returncode == 0, result.stderr
+            digests.add(result.stdout.strip())
+        assert len(digests) == 1
+
+
+class TestBatchMemory:
+    def test_per_group_peak_is_its_operands_and_one_batch(self):
+        # At g = 1 the 256 groups run 8 per batch.  The peak holds the
+        # float32 casts of both code arrays, the float64 weight scales, the
+        # float64 output, one batch's float32 and float64 products and
+        # numpy's ufunc buffer (8 bytes per element); one stack of all 256
+        # groups would hold 8 MB of float32 and 16 MB of float64 products.
+        # The product runs on a new thread, whose block scratch starts empty.
+        n, m, p = 256, 256, 32
+        rng = np.random.default_rng(3)
+        w, a = random_operands(rng, n, m, p)
+        wq = quantize_weight(w, GroupingScheme.per_group(1), P8)
+        aq = quantize_activation(a, P8)
+        operands = 4 * (n * m + m * p) + 8 * wq.scales.size + 8 * n * p
+        one_batch = (4 + 8) * _BLOCK
+        tracemalloc.start()
+        try:
+            worker = threading.Thread(target=matmul_per_group, args=(wq, aq))
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < operands + one_batch + 8 * np.getbufsize() + 64 * 1024
+
 
 class TestNoNegativeZero:
     """The float64 accumulator starts at +0.0, so a zero output is +0.0 even
@@ -257,6 +385,24 @@ class TestNoNegativeZero:
         out = (matmul_per_group if g else matmul_per_channel)(wq, aq)
         zeros = out[out == 0]
         assert zeros.size == 12 and not np.signbit(zeros).any()
+
+
+    @pytest.mark.parametrize("g", [1, 4])
+    def test_zero_activation_columns_across_batches(self, g):
+        n, m, p = 64, 128, 300
+        batch, groups = batches(n, m, p, g)
+        assert groups > batch > 1 and groups % batch
+        rng = np.random.default_rng(22)
+        w = -rng.uniform(0.5, 1.0, (n, m)).astype(np.float32)
+        a = rng.normal(0, 1, (m, p)).astype(np.float32)
+        a[:, 1] = 0.0
+        a[:, 299] = -0.0
+        wq = quantize_weight(w, GroupingScheme.per_group(g), P8)
+        aq = quantize_activation(a, P8)
+        assert (wq.values < 0).all()
+        out = matmul_per_group(wq, aq)
+        zeros = out[out == 0]
+        assert zeros.size == 2 * n and not np.signbit(zeros).any()
 
 
 class TestAccumulatorWidth:

@@ -27,6 +27,7 @@ from quantkit import (
     QuantPlan,
     SynthConfig,
     TensorRecord,
+    WallDetectorConfig,
     apply_plan,
     generate,
     layer_index_of,
@@ -804,7 +805,8 @@ class CountingTensors(Mapping):
 class TestOnePassAccess:
     """The one-pass stages fetch each layer once and hold few at a time, so
     with open_model their memory follows the block, not the model; and they
-    read each layer's bytes from the blob at most twice (quantize: once)."""
+    read each layer's bytes from the blob once (a profile: twice if the
+    layer can hold a wall)."""
 
     @pytest.fixture
     def opened(self, tmp_path, monkeypatch):
@@ -830,14 +832,29 @@ class TestOnePassAccess:
         return {rec.name: tensors.bytes_read[rec.name] / rec.nbytes
                 for rec in manifest.layer_records()}
 
-    def test_profile_model_fetches_each_layer_once(self, opened, monkeypatch):
+    def profile_read_ratios(self, opened, monkeypatch, wall_cfg):
+        """Profile on two threads; each layer's read ratio, and its wall count."""
         manifest, tensors = opened
         monkeypatch.setenv("QUANTKIT_THREADS", "2")
-        profile_model(manifest, tensors, QuantParams(8), group_sizes=[8, 16])
+        metrics = profile_model(manifest, tensors, QuantParams(8), wall_cfg, group_sizes=[8, 16])
         assert tensors.fetches == Counter({rec.name: 1 for rec in manifest.layer_records()})
         assert tensors.peak <= 2 and tensors.live == 0
-        # Leaves, then the wall pass: each layer's bytes at most twice.
-        assert all(1 <= ratio <= 2 for ratio in self.read_ratios(manifest, tensors).values())
+        ratios = self.read_ratios(manifest, tensors)
+        return [(ratios[m.name], m.wall_count) for m in metrics]
+
+    def test_profile_model_fetches_each_layer_once(self, opened, monkeypatch):
+        # The leaves read each layer once; the wall pass reads it again only
+        # if its max |w| is above the threshold, which at 32 rows (fewer
+        # than 1 / row_fraction) is a layer with a wall.  The default
+        # threshold, 20x the RMS that a wall column inflates, finds none.
+        ratios = self.profile_read_ratios(opened, monkeypatch, None)
+        assert {ratio for ratio, _ in ratios} == {1.0}
+
+    def test_profile_model_reads_only_wall_layers_twice(self, opened, monkeypatch):
+        ratios = self.profile_read_ratios(opened, monkeypatch, WallDetectorConfig.absolute(10.0))
+        assert {ratio for ratio, walls in ratios if not walls} == {1.0}
+        assert all(1 <= ratio <= 2 for ratio, walls in ratios if walls)
+        assert sum(1 for _, walls in ratios if walls) == 5  # block 0's q, k, v, up, gate
 
     def test_apply_plan_holds_one_layer_at_a_time(self, opened):
         manifest, tensors = opened
