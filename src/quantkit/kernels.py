@@ -1,31 +1,44 @@
 """Quantized matrix multiplication with an exact core.
 
-The int8 codes are cast to float32 once and multiplied with float32
-BLAS.  Every partial sum of a product over ``depth`` inner columns is an
+The weight is multiplied one block of k rows at a time.  A block's int8
+codes are cast into this thread's float32 block scratch
+(``quantizer._scratch``) and multiplied with float32 BLAS while they sit
+in cache, and the block's scaled product fills its k rows of the float64
+output.  A block has ``max(_MIN_ROWS, _BLOCK // M)`` rows, so the scratch
+holds at most max(_BLOCK, 64 * M) float32 per thread, where a cast of
+the whole weight would take four bytes per code and be read back from
+memory.  The 64-row floor keeps a wide weight's blocks from shrinking to
+one or two rows, each a product for which BLAS repacks the whole
+activation.  A weight of at most 64 rows or ``_BLOCK`` codes is one
+block.  An output row depends only on its own row's codes, and each of
+its elements goes through the same exact steps, so the blocking changes
+no bit.
+
+Every partial sum of a product over ``depth`` inner columns is an
 integer no larger than depth * qmax_w * qmax_a, and a float32 significand
 holds every integer up to 2^24, so a float32 product over at most
 2^24 // (qmax_w * qmax_a) columns (1040 at 8 bits) is exact in any
 summation order, whatever blocking or thread count BLAS picks.  One
 routine serves both grouping modes.  The weight codes of the G groups of
-g input columns are the (G, N, g) view ``reshape(N, G, g).transpose(1, 0,
-2)`` of the cast, and the activation rows the (G, g, P) view, so a batch
-of consecutive groups is one stacked ``np.matmul``: a group wider than
-that depth is multiplied in chunks at the same column edges in every
-group, and the chunk products are summed exactly in float64.  A batch
-holds ``max(1, _BLOCK // (N * P))`` groups, so its float32 products take
-at most ``quantizer._BLOCK`` elements (one group's, if that is more), and
-a batch that fits lives in this thread's block scratch
-(``quantizer._scratch``) rather than in fresh memory per call.  The
-batch's integer products are cast once to float64 (an exact cast),
-rescaled in place by their groups' weight scales, and added one group at
-a time into a float64 accumulator, in ascending group order; the column
-scales are then applied in place.  Per-channel is the one-group case,
-one plain product with the same steps, so a per-group weight with g = M
-gives the same bits as per-channel.  No step multiplies float32 by
-float64, which numpy would do through a slower mixed-type loop.  The
-accumulator starts at +0.0, so no output is -0.0 even where every term
-is.  The kernel itself therefore introduces no rounding: all error in a
-quantized product comes from quantizing the operands.
+g input columns are the (G, k, g) view ``reshape(k, G, g).transpose(1, 0,
+2)`` of a block's cast, and the activation rows the (G, g, P) view, so a
+batch of consecutive groups is one stacked ``np.matmul``: a group wider
+than that depth is multiplied in chunks at the same column edges in
+every group, and the chunk products are summed exactly in float64.  A
+batch holds ``max(1, _BLOCK // (k * P))`` groups, so its float32 products
+take at most ``quantizer._BLOCK`` elements (one group's, if that is
+more), and a batch that fits lives in the block scratch too rather than
+in fresh memory per call.  The batch's integer products are cast once to
+float64 (an exact cast), rescaled in place by their groups' weight
+scales, and added one group at a time into a float64 accumulator, in
+ascending group order; the column scales are then applied in place.
+Per-channel is the one-group case, one plain product with the same
+steps, so a per-group weight with g = M gives the same bits as
+per-channel.  No step multiplies float32 by float64, which numpy would do
+through a slower mixed-type loop.  Every product is added onto +0.0, so
+no output is -0.0 even where every term is.  The kernel itself therefore
+introduces no rounding: all error in a quantized product comes from
+quantizing the operands.
 """
 
 from __future__ import annotations
@@ -38,6 +51,12 @@ from .quantizer import _BLOCK, AXIS_COLUMN, AXIS_ROW, QuantizedTensor, _qmax, _s
 
 # Every integer of magnitude up to 2^24 is exact in float32.
 _FLOAT32_EXACT = 2**24
+# Fewest weight rows per row block.  A block of _BLOCK // M rows of a wide
+# weight is one or two rows, and BLAS repacks the whole activation for every
+# such product: without this floor, a 256 x 28672 x 32 product took 3.0x
+# and a 64 x 65536 x 8 one 4.3x as long as with it (best of 6, one BLAS
+# thread).
+_MIN_ROWS = 64
 
 
 def _check_operands(wq: QuantizedTensor, aq: QuantizedTensor) -> None:
@@ -82,28 +101,53 @@ def _add_groups(acc: np.ndarray, w: np.ndarray, a: np.ndarray, w_scales: np.ndar
         acc += part
 
 
+def _scaled_rows(codes: np.ndarray, a: np.ndarray, w_scales: np.ndarray,
+                 depth: int) -> np.ndarray:
+    """The float64 product of a block of k weight rows (int8 ``codes``) and
+    the activation cast ``a``, each group's exact product scaled by its
+    weight scale and added onto +0.0 in ascending group order.  ``a`` is
+    (M, P) per-channel, with (k, 1) weight scales, or the (G, g, P) group
+    view, with (G, k, 1) scales.  The codes are cast into this thread's
+    block scratch, where the product reads them from cache."""
+    w = _scratch("codes", codes.shape, np.float32)
+    w[...] = codes
+    if a.ndim == 2:
+        part = _exact_product(w, a, depth).astype(np.float64, copy=False)
+        part *= w_scales
+        part += 0.0  # turns -0.0 into +0.0 and leaves every other value
+        return part
+    k = codes.shape[0]
+    groups, g, p = a.shape
+    acc = np.zeros((k, p), dtype=np.float64)
+    # Group j's codes are stack[j] (k x g), a strided view of the cast.
+    stack = w.reshape(k, groups, g).transpose(1, 0, 2)
+    batch = max(1, _BLOCK // max(k * p, 1))
+    if batch >= groups:  # one batch, the views as they are
+        _add_groups(acc, stack, a, w_scales, depth)
+        return acc
+    for j in range(0, groups, batch):
+        _add_groups(acc, stack[j : j + batch], a[j : j + batch], w_scales[j : j + batch], depth)
+    return acc
+
+
 def _matmul(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
     n, m = wq.values.shape
     p = aq.values.shape[1]
-    g = wq.grouping.resolved_group_size(m)
-    groups = m // g
     depth = _FLOAT32_EXACT // (_qmax(wq.bits) * _qmax(aq.bits))
-    w = wq.values.astype(np.float32)
     a = aq.values.astype(np.float32)
+    groups = m // wq.grouping.group_size if wq.grouping.is_per_group else 1
     w_scales = wq.scales.astype(np.float64).reshape(n, groups)
-    acc = np.zeros((n, p), dtype=np.float64)
-    if groups == 1:
-        part = _exact_product(w, a, depth).astype(np.float64, copy=False)
-        part *= w_scales
-        acc += part
-    else:
-        # Group k's codes are stack[k] (n x g), a strided view of the cast.
-        stack = w.reshape(n, groups, g).transpose(1, 0, 2)
-        a = a.reshape(groups, g, p)
+    if groups != 1:
+        a = a.reshape(groups, wq.grouping.group_size, p)
         w_scales = w_scales.T[:, :, None]
-        batch = max(1, _BLOCK // max(n * p, 1))
-        for k in range(0, groups, batch):
-            _add_groups(acc, stack[k : k + batch], a[k : k + batch], w_scales[k : k + batch], depth)
+    if n <= _MIN_ROWS or n * m <= _BLOCK:  # one block, the rows as they are
+        acc = _scaled_rows(wq.values, a, w_scales, depth)
+    else:
+        rows = max(_MIN_ROWS, _BLOCK // m)
+        acc = np.empty((n, p), dtype=np.float64)
+        for r in range(0, n, rows):
+            acc[r : r + rows] = _scaled_rows(wq.values[r : r + rows], a,
+                                             w_scales[..., r : r + rows, :], depth)
     acc *= aq.scales.astype(np.float64)
     return acc
 
@@ -123,13 +167,13 @@ def matmul_per_channel(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
 def matmul_per_group(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
     """Multiply a per-group quantized weight by a per-channel activation.
 
-    Batches of consecutive groups of g columns are multiplied exactly in
-    float32 as one stacked product, in chunks of at most
-    2^24 // (qmax_w * qmax_a) columns whose integer products are summed in
-    float64; each group's product is rescaled by its own weight scale and
-    added into a float64 accumulator in ascending group order, and the
-    column scales are applied last.  With g = M this is bit-identical to
-    :func:`matmul_per_channel`.
+    One block of weight rows at a time, batches of consecutive groups of g
+    columns are multiplied exactly in float32 as one stacked product, in
+    chunks of at most 2^24 // (qmax_w * qmax_a) columns whose integer
+    products are summed in float64; each group's product is rescaled by
+    its own weight scale and added into a float64 accumulator in ascending
+    group order, and the column scales are applied last.  With g = M this
+    is bit-identical to :func:`matmul_per_channel`.
     """
     _check_operands(wq, aq)
     if not wq.grouping.is_per_group:

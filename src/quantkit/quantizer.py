@@ -32,10 +32,11 @@ removes its temp file.
 
 A pass's block temporaries (the float64 ``|w|``, the float64 work buffer,
 the sign mask, an open model's row buffer, and the int8 code buffer of a
-quantized view's row source), and a quantized product's batch of group
-products (``kernels``), come from ``_scratch``: one
-buffer per kind and thread, grown on demand and reused across blocks and
-layers, so no block-sized buffer is allocated per block.  A block that
+quantized view's row source), and a quantized product's float32 row
+block of weight codes and batch of group products (``kernels``), come
+from ``_scratch``: one buffer per kind and thread, grown on demand and
+reused across blocks and layers, so no block-sized buffer is allocated
+per block.  A block that
 an open model's row source returns lives in that scratch: it stays valid
 only until the same thread's next row read.
 """

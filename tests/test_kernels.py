@@ -1,11 +1,12 @@
 """Quantized matmul kernels against the float64 and int64 references.
 
-Both kernels multiply the int8 codes exactly in float32 chunks of at most
-2^24 // (qmax_w * qmax_a) columns, a batch of groups per stacked product,
-and accumulate in float64 in ascending group order, so a quantized
-product must equal the grouped int64 oracle byte for byte and match the
-reference product of the dequantized operands up to float reassociation;
-any larger deviation is a kernel bug, not quantization error.
+Both kernels multiply the int8 codes one block of weight rows at a time,
+exactly in float32 chunks of at most 2^24 // (qmax_w * qmax_a) columns, a
+batch of groups per stacked product, and accumulate in float64 in
+ascending group order, so a quantized product must equal the grouped
+int64 oracle byte for byte and match the reference product of the
+dequantized operands up to float reassociation; any larger deviation is a
+kernel bug, not quantization error.
 """
 
 import os
@@ -17,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quantkit
@@ -31,6 +32,7 @@ from quantkit import (
     quantize_weight,
     reference_matmul_fp,
 )
+from quantkit import kernels
 from quantkit.quantizer import _BLOCK, AXIS_COLUMN, AXIS_ROW, QuantizedTensor
 
 from oracles import matmul_descending_k, matmul_grouped_int64
@@ -50,6 +52,13 @@ def batches(n, m, p, g):
     """Groups per stacked product, and the number of groups, of an
     (n x m) @ (m x p) product at group size g (the kernel's batch rule)."""
     return max(1, _BLOCK // (n * p)), m // g
+
+
+def row_blocks(n, m):
+    """Rows per row block, and the number of blocks, of an (n x m) weight
+    (the kernel's row-block rule)."""
+    rows = max(kernels._MIN_ROWS, kernels._BLOCK // m)
+    return rows, -(-n // rows)
 
 
 def rel_frobenius(x, ref):
@@ -182,6 +191,21 @@ class TestPerGroupKernel:
         out = matmul_per_group(wq, aq)
         assert out.shape == (n, p) and out.dtype == np.float64
 
+    @pytest.mark.parametrize("n,p", [(3, 4), (0, 3), (3, 0)])
+    def test_zero_inner_dimension_gives_a_zero_product(self, n, p):
+        # A weight with no columns: both kernels give the (n, p) +0.0 product.
+        aq = QuantizedTensor(np.zeros((0, p), np.int8), np.ones(p, np.float32),
+                             GroupingScheme.per_channel(), 8, AXIS_COLUMN)
+        for grouping, scale_shape, kernel in (
+            (GroupingScheme.per_channel(), (n,), matmul_per_channel),
+            (GroupingScheme.per_group(2), (n, 0), matmul_per_group),
+        ):
+            wq = QuantizedTensor(np.zeros((n, 0), np.int8), np.ones(scale_shape, np.float32),
+                                 grouping, 8, AXIS_ROW)
+            out = kernel(wq, aq)
+            assert out.dtype == np.float64
+            assert out.tobytes() == np.zeros((n, p)).tobytes()
+
     def test_rejects_per_channel_weight(self):
         wq = quantize_weight(np.ones((2, 4), dtype=np.float32), GroupingScheme.per_channel(), P8)
         aq = quantize_activation(np.ones((4, 2), dtype=np.float32), P8)
@@ -262,6 +286,45 @@ class TestExactAgainstIntegerOracle:
         self._assert_both_kernels_exact(w, a, bits, 8, g)
         self._assert_both_kernels_exact(w, a, 8, bits, g)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        block=st.sampled_from([128, 256, 1024]),
+        n=st.integers(1, 260),
+        g=st.sampled_from([1, 3, 16, 700]),
+        groups=st.integers(1, 6),
+        p=st.integers(1, 4),
+        bits_w=st.sampled_from([7, 8]),
+        bits_a=st.sampled_from([7, 8]),
+        positive=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # m = 2: blocks of 256 // 2 = 128 rows, above the floor; the last has 72.
+    @example(block=256, n=200, g=1, groups=2, p=3, bits_w=8, bits_a=8, positive=False, seed=0)
+    # m = 300 > block: the 64-row floor, with g = 1 (one group per batch) and
+    # a last block of 22 rows.
+    @example(block=128, n=150, g=1, groups=300, p=3, bits_w=8, bits_a=8, positive=False, seed=1)
+    # m = 2100 > depth 1040 at 8 bits: three chunks, and sums of positive
+    # codes past 2^24; blocks of 64 rows, the last of 2.
+    @example(block=256, n=130, g=700, groups=3, p=2, bits_w=8, bits_a=8, positive=True, seed=2)
+    # m = 4900 > depth 4227 at 7 bits, per-channel and in groups of 700.
+    @example(block=256, n=130, g=700, groups=7, p=2, bits_w=7, bits_a=7, positive=True, seed=3)
+    def test_row_blocks_equal_grouped_int64_oracle(self, block, n, g, groups, p, bits_w, bits_a,
+                                                   positive, seed):
+        # With the kernel's block shrunk, small weights span many row blocks.
+        m = g * groups
+        rng = np.random.default_rng(seed)
+        if positive:
+            # Past one chunk, a group's sum of positive codes passes 2^24, so
+            # a chunk edge that moved would show.
+            w = rng.uniform(0.5, 1.0, (n, m)).astype(np.float32)
+            a = rng.uniform(0.5, 1.0, (m, p)).astype(np.float32)
+        else:
+            w, a = random_operands(rng, n, m, p, wall_columns=(int(rng.integers(m)),))
+            w *= (10.0 ** rng.uniform(-3, 3, m)).astype(np.float32)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_BLOCK", block)
+            self._assert_both_kernels_exact(w, a, bits_w, bits_a, g)
+
     @pytest.mark.parametrize("g", [1, 2, 4, 8])
     @pytest.mark.parametrize(
         "n,m,p",
@@ -309,25 +372,28 @@ class TestBlasThreads:
         # The thread counts must be set before numpy loads, so each product
         # runs in its own interpreter.  Each group's product (64 x 32 x 300)
         # is large enough for OpenBLAS to split it over two threads, and the
-        # eight groups run in three batches.
+        # eight groups run in three batches.  The 1024 x 1024 x 8 products
+        # run in 16 row blocks.
         script = textwrap.dedent("""
             import hashlib
             import numpy as np
             from quantkit import (GroupingScheme, QuantParams, matmul_per_channel,
                                   matmul_per_group, quantize_activation, quantize_weight)
             rng = np.random.default_rng(18)
-            w = rng.normal(0, 1, (64, 256)).astype(np.float32)
-            w[:, 9] *= 80.0
-            a = rng.normal(0, 1, (256, 300)).astype(np.float32)
-            aq = quantize_activation(a, QuantParams(8))
             digest = hashlib.sha256()
-            for grouping, kernel in ((GroupingScheme.per_group(32), matmul_per_group),
-                                     (GroupingScheme.per_channel(), matmul_per_channel)):
-                wq = quantize_weight(w, grouping, QuantParams(8))
-                digest.update(kernel(wq, aq).tobytes())
+            for n, m, p, g in ((64, 256, 300, 32), (1024, 1024, 8, 128)):
+                w = rng.normal(0, 1, (n, m)).astype(np.float32)
+                w[:, 9] *= 80.0
+                a = rng.normal(0, 1, (m, p)).astype(np.float32)
+                aq = quantize_activation(a, QuantParams(8))
+                for grouping, kernel in ((GroupingScheme.per_group(g), matmul_per_group),
+                                         (GroupingScheme.per_channel(), matmul_per_channel)):
+                    wq = quantize_weight(w, grouping, QuantParams(8))
+                    digest.update(kernel(wq, aq).tobytes())
             print(digest.hexdigest())
         """)
         assert batches(64, 256, 300, 32) == (3, 8)
+        assert row_blocks(1024, 1024) == (64, 16)
         src = os.path.dirname(os.path.dirname(quantkit.__file__))
         digests = set()
         for threads in ("1", "2"):
@@ -340,14 +406,64 @@ class TestBlasThreads:
         assert len(digests) == 1
 
 
+def traced_peak(kernel, wq, aq):
+    """The traced peak of one product run on a new thread, whose block
+    scratch starts empty."""
+    tracemalloc.start()
+    try:
+        worker = threading.Thread(target=kernel, args=(wq, aq))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestConcurrentProducts:
+    def test_threads_multiplying_at_once_get_the_serial_bytes(self):
+        # Each thread casts its row blocks into its own scratch; products of
+        # differently shaped weights run at once and in shuffled orders.
+        rng = np.random.default_rng(24)
+        cases = []
+        for n, m, p, g in ((130, 1024, 3, None), (200, 512, 5, 16), (70, 2048, 2, 128)):
+            w, a = random_operands(rng, n, m, p, wall_columns=(7,))
+            assert row_blocks(n, m)[1] > 1
+            scheme = GroupingScheme.per_channel() if g is None else GroupingScheme.per_group(g)
+            wq, aq = quantize_weight(w, scheme, P8), quantize_activation(a, P8)
+            kernel = matmul_per_channel if g is None else matmul_per_group
+            cases.append((kernel, wq, aq, kernel(wq, aq).tobytes()))
+        wrong = []
+
+        def multiplier(seed):
+            for i in np.random.default_rng(seed).permutation(len(cases) * 150) % len(cases):
+                kernel, wq, aq, expected = cases[i]
+                if kernel(wq, aq).tobytes() != expected:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=multiplier, args=(k,)) for k in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []
+
+
 class TestBatchMemory:
     def test_per_group_peak_is_its_operands_and_one_batch(self):
-        # At g = 1 the 256 groups run 8 per batch.  The peak holds the
-        # float32 casts of both code arrays, the float64 weight scales, the
-        # float64 output, one batch's float32 and float64 products and
-        # numpy's ufunc buffer (8 bytes per element); one stack of all 256
-        # groups would hold 8 MB of float32 and 16 MB of float64 products.
-        # The product runs on a new thread, whose block scratch starts empty.
+        # At g = 1 the 256 groups run 8 per batch.  The 256 x 256 weight is
+        # one row block.  The peak holds the float32 cast of the activation
+        # codes, the weight codes' float32 cast in the block scratch, the
+        # float64 weight scales, the float64 output, one batch's float32 and
+        # float64 products and numpy's ufunc buffer (8 bytes per element);
+        # one stack of all 256 groups would hold 8 MB of float32 and 16 MB
+        # of float64 products.
         n, m, p = 256, 256, 32
         rng = np.random.default_rng(3)
         w, a = random_operands(rng, n, m, p)
@@ -355,16 +471,22 @@ class TestBatchMemory:
         aq = quantize_activation(a, P8)
         operands = 4 * (n * m + m * p) + 8 * wq.scales.size + 8 * n * p
         one_batch = (4 + 8) * _BLOCK
-        tracemalloc.start()
-        try:
-            worker = threading.Thread(target=matmul_per_group, args=(wq, aq))
-            worker.start()
-            worker.join(timeout=60)
-            assert not worker.is_alive()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(matmul_per_group, wq, aq)
         assert peak < operands + one_batch + 8 * np.getbufsize() + 64 * 1024
+
+    @pytest.mark.parametrize("g", [None, 128])
+    def test_row_blocks_peak_below_the_weight_cast(self, g):
+        # 16 row blocks of 64 rows: the kernel holds one block's 256 KiB
+        # float32 cast, never the 4 MiB float32 cast of all the codes.
+        n, m, p = 1024, 1024, 8
+        assert row_blocks(n, m) == (64, 16)
+        rng = np.random.default_rng(4)
+        w, a = random_operands(rng, n, m, p)
+        scheme = GroupingScheme.per_channel() if g is None else GroupingScheme.per_group(g)
+        wq = quantize_weight(w, scheme, P8)
+        aq = quantize_activation(a, P8)
+        kernel = matmul_per_channel if g is None else matmul_per_group
+        assert traced_peak(kernel, wq, aq) < 4 * n * m
 
 
 class TestNoNegativeZero:
@@ -401,6 +523,23 @@ class TestNoNegativeZero:
         aq = quantize_activation(a, P8)
         assert (wq.values < 0).all()
         out = matmul_per_group(wq, aq)
+        zeros = out[out == 0]
+        assert zeros.size == 2 * n and not np.signbit(zeros).any()
+
+    @pytest.mark.parametrize("g", [None, 1, 4])
+    def test_zero_activation_columns_across_row_blocks(self, g):
+        n, m, p = 130, 1024, 3
+        assert row_blocks(n, m) == (64, 3)  # the last block has 2 rows
+        rng = np.random.default_rng(23)
+        w = -rng.uniform(0.5, 1.0, (n, m)).astype(np.float32)
+        a = rng.normal(0, 1, (m, p)).astype(np.float32)
+        a[:, 1] = 0.0
+        a[:, 2] = -0.0
+        scheme = GroupingScheme.per_channel() if g is None else GroupingScheme.per_group(g)
+        wq = quantize_weight(w, scheme, P8)
+        aq = quantize_activation(a, P8)
+        assert (wq.values < 0).all()
+        out = (matmul_per_group if g else matmul_per_channel)(wq, aq)
         zeros = out[out == 0]
         assert zeros.size == 2 * n and not np.signbit(zeros).any()
 
