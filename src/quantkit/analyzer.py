@@ -12,6 +12,10 @@ in-memory matrix, or a record of an open model that ``profile_model`` and
 the planner's sweep get from ``model_store.row_source`` and read block by
 block.  So a pass holds one block of rows and this thread's block scratch,
 not the fp32 layer.
+
+A layer's block, kind and layer index come from its name alone:
+``LayerMetrics`` parses them once, when built, and reading a metrics CSV
+checks its ``layer_index``, ``block`` and ``kind`` cells against them.
 """
 
 from __future__ import annotations
@@ -110,10 +114,10 @@ class LayerMetrics:
     """Per-channel profile of one layer at one bit width.
 
     ``cols`` is the layer's input dimension; ``group_rmse`` maps extra
-    requested group sizes to per-group RMSE.
+    requested group sizes to per-group RMSE.  ``block``, ``kind`` and
+    ``layer_index`` are parsed from ``name`` when built, never passed.
     """
 
-    layer_index: int
     name: str
     cols: int
     bits: int
@@ -121,14 +125,16 @@ class LayerMetrics:
     rmse: float
     wall_count: int
     group_rmse: dict[int, float] = field(default_factory=dict)
+    block: int = field(init=False)
+    kind: str = field(init=False)
+    layer_index: int = field(init=False)
 
-    @property
-    def block(self) -> int:
-        return parse_layer_name(self.name)[0]
-
-    @property
-    def kind(self) -> str:
-        return parse_layer_name(self.name)[1]
+    def __post_init__(self):
+        parsed = parse_layer_name(self.name) if type(self.name) is str else None
+        if parsed is None:
+            raise ValueError(f"not a layer name: {self.name!r}")
+        self.block, self.kind = parsed
+        self.layer_index = layer_index_of(*parsed)
 
 
 def _profile_layer(
@@ -254,23 +260,17 @@ def _map_layers(fn: Callable, records: Iterable[TensorRecord]) -> list:
     return _map_in_order(named, records)
 
 
-def _check_fp32(manifest: ModelManifest, layers: Iterable[TensorRecord]) -> None:
-    """Every one of the model's layer records ``layers`` must be fp32 to be
-    profiled or quantized; the error names the first offenders by layer
-    index, and only they are sorted."""
-    bad = [r.name for r in layers if r.dtype != "fp32"]
+def _fp32_layer_records(manifest: ModelManifest) -> list[TensorRecord]:
+    """The model's layer records in layer-index order.  Each must be fp32
+    to be profiled or quantized; the error names the first offenders in
+    that order."""
+    records = manifest.layer_records()
+    bad = [r.name for r in records if r.dtype != "fp32"]
     if bad:
-        bad.sort(key=manifest.layer_index)
         raise ValueError(
             f"the model's layers must be fp32 to be profiled or quantized; these are "
             f"not fp32 (already quantized?): {bad[:5]}"
         )
-
-
-def _fp32_layer_records(manifest: ModelManifest) -> list[TensorRecord]:
-    """The model's layer records in layer-index order, checked to be fp32."""
-    records = manifest.layer_records()
-    _check_fp32(manifest, records)
     return records
 
 
@@ -300,7 +300,6 @@ def profile_model(
         n, m = w.shape
         rmse = [float(np.sqrt(x / (n * m))) for x in sse]  # as layer_rmse computes it
         return LayerMetrics(
-            layer_index=manifest.layer_index(rec.name),
             name=rec.name,
             cols=rec.shape[1],
             bits=params.bits,
@@ -363,10 +362,10 @@ def _csv_rows(path: str | os.PathLike) -> list[tuple[int, dict]]:
 def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
     """Parse a metrics CSV back into per-channel LayerMetrics (no group_rmse).
 
-    Each row must name a layer once, at the layer_index its name gives, with
-    positive cols, bits in [2, 8], a non-negative wall_count and finite
-    max_abs and rmse_pc;
-    an error names the row by the file line it ends on.
+    Each row must name a layer once, with the layer_index, block and kind
+    its name gives, positive cols, bits in [2, 8], a non-negative
+    wall_count and finite max_abs and rmse_pc; an error names the row by
+    the file line it ends on.  The metrics come back in layer-index order.
     """
     rows = _csv_rows(path)
     if not rows:
@@ -375,28 +374,24 @@ def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
     line_of: dict[str, int] = {}
     for line, row in rows:
         try:
-            m = LayerMetrics(
-                layer_index=int(row["layer_index"]),
-                name=row["name"],
-                cols=int(row["cols"]),
-                bits=int(row["bits"]),
-                max_abs=float(row["max_abs"]),
-                rmse=float(row["rmse_pc"]),
-                wall_count=int(row["wall_count"]),
-            )
+            index, name = int(row["layer_index"]), row["name"]
+            block, kind = int(row["block"]), row["kind"]
+            cols, bits = int(row["cols"]), int(row["bits"])
+            max_abs, rmse = float(row["max_abs"]), float(row["rmse_pc"])
+            wall_count = int(row["wall_count"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed metrics row at line {line} ({exc!r}): {row!r}") from exc
-        where = f"metrics row at line {line} ({m.name!r})"
+        where = f"metrics row at line {line} ({name!r})"
         try:
-            _check_bits(m.bits)
+            _check_bits(bits)
+            m = LayerMetrics(name, cols, bits, max_abs, rmse, wall_count)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        parsed = parse_layer_name(m.name)
-        if parsed is None:
-            raise ValueError(f"{where}: not a layer name")
-        if m.layer_index != layer_index_of(*parsed):
-            raise ValueError(f"{where}: layer_index {m.layer_index} does not match the name "
-                             f"(expected {layer_index_of(*parsed)})")
+        for column, cell, derived in (("layer_index", index, m.layer_index),
+                                      ("block", block, m.block), ("kind", kind, m.kind)):
+            if cell != derived:
+                raise ValueError(f"{where}: {column} {cell!r} does not match the name "
+                                 f"(expected {derived!r})")
         if m.cols < 1 or m.wall_count < 0:
             raise ValueError(f"{where}: cols must be positive and wall_count non-negative, "
                              f"got {m.cols} and {m.wall_count}")

@@ -151,7 +151,7 @@ def cmd_sweep(args) -> int:
     params = quantizer.QuantParams(args.bits)
     rows = planner.sweep_group_size(manifest, tensors, _plan_config_from_args(args), sizes, params)
 
-    selected = sorted(rows[0].per_layer_rmse, key=manifest.layer_index) if rows else []
+    selected = list(rows[0].per_layer_rmse)  # in layer-index order
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["group_size", "aggregate_rmse"] + selected)
@@ -228,14 +228,15 @@ def cmd_check_matmul(args) -> int:
 
 def cmd_report(args) -> int:
     tasks = []
-    for _, row in analyzer._csv_rows(args.results):
+    for line, row in analyzer._csv_rows(args.results):
         try:
             tasks.append(
                 report.TaskResult(row["task"], float(row["accuracy"]), int(row["questions"]))
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(
-                f"malformed results row {row!r}; expected columns task,accuracy,questions"
+                f"malformed results row at line {line} ({exc!r}): {row!r}; expected columns "
+                "task,accuracy,questions"
             ) from exc
     summary = report.aggregate_accuracy(tasks)
     print(f"tasks: {len(summary.tasks)}")
@@ -298,8 +299,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=8)
     p.add_argument("--group-sizes", default=None,
                    help="extra per-group RMSE columns, comma-separated sizes")
-    p.add_argument("--wall-abs-threshold", type=float, default=None)
-    p.add_argument("--wall-rms-mult", type=float, default=analyzer.DEFAULT_WALL_RMS_MULTIPLIER)
+    walls = p.add_mutually_exclusive_group()
+    walls.add_argument("--wall-abs-threshold", type=float, default=None)
+    walls.add_argument("--wall-rms-mult", type=float,
+                       default=analyzer.DEFAULT_WALL_RMS_MULTIPLIER)
     p.add_argument("--wall-row-fraction", type=float,
                    default=analyzer.DEFAULT_WALL_ROW_FRACTION)
     p.set_defaults(func=cmd_analyze)

@@ -12,12 +12,16 @@ fixed order (q, k, v, o, up, gate, down); a model with B blocks therefore
 carries exactly 7*B layer records.  Embedding and head tensors are not
 part of the layer axis, but extra records flagged ``aux`` are permitted
 and ignored by profiling (quantized models use them for scale tensors).
+The manifest keeps the layer axis it checks its layers against, a map
+from each canonical name to its layer index, so ``layer_index`` and
+``layer_records`` are lookups in it, with no parse and no sort.
 
 Each record is built and checked once.  ``TensorRecord``'s constructor
 checks every field but ``grouping``, whether the record is built in Python
 or read from a file; the manifest file's parser checks only what the
-constructor does not see: the JSON object shapes, each ``grouping`` as it
-becomes a ``GroupingScheme``, and each ``byte_offset``.  Records carry no
+constructor does not see: the JSON object shapes and keys (an unknown key
+is an error, not dropped), each ``grouping`` as it becomes a
+``GroupingScheme``, and each ``byte_offset``.  Records carry no
 offsets: ``ModelManifest`` places them in record order, and a file's
 ``byte_offset`` values must equal those places.  ``ModelManifest`` then
 checks the model as a whole (names, canonical layers, and each quantized
@@ -71,6 +75,7 @@ from .quantizer import (
     _aligned_empty,
     _as_rows,
     _check_bits,
+    _reject_unknown_keys,
     _row_blocks,
     _scratch,
 )
@@ -82,6 +87,11 @@ KINDS_PER_BLOCK = len(KIND_ORDER)
 _KIND_POSITION = {kind: i for i, kind in enumerate(KIND_ORDER)}
 
 _DTYPES = {"fp32": np.dtype("<f4"), "int8": np.dtype(np.int8)}
+
+# The keys a manifest file's objects may carry (see _manifest_text).
+_MANIFEST_KEYS = frozenset({"version", "blocks", "records"})
+_RECORD_KEYS = frozenset(
+    {"name", "shape", "dtype", "byte_offset", "scale_ref", "aux", "grouping", "bits"})
 
 
 def _is_kind(value, kind) -> bool:
@@ -189,10 +199,15 @@ class TensorRecord:
         once, by the constructor.  ``byte_offset`` is the manifest's to check."""
         if not isinstance(obj, dict):
             raise ValueError(f"tensor record must be a JSON object, got {obj!r}")
+        what = f"tensor record {obj.get('name')!r}"
+        _reject_unknown_keys(obj, _RECORD_KEYS, what)
         grouping = obj.get("grouping")
         if grouping is not None:
-            _require_kind(grouping, dict, f"tensor record {obj.get('name')!r}: 'grouping'")
-            grouping = GroupingScheme.from_json(grouping)
+            _require_kind(grouping, dict, f"{what}: 'grouping'")
+            try:
+                grouping = GroupingScheme.from_json(grouping)
+            except ValueError as exc:
+                raise ValueError(f"{what}: {exc}") from None
         aux = obj.get("aux")
         return cls(
             name=obj.get("name"),
@@ -258,16 +273,18 @@ class ModelManifest:
         object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_blob_nbytes", end)
         layer_names = {r.name for r in self.records if not r.aux}
-        # More blocks than records can never match; the bound keeps the set small.
+        # More blocks than records can never match; the bound keeps the map small.
         shown = min(self.blocks, len(self.records) + 1)
-        expected = {f"blocks.{b}.{kind}" for b in range(shown) for kind in KIND_ORDER}
-        if layer_names != expected:
-            missing = sorted(expected - layer_names)
-            extra = sorted(layer_names - expected)
+        index = {name: i for i, name in enumerate(
+            f"blocks.{b}.{kind}" for b in range(shown) for kind in KIND_ORDER)}
+        if layer_names != index.keys():
+            missing = sorted(index.keys() - layer_names)
+            extra = sorted(layer_names - index.keys())
             raise ValueError(
                 f"non-aux records must be exactly the {KINDS_PER_BLOCK * self.blocks} "
                 f"canonical layers; missing={missing[:5]} extra={extra[:5]}"
             )
+        object.__setattr__(self, "_layer_index", index)
         owners: dict[str, TensorRecord] = {}
         for rec in self.records:
             if not rec.aux and rec.dtype == "int8":
@@ -291,15 +308,15 @@ class ModelManifest:
         return self._scale_owners.get(name)
 
     def layer_index(self, name: str) -> int:
-        parsed = parse_layer_name(name)
-        if parsed is None:
-            raise ValueError(f"{name!r} is not a layer name")
-        return layer_index_of(*parsed)
+        """The named layer's index; ValueError if it is not a layer of this model."""
+        try:
+            return self._layer_index[name]
+        except KeyError:
+            raise ValueError(f"{name!r} is not a layer of this model") from None
 
     def layer_records(self) -> list[TensorRecord]:
-        """Non-aux layer records sorted by layer index (the profiling axis)."""
-        layers = [r for r in self.records if not r.aux]
-        return sorted(layers, key=lambda r: self.layer_index(r.name))
+        """Non-aux layer records in layer-index order (the profiling axis)."""
+        return [self._by_name[name] for name in self._layer_index]
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModelManifest":
@@ -310,6 +327,7 @@ class ModelManifest:
         version = obj.get("version")
         if not _is_kind(version, int) or version != MANIFEST_VERSION:
             raise ValueError(f"unsupported manifest version {version!r}")
+        _reject_unknown_keys(obj, _MANIFEST_KEYS, "manifest")
         raw = obj.get("records")
         _require_kind(raw, list, "manifest 'records'")
         manifest = cls(blocks=obj.get("blocks"), records=[TensorRecord.from_json(r) for r in raw])

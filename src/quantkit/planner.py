@@ -32,7 +32,6 @@ import numpy as np
 
 from .analyzer import (
     LayerMetrics,
-    _check_fp32,
     _fp32_layer_records,
     _map_layers,
     _profile_layer,
@@ -54,6 +53,7 @@ from .quantizer import (
     AXIS_ROW,
     _as_rows,
     _encode_rows,
+    _reject_unknown_keys,
     _scratch,
     fit_group_size,
     quantize_weight,
@@ -63,6 +63,10 @@ PLAN_VERSION = 1
 
 DEFAULT_GROUP_SIZE = 1024
 DEFAULT_MAX_ABS_THRESHOLD = 2.0
+
+# The keys a plan file may carry (see QuantPlan.to_json_text).
+_PLAN_KEYS = frozenset(
+    {"version", "group_size", "bits", "assignments", "per_group_fraction", "fallbacks"})
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,7 @@ class QuantPlan:
         version = obj.get("version")
         if not _is_kind(version, int) or version != PLAN_VERSION:
             raise ValueError(f"unsupported plan version {version!r}")
+        _reject_unknown_keys(obj, _PLAN_KEYS, "plan")
         _require_kind(obj.get("assignments"), dict, "plan 'assignments'")
         fallbacks = obj.get("fallbacks", {})
         _require_kind(fallbacks, dict, "plan 'fallbacks'")
@@ -330,9 +335,7 @@ def quantized_view(
     block per thread, not one layer.
     """
     params = QuantParams(plan.bits)
-    layers = [rec for rec in manifest.records if not rec.aux]
-    _check_fp32(manifest, layers)
-    layer_names = {rec.name for rec in layers}
+    layer_names = {rec.name for rec in _fp32_layer_records(manifest)}
     plan_names = set(plan.assignments)
     if layer_names != plan_names:
         missing = sorted(layer_names - plan_names)

@@ -137,6 +137,13 @@ def _check_bits(bits) -> None:
         raise ValueError(f"bits must be an integer in [{_MIN_BITS}, {_MAX_BITS}], got {bits!r}")
 
 
+def _reject_unknown_keys(obj: dict, known: frozenset, what: str) -> None:
+    """A key of a parsed JSON object that its format does not read is an
+    error naming ``what`` and the key, not metadata silently dropped."""
+    if not obj.keys() <= known:
+        raise ValueError(f"{what} has unknown keys {[k for k in obj if k not in known]}")
+
+
 @dataclass(frozen=True)
 class QuantParams:
     """Bit width for symmetric integer quantization.
@@ -213,6 +220,7 @@ class GroupingScheme:
         gives the one shared, frozen per-channel scheme."""
         if not isinstance(obj, dict) or "mode" not in obj:
             raise ValueError(f"malformed grouping descriptor: {obj!r}")
+        _reject_unknown_keys(obj, _GROUPING_KEYS, "grouping descriptor")
         if obj["mode"] == PER_GROUP:
             return cls.per_group(obj.get("group_size"))
         if obj["mode"] == PER_CHANNEL:
@@ -221,6 +229,8 @@ class GroupingScheme:
             return _PER_CHANNEL
         raise ValueError(f"unknown grouping mode {obj['mode']!r}")
 
+
+_GROUPING_KEYS = frozenset({"mode", "group_size"})
 
 # Every column-wise (activation) tensor's grouping and every parsed
 # per-channel descriptor; frozen, so one is shared.

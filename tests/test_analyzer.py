@@ -1,5 +1,6 @@
 """Layer profiling tests: max-abs, RMSE against the scalar oracle, walls."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantkit import (
+    KIND_ORDER,
     GroupingScheme,
     LayerMetrics,
     QuantParams,
@@ -478,11 +480,20 @@ class TestProfileModel:
         assert profile_model(manifest, tensors, P8) == baseline
 
     def test_block_and_kind_derived_from_name(self):
-        m = LayerMetrics(
-            layer_index=12, name="blocks.1.gate", cols=64, bits=8, max_abs=1.0, rmse=0.1,
-            wall_count=0,
-        )
-        assert (m.block, m.kind) == (1, "gate")
+        m = LayerMetrics(name="blocks.1.gate", cols=64, bits=8, max_abs=1.0, rmse=0.1,
+                         wall_count=0)
+        assert (m.block, m.kind, m.layer_index) == (1, "gate", 12)
+
+    def test_layer_index_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            LayerMetrics(name="blocks.1.gate", cols=64, bits=8, max_abs=1.0, rmse=0.1,
+                         wall_count=0, layer_index=12)
+
+    @pytest.mark.parametrize("name", ["blocks.0.x", "blocks.-1.q", "blocks.0.q.scales",
+                                      "embeddings", "", None])
+    def test_non_layer_name_rejected(self, name):
+        with pytest.raises(ValueError, match=re.escape(f"not a layer name: {name!r}")):
+            LayerMetrics(name=name, cols=64, bits=8, max_abs=1.0, rmse=0.1, wall_count=0)
 
 
 class TestCsvAndPlotData:
@@ -535,6 +546,12 @@ class TestCsvAndPlotData:
                          r"match the name \(expected 2\)", id="index_disagrees_with_name"),
             pytest.param("name", "blocks.0.x", r"line 4 \('blocks.0.x'\): not a layer name",
                          id="not_a_layer_name"),
+            pytest.param("block", "1", r"line 4 \('blocks.0.v'\): block 1 does not match the "
+                         r"name \(expected 0\)", id="block_disagrees_with_name"),
+            pytest.param("kind", "q", r"line 4 \('blocks.0.v'\): kind 'q' does not match the "
+                         r"name \(expected 'v'\)", id="kind_disagrees_with_name"),
+            pytest.param("block", "x", r"malformed metrics row at line 4 \(ValueError",
+                         id="block_not_an_integer"),
             pytest.param("cols", "-8", r"line 4 \('blocks.0.v'\): cols must be positive and "
                          r"wall_count non-negative, got -8 and 0", id="negative_cols"),
             pytest.param("cols", "0", r"line 4 \('blocks.0.v'\): cols must be positive",
@@ -568,7 +585,8 @@ class TestCsvAndPlotData:
     def test_quoted_newline_does_not_shift_later_lines(self, csv_metrics, tmp_path, column,
                                                        value, match):
         lines = [line.split(",") for line in metrics_csv_text(csv_metrics).splitlines()]
-        lines[1][lines[0].index("kind")] = '"q\nq"'  # row 1 now spans file lines 2 and 3
+        i = lines[0].index("max_abs")
+        lines[1][i] = f'"{lines[1][i]}\n"'  # row 1 now spans file lines 2 and 3
         lines[3][lines[0].index(column)] = value
         (tmp_path / "bad.csv").write_text("\n".join(map(",".join, lines)) + "\n")
         with pytest.raises(ValueError, match=match):
@@ -580,6 +598,26 @@ class TestCsvAndPlotData:
         with pytest.raises(ValueError, match=r"line 16 \('blocks.0.v'\): repeats the layer of "
                                              "line 4"):
             read_metrics_csv(tmp_path / "bad.csv")
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        data=st.data(),
+        layers=st.lists(st.tuples(st.integers(0, 200), st.sampled_from(KIND_ORDER)),
+                        min_size=1, max_size=20, unique=True),
+    )
+    def test_any_layers_round_trip_in_layer_index_order(self, tmp_path_factory, data, layers):
+        """Writer and reader agree: metrics for any layer names, in any
+        order, read back equal and in layer-index order."""
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        metrics = [
+            LayerMetrics(name=f"blocks.{b}.{kind}", cols=data.draw(st.integers(1, 2**31)),
+                         bits=data.draw(st.integers(2, 8)), max_abs=data.draw(finite),
+                         rmse=data.draw(finite), wall_count=data.draw(st.integers(0, 2**31)))
+            for b, kind in layers
+        ]
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        write_metrics_csv(path, metrics)
+        assert read_metrics_csv(path) == sorted(metrics, key=lambda m: m.layer_index)
 
     def test_plot_data_shape(self, csv_metrics, tmp_path):
         from quantkit.analyzer import plot_data_json_text

@@ -354,6 +354,15 @@ class TestReport:
         assert captured.err == "error: task 'hs' is listed more than once\n"
         assert captured.out == "" and not out.exists()
 
+    def test_bad_cell_names_its_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "results.csv"
+        csv_path.write_text("task,accuracy,questions\nhs,0.9,100\narc,x,100\n")
+        out = tmp_path / "summary.json"
+        assert main(["report", str(csv_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed results row at line 3 (ValueError")
+        assert captured.out == "" and not out.exists()
+
     def test_malformed_csv_is_a_clean_failure(self, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_text("name,acc\nx,0.5\n")
@@ -366,6 +375,19 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["synth", "--nonsense"])
         assert err.value.code == 2
+
+    def test_both_wall_thresholds_exit_2(self, tmp_path, capsys):
+        m, r = str(tmp_path / "m"), str(tmp_path / "r.csv")
+        assert main(["synth", "--blocks", "1", "--dim", "8", "--seed", "0",
+                     "--wall-blocks", "0", "--out", m]) == 0
+        capsys.readouterr()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", m, "--out", r, "--plot-json", r + ".json",
+                  "--wall-abs-threshold", "1000", "--wall-rms-mult", "0.001"])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_missing_model_exits_1(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "missing"), "--out", str(tmp_path / "r.csv")]) == 1
@@ -552,6 +574,12 @@ class TestDamagedInputs:
             pytest.param(lambda rows: [row.__setitem__(5, "9") for row in rows[1:]],
                          "line 2 ('blocks.0.q'): bits must be an integer in [2, 8], got 9",
                          id="bits_nine"),
+            pytest.param(lambda rows: rows[3].__setitem__(2, "1"),
+                         "line 4 ('blocks.0.v'): block 1 does not match the name (expected 0)",
+                         id="wrong_block"),
+            pytest.param(lambda rows: rows[3].__setitem__(3, "q"),
+                         "line 4 ('blocks.0.v'): kind 'q' does not match the name "
+                         "(expected 'v')", id="wrong_kind"),
         ],
     )
     def test_bad_metrics_row_is_a_clean_failure(
@@ -568,6 +596,43 @@ class TestDamagedInputs:
         self.assert_clean_failure(
             ["plan", r, "--out", str(tmp_path / "p.json")], tmp_path, capsys, message
         )
+
+    @pytest.mark.parametrize(
+        "stem,edit,command,message",
+        [
+            pytest.param("m", lambda obj: obj.update(extra=1), "analyze",
+                         "manifest has unknown keys ['extra']", id="manifest"),
+            pytest.param("m", lambda obj: obj["records"][3].update(scale=2.0), "analyze",
+                         "tensor record 'blocks.0.o' has unknown keys ['scale']", id="record"),
+            pytest.param("mq", lambda obj: obj["records"][0]["grouping"].update(size=4),
+                         "analyze", "tensor record 'blocks.0.q': grouping descriptor has "
+                         "unknown keys ['size']", id="record_grouping"),
+            pytest.param("p.json", lambda obj: obj.update(comment="x", assignments_typo={}),
+                         "quantize", "plan has unknown keys ['comment', 'assignments_typo']",
+                         id="plan"),
+            pytest.param("p.json", lambda obj: obj["assignments"]["blocks.0.k"].update(note=1),
+                         "quantize", "grouping descriptor has unknown keys ['note']",
+                         id="plan_grouping"),
+        ],
+    )
+    def test_unknown_key_is_a_clean_failure(self, model_and_plan, tmp_path, capsys, stem, edit,
+                                            command, message):
+        """No key of an input file is dropped unread: an unknown one is named."""
+        m, _, p = model_and_plan
+        assert main(["quantize", m, "--plan", p, "--out", str(tmp_path / "mq")]) == 0
+        capsys.readouterr()
+        path = str(tmp_path / stem) + ("" if stem.endswith(".json") else ".manifest.json")
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        edit(obj)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        out = str(tmp_path / "out")
+        argv = {
+            "analyze": ["analyze", str(tmp_path / stem), "--out", out],
+            "quantize": ["quantize", m, "--plan", p, "--out", out],
+        }[command]
+        self.assert_clean_failure(argv, tmp_path, capsys, message)
 
 
 class TestQuantizeMemory:

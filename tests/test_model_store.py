@@ -136,6 +136,52 @@ class TestManifestValidation:
         names = [r.name for r in shuffled.layer_records()]
         assert names == [layer_name(b, k) for b in range(2) for k in KIND_ORDER]
 
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), blocks=st.integers(1, 5), aux=st.integers(0, 6))
+    def test_layer_axis_equals_parse_and_sort(self, data, blocks, aux):
+        """The manifest's layer order and indices equal parsing each name and
+        sorting, for layer records in any order with aux records among them."""
+        layers = [TensorRecord(layer_name(b, k), (2, 2), "fp32")
+                  for b in range(blocks) for k in KIND_ORDER]
+        extras = [TensorRecord(f"aux.{i}", (1, 2), "fp32", aux=True) for i in range(aux)]
+        records = data.draw(st.permutations(layers + extras))
+        manifest = ModelManifest(blocks, records)
+
+        def index_of(name):
+            return layer_index_of(*parse_layer_name(name))
+
+        reference = sorted((r for r in records if not r.aux), key=lambda r: index_of(r.name))
+        assert manifest.layer_records() == reference
+        for rec in layers:
+            assert manifest.layer_index(rec.name) == index_of(rec.name)
+
+    @pytest.mark.parametrize("name", ["blocks.1.q", "blocks.0.x", "aux.0", "embeddings"])
+    def test_layer_index_of_a_name_the_model_lacks_rejected(self, name):
+        manifest, _ = tiny_model()
+        records = list(manifest.records) + [TensorRecord("aux.0", (1, 4), "fp32", aux=True)]
+        with pytest.raises(ValueError, match=re.escape(f"{name!r} is not a layer of this model")):
+            ModelManifest(1, records).layer_index(name)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            pytest.param(lambda obj: obj.update(extra=1), "manifest has unknown keys ['extra']",
+                         id="manifest"),
+            pytest.param(lambda obj: obj["records"][1].update(scale=2.0, note="x"),
+                         "tensor record 'blocks.0.k' has unknown keys ['scale', 'note']",
+                         id="record"),
+            pytest.param(lambda obj: obj["records"][0]["grouping"].update(size=4),
+                         "tensor record 'blocks.0.q': grouping descriptor has unknown keys "
+                         "['size']", id="grouping"),
+        ],
+    )
+    def test_unknown_key_rejected_naming_it(self, tmp_path, edit, message):
+        obj = write_quantized_tiny_model(str(tmp_path / "m"))
+        assert ModelManifest.from_json_dict(obj).records  # the written file reads back
+        edit(obj)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelManifest.from_json_dict(obj)
+
 
 class TestWriteRead:
     def test_blob_size_is_forced_by_format(self, tmp_path):

@@ -227,6 +227,21 @@ class TestPlanJson:
         with pytest.raises(ValueError, match=re.escape(match)):
             QuantPlan.from_json_text(_damaged_plan_text(wall_metrics, field, value))
 
+    @pytest.mark.parametrize(
+        "field,match",
+        [
+            pytest.param(("comment",), "plan has unknown keys ['comment']", id="plan"),
+            pytest.param(("assignments_typo",), "plan has unknown keys ['assignments_typo']",
+                         id="typo"),
+            pytest.param(("assignments", "blocks.0.q", "note"),
+                         "malformed plan JSON: grouping descriptor has unknown keys ['note']",
+                         id="descriptor"),
+        ],
+    )
+    def test_unknown_key_rejected_naming_it(self, wall_metrics, field, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            QuantPlan.from_json_text(_damaged_plan_text(wall_metrics, field, "x"))
+
     @pytest.mark.parametrize("text", ["[1]", "[]", "1", "\"plan\"", "null"])
     def test_non_object_json_rejected(self, text):
         with pytest.raises(ValueError, match="plan JSON must be an object"):
