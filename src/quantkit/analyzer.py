@@ -186,9 +186,10 @@ def _profile_layer(
         part = buf.reshape(-1)[span]
         sums = np.empty(len(sizes) + rms_threshold)
         for i, g in enumerate(sizes):
-            scales = _scales_from_amax(amax[g], params, maxima[-1]).astype(np.float64)[:, :, None]
+            scales, clamp = _scales_from_amax(amax[g], params, maxima[-1])
+            scales = scales.astype(np.float64)[:, :, None]
             x = a64.reshape(k, m // g, g)
-            err = _magnitudes_into(buf.reshape(x.shape), x, scales, params)
+            err = _magnitudes_into(buf.reshape(x.shape), x, scales, params, clamp)
             np.subtract(x, np.multiply(err, scales, out=err), out=err)  # mag -> |error| in place
             sums[i] = np.add.reduce(np.square(part, out=part))
         if rms_threshold:

@@ -5,14 +5,17 @@ codes are cast into this thread's float32 block scratch
 (``quantizer._scratch``) and multiplied with float32 BLAS while they sit
 in cache, and the block's scaled product fills its k rows of the float64
 output.  A block has ``max(_MIN_ROWS, _BLOCK // M)`` rows, so the scratch
-holds at most max(_BLOCK, 64 * M) float32 per thread, where a cast of
-the whole weight would take four bytes per code and be read back from
-memory.  The 64-row floor keeps a wide weight's blocks from shrinking to
-one or two rows, each a product for which BLAS repacks the whole
-activation.  A weight of at most 64 rows or ``_BLOCK`` codes is one
-block.  An output row depends only on its own row's codes, and each of
-its elements goes through the same exact steps, so the blocking changes
-no bit.
+holds at most max(_BLOCK, 64 * M) float32 per thread during a call, where
+a cast of the whole weight would take four bytes per code and be read
+back from memory.  The 64-row floor keeps a wide weight's blocks from
+shrinking to one or two rows, each a product for which BLAS repacks the
+whole activation.  A weight of at most 64 rows or ``_BLOCK`` codes is one
+block.  A call whose blocks hold more than ``_BLOCK`` codes (M > 1024, or
+a wide weight of at most 64 rows) drops the cast's buffer before it
+returns, so no call leaves more than ``_BLOCK`` float32 of it behind: one
+64 x 65536 product once left 16 MiB per thread.  An output row depends
+only on its own row's codes, and each of its elements goes through the
+same exact steps, so the blocking changes no bit.
 
 Every partial sum of a product over ``depth`` inner columns is an
 integer no larger than depth * qmax_w * qmax_a, and a float32 significand
@@ -47,7 +50,15 @@ import math
 
 import numpy as np
 
-from .quantizer import _BLOCK, AXIS_COLUMN, AXIS_ROW, QuantizedTensor, _qmax, _scratch
+from .quantizer import (
+    _BLOCK,
+    AXIS_COLUMN,
+    AXIS_ROW,
+    QuantizedTensor,
+    _qmax,
+    _scratch,
+    _trim_scratch,
+)
 
 # Every integer of magnitude up to 2^24 is exact in float32.
 _FLOAT32_EXACT = 2**24
@@ -141,6 +152,7 @@ def _matmul(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
         a = a.reshape(groups, wq.grouping.group_size, p)
         w_scales = w_scales.T[:, :, None]
     if n <= _MIN_ROWS or n * m <= _BLOCK:  # one block, the rows as they are
+        rows = n
         acc = _scaled_rows(wq.values, a, w_scales, depth)
     else:
         rows = max(_MIN_ROWS, _BLOCK // m)
@@ -148,6 +160,10 @@ def _matmul(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
         for r in range(0, n, rows):
             acc[r : r + rows] = _scaled_rows(wq.values[r : r + rows], a,
                                              w_scales[..., r : r + rows, :], depth)
+    if rows * m > _BLOCK:
+        # The cast of a block of more than _BLOCK codes is reused across the
+        # call's blocks, but not kept past it.
+        _trim_scratch("codes", 4 * _BLOCK)
     acc *= aq.scales.astype(np.float64)
     return acc
 

@@ -489,6 +489,64 @@ class TestBatchMemory:
         assert traced_peak(kernel, wq, aq) < 4 * n * m
 
 
+def traced_left(call):
+    """The result of ``call``, run on a new thread whose block scratch starts
+    empty, and the traced bytes the thread still holds once the call has
+    returned, apart from the arrays it returned: what it leaves in the
+    thread's scratch."""
+    held = []
+
+    def run():
+        out = call()
+        arrays = [out] if isinstance(out, np.ndarray) else [out.values, out.scales]
+        held.append((out, tracemalloc.get_traced_memory()[0] - sum(x.nbytes for x in arrays)))
+
+    tracemalloc.start()
+    try:
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        return held[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratchLeftBehind:
+    """A 64-row weight is one row block however wide, so its whole float32
+    cast goes through the block scratch: 16 MiB at 64 x 65536.  A call
+    reuses the scratch across its blocks but keeps no block cast of more
+    than _BLOCK codes past its return."""
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        rng = np.random.default_rng(30)
+        w, a = random_operands(rng, 64, 65536, 8)
+        return w, a
+
+    @pytest.mark.parametrize("g", [None, 128])
+    def test_wide_one_block_product(self, operands, g):
+        w, a = operands
+        scheme = GroupingScheme.per_channel() if g is None else GroupingScheme.per_group(g)
+        wq, aq = quantize_weight(w, scheme, P8), quantize_activation(a, P8)
+        kernel = matmul_per_channel if g is None else matmul_per_group
+        expected = kernel(wq, aq)
+        out, left = traced_left(lambda: kernel(wq, aq))
+        assert out.tobytes() == expected.tobytes()
+        # At most a _BLOCK-code cast and one batch's float32 and float64
+        # products (per-group only), against 16 MiB before.
+        assert left < (4 + 4 + 8) * _BLOCK + 64 * 1024
+
+    def test_tall_activation(self, operands):
+        # quantize_activation works in this thread's scratch; an activation
+        # larger than a layer pass's block does not keep it.
+        _, a = operands
+        expected = quantize_activation(a, P8)
+        aq, left = traced_left(lambda: quantize_activation(a, P8))
+        assert aq.values.tobytes() == expected.values.tobytes()
+        assert left < 64 * 1024
+
+
 class TestNoNegativeZero:
     """The float64 accumulator starts at +0.0, so a zero output is +0.0 even
     where every term is a negative code times a zero activation code."""

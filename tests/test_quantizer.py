@@ -398,6 +398,50 @@ class TestQuantizeActivation:
         assert qt.scales.dtype == np.float32 and qt.scales.tolist() == scales
 
 
+TALL_ROWS = [128, 129, 384, 1000, 1024, 2048]
+TALL_WIDTHS = [1, 3, 8, 32, 257]
+
+
+class TestTallActivation:
+    """A tall activation's column maxima are folded (quantizer._column_max):
+    heights from 128 to 2048, powers of two or not, and widths on both sides
+    of the fold's 256-element rows."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.one_of(st.sampled_from(TALL_ROWS), st.integers(128, 2048)),
+        p=st.sampled_from(TALL_WIDTHS),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+        bits=st.integers(2, 8),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_oracle(self, m, p, kinds, bits, dtype, seed):
+        rng = np.random.default_rng(seed)
+        qmax = QuantParams(bits).qmax
+        a = np.stack([edge_values(rng, kinds[j % len(kinds)], m, qmax, dtype) for j in range(p)],
+                     axis=1).astype(dtype)
+        qt = quantize_activation(a, QuantParams(bits))
+        codes, scales = scalar_quantize_activation(a, bits)
+        assert qt.values.dtype == np.int8 and qt.values.tolist() == codes
+        assert qt.scales.dtype == np.float32 and qt.scales.tolist() == scales
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("m,p", [(129, 8), (384, 3), (1000, 32), (1024, 8), (2048, 1),
+                                     (256, 257)])
+    def test_non_finite_in_last_row_and_column_rejected(self, m, p, bad, dtype):
+        a = np.ones((m, p), dtype=dtype)
+        a[-1, -1] = bad
+        with pytest.raises(ValueError, match="activation contains NaN or Inf"):
+            quantize_activation(a, P8)
+
+    @pytest.mark.parametrize("shape", [(0, 8), (256, 0), (0, 0)])
+    def test_empty_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            quantize_activation(np.empty(shape, np.float32), P8)
+
+
 class TestDequantize:
     def test_two_by_two_frozen_oracle_values(self):
         """Hand case checked against the scalar reference: note 2.0/s is
@@ -442,7 +486,7 @@ class TestQuantizedTensorInvariants:
             )
 
     def test_values_beyond_qmax_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exceed qmax=3"):
             QuantizedTensor(
                 values=np.full((1, 2), 5, dtype=np.int8),
                 scales=np.ones(1, dtype=np.float32),
@@ -471,6 +515,31 @@ class TestQuantizedTensorInvariants:
                 bits=8,
                 axis="row",
             )
+
+    @pytest.mark.parametrize("dtype,code", [(np.int16, 200), (np.int16, -200), (np.uint8, 200)])
+    def test_code_outside_range_rejected_in_wider_dtypes(self, dtype, code):
+        # The constructor skips a scan only where the dtype keeps that bound;
+        # the int8 cases are the two tests above.
+        with pytest.raises(ValueError, match="exceed qmax=127"):
+            QuantizedTensor(
+                values=np.array([[0, code]], dtype=dtype),
+                scales=np.ones(1, dtype=np.float32),
+                grouping=GroupingScheme.per_channel(),
+                bits=8,
+                axis="row",
+            )
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.uint8, np.int64])
+    def test_codes_within_range_accepted_in_every_dtype(self, dtype):
+        codes = [0, 127] if dtype == np.uint8 else [-127, 127]
+        qt = QuantizedTensor(
+            values=np.array([codes], dtype=dtype),
+            scales=np.ones(1, dtype=np.float32),
+            grouping=GroupingScheme.per_channel(),
+            bits=8,
+            axis="row",
+        )
+        assert qt.values.tolist() == [codes]
 
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_symmetric_endpoints_accepted(self, bits):
