@@ -16,6 +16,12 @@ not the fp32 layer.
 A layer's block, kind and layer index come from its name alone:
 ``LayerMetrics`` parses them once, when built, and reading a metrics CSV
 checks its ``layer_index``, ``block`` and ``kind`` cells against them.
+
+Every CSV quantkit writes goes through ``csv_text`` and every CSV it reads
+through ``read_csv``, which checks the header once against a column -> type
+table and reads each cell by its column's type.  ``_metric_columns`` is the
+metrics CSV's table for the writer and the reader alike, so a metrics CSV
+reads back whole, ``group_rmse`` included.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -318,92 +326,106 @@ def csv_float(x: float) -> str:
     return repr(float(x))
 
 
-def metrics_csv_text(metrics: list[LayerMetrics]) -> str:
-    """Render per-channel metrics (plus their ``group_rmse`` columns) as CSV.
+def csv_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """CSV text with "\\n" line ends: the header line, then one line per row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
 
-    Columns: layer_index,name,block,kind,cols,bits,max_abs,rmse_pc,rmse_g{g}...,
-    wall_count with one rmse_g column per group size, ascending.
-    """
+
+def read_csv(path: str | os.PathLike, columns: Callable, what: str) -> list[tuple[int, dict]]:
+    """The rows of a CSV file (blank lines skipped), each with the file line it
+    ends on and its cells by column, read by the types ``columns(header)``
+    gives.  A header or row that does not fit, or no row, is a ValueError."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            lines = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise ValueError(f"malformed CSV in {os.fspath(path)}: {exc}") from None
+    (line, header), *lines = lines or [(1, [])]
+    table = columns(header)
+    faults = "; ".join(f"{fault} columns {names}" for fault, names in (
+        ("unknown", [c for c in header if c not in table]),
+        ("missing", [c for c in table if c not in header]),
+        ("repeated", [c for i, c in enumerate(header) if c in header[:i]])) if names)
+    if faults:
+        raise ValueError(f"malformed {what} row at line {line} (the header) in "
+                         f"{os.fspath(path)}: {faults}")
+    kinds = [(c, table[c]) for c in header]
+    rows = []
+    for line, row in lines:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells for {len(header)} columns")
+            rows.append((line, {c: kind(cell) for (c, kind), cell in zip(kinds, row)}))
+        except ValueError as exc:
+            raise ValueError(f"malformed {what} row at line {line} ({exc!r}): {row!r}") from exc
+    if not rows:
+        raise ValueError(f"no {what} rows in {os.fspath(path)}")
+    return rows
+
+
+_GROUP_COLUMN = re.compile(r"rmse_g([1-9][0-9]*)")  # as written: not rmse_g0 or rmse_g016
+
+
+def _metric_columns(sizes: Iterable[int]) -> dict[str, type]:
+    """The metrics CSV's columns in order, each with the type its cells read as."""
+    return {"layer_index": int, "name": str, "block": int, "kind": str, "cols": int,
+            "bits": int, "max_abs": float, "rmse_pc": float,
+            **{f"rmse_g{g}": float for g in sizes}, "wall_count": int}
+
+
+def metrics_csv_text(metrics: list[LayerMetrics]) -> str:
+    """Render metrics as CSV, with one rmse_g column per group size, ascending."""
     sizes = sorted(metrics[0].group_rmse) if metrics else []
     if any(sorted(m.group_rmse) != sizes for m in metrics):
         raise ValueError("every layer must carry RMSE for the same group sizes")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["layer_index", "name", "block", "kind", "cols", "bits", "max_abs", "rmse_pc"]
-        + [f"rmse_g{g}" for g in sizes]
-        + ["wall_count"]
-    )
-    for m in metrics:
-        writer.writerow(
-            [m.layer_index, m.name, m.block, m.kind, m.cols, m.bits]
-            + [csv_float(m.max_abs), csv_float(m.rmse)]
-            + [csv_float(m.group_rmse[g]) for g in sizes]
-            + [m.wall_count]
-        )
-    return buf.getvalue()
+    return csv_text(_metric_columns(sizes), (
+        [m.layer_index, m.name, m.block, m.kind, m.cols, m.bits, csv_float(m.max_abs),
+         csv_float(m.rmse), *(csv_float(m.group_rmse[g]) for g in sizes), m.wall_count]
+        for m in metrics))
 
 
 def write_metrics_csv(path: str | os.PathLike, metrics: list[LayerMetrics]) -> None:
     atomic_write_text(path, metrics_csv_text(metrics))
 
 
-def _csv_rows(path: str | os.PathLike) -> list[tuple[int, dict]]:
-    """The rows of a CSV file with a header line, each with the file line it
-    ends on (a quoted cell can hold a newline); a malformed file (a field
-    past the csv module's size limit, say) is a ValueError naming it."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            return [(reader.line_num, row) for row in reader]
-        except csv.Error as exc:
-            raise ValueError(f"malformed CSV in {os.fspath(path)}: {exc}") from None
-
-
 def read_metrics_csv(path: str | os.PathLike) -> list[LayerMetrics]:
-    """Parse a metrics CSV back into per-channel LayerMetrics (no group_rmse).
+    """Parse a metrics CSV back into LayerMetrics, ``group_rmse`` included.
 
-    Each row must name a layer once, with the layer_index, block and kind
-    its name gives, positive cols, bits in [2, 8], a non-negative
-    wall_count and finite max_abs and rmse_pc; an error names the row by
-    the file line it ends on.  The metrics come back in layer-index order.
+    The columns are those ``metrics_csv_text`` writes, in any order.  Each
+    row must name a layer once, with the layer_index, block and kind its
+    name gives, positive cols, bits in [2, 8], a non-negative wall_count and
+    finite max_abs and RMSEs; an error names the row by the file line it
+    ends on.  The metrics come back in layer-index order.
     """
-    rows = _csv_rows(path)
-    if not rows:
-        raise ValueError(f"no metric rows in {os.fspath(path)}")
-    metrics = []
-    line_of: dict[str, int] = {}
+    rows = read_csv(path, lambda header: _metric_columns(
+        int(m[1]) for m in map(_GROUP_COLUMN.fullmatch, header) if m), "metrics")
+    group_columns = {int(c[6:]): c for c in rows[0][1] if c.startswith("rmse_g")}
+    seen: dict[str, tuple[int, LayerMetrics]] = {}
     for line, row in rows:
+        where = f"metrics row at line {line} ({row['name']!r})"
         try:
-            index, name = int(row["layer_index"]), row["name"]
-            block, kind = int(row["block"]), row["kind"]
-            cols, bits = int(row["cols"]), int(row["bits"])
-            max_abs, rmse = float(row["max_abs"]), float(row["rmse_pc"])
-            wall_count = int(row["wall_count"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed metrics row at line {line} ({exc!r}): {row!r}") from exc
-        where = f"metrics row at line {line} ({name!r})"
-        try:
-            _check_bits(bits)
-            m = LayerMetrics(name, cols, bits, max_abs, rmse, wall_count)
+            _check_bits(row["bits"])
+            m = LayerMetrics(row["name"], row["cols"], row["bits"], row["max_abs"], row["rmse_pc"],
+                             row["wall_count"], {g: row[c] for g, c in group_columns.items()})
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        for column, cell, derived in (("layer_index", index, m.layer_index),
-                                      ("block", block, m.block), ("kind", kind, m.kind)):
-            if cell != derived:
-                raise ValueError(f"{where}: {column} {cell!r} does not match the name "
-                                 f"(expected {derived!r})")
+        for column in ("layer_index", "block", "kind"):
+            if row[column] != getattr(m, column):
+                raise ValueError(f"{where}: {column} {row[column]!r} does not match the name "
+                                 f"(expected {getattr(m, column)!r})")
         if m.cols < 1 or m.wall_count < 0:
             raise ValueError(f"{where}: cols must be positive and wall_count non-negative, "
                              f"got {m.cols} and {m.wall_count}")
-        if not (np.isfinite(m.max_abs) and np.isfinite(m.rmse)):
-            raise ValueError(f"{where}: max_abs and rmse_pc must be finite, got "
-                             f"{m.max_abs} and {m.rmse}")
-        if m.name in line_of:
-            raise ValueError(f"{where}: repeats the layer of line {line_of[m.name]}")
-        line_of[m.name] = line
-        metrics.append(m)
-    return sorted(metrics, key=lambda m: m.layer_index)
+        if not all(map(math.isfinite, (m.max_abs, m.rmse, *m.group_rmse.values()))):
+            raise ValueError(f"{where}: max_abs and rmse_pc must be finite, as must each rmse_g, "
+                             f"got {m.max_abs} and {m.rmse}, and {m.group_rmse}")
+        if m.name in seen:
+            raise ValueError(f"{where}: repeats the layer of line {seen[m.name][0]}")
+        seen[m.name] = line, m
+    return sorted((m for _, m in seen.values()), key=lambda m: m.layer_index)
 
 
 def plot_data_json_text(metrics: list[LayerMetrics]) -> str:

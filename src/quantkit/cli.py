@@ -13,9 +13,7 @@ not depend on it.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -152,15 +150,9 @@ def cmd_sweep(args) -> int:
     rows = planner.sweep_group_size(manifest, tensors, _plan_config_from_args(args), sizes, params)
 
     selected = list(rows[0].per_layer_rmse)  # in layer-index order
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["group_size", "aggregate_rmse"] + selected)
-    for row in rows:
-        writer.writerow(
-            [row.group_size, analyzer.csv_float(row.aggregate_rmse)]
-            + [analyzer.csv_float(row.per_layer_rmse[name]) for name in selected]
-        )
-    text = buf.getvalue()
+    text = analyzer.csv_text(["group_size", "aggregate_rmse"] + selected, (
+        [row.group_size, analyzer.csv_float(row.aggregate_rmse)]
+        + [analyzer.csv_float(row.per_layer_rmse[name]) for name in selected] for row in rows))
     if args.out:
         model_store.atomic_write_text(args.out, text)
         print(f"wrote sweep table ({len(rows)} sizes, {len(selected)} layers) to {args.out}")
@@ -227,18 +219,10 @@ def cmd_check_matmul(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    tasks = []
-    for line, row in analyzer._csv_rows(args.results):
-        try:
-            tasks.append(
-                report.TaskResult(row["task"], float(row["accuracy"]), int(row["questions"]))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"malformed results row at line {line} ({exc!r}): {row!r}; expected columns "
-                "task,accuracy,questions"
-            ) from exc
-    summary = report.aggregate_accuracy(tasks)
+    rows = analyzer.read_csv(
+        args.results, lambda header: {"task": str, "accuracy": float, "questions": int}, "results")
+    summary = report.aggregate_accuracy(
+        (row["task"], row["accuracy"], row["questions"]) for _, row in rows)
     print(f"tasks: {len(summary.tasks)}")
     print(f"avg: {summary.avg:.6f}")
     print(f"wt_avg: {summary.wt_avg:.6f}")

@@ -68,6 +68,10 @@ DEFAULT_MAX_ABS_THRESHOLD = 2.0
 _PLAN_KEYS = frozenset(
     {"version", "group_size", "bits", "assignments", "per_group_fraction", "fallbacks"})
 
+# The type of each PlanConfig selection mode, as model_store._is_kind reads
+# it; a one-item list means a list or tuple of that type.
+_MODE_KINDS = {"max_abs_threshold": float, "top_k": int, "explicit": [str]}
+
 
 @dataclass(frozen=True)
 class PlanConfig:
@@ -87,9 +91,13 @@ class PlanConfig:
     group_size: int = DEFAULT_GROUP_SIZE
 
     def __post_init__(self):
-        modes = sum(x is not None for x in (self.max_abs_threshold, self.top_k, self.explicit))
-        if modes != 1:
+        _require_kind(self.group_size, int, "plan setting 'group_size'")
+        modes = [name for name in _MODE_KINDS if getattr(self, name) is not None]
+        if len(modes) != 1:
             raise ValueError("exactly one selection mode must be set")
+        _require_kind(getattr(self, modes[0]), _MODE_KINDS[modes[0]], f"plan setting {modes[0]!r}")
+        if self.explicit is not None:  # a list of names becomes a tuple, as the field says
+            object.__setattr__(self, "explicit", tuple(self.explicit))
         if self.max_abs_threshold is not None and math.isnan(self.max_abs_threshold):
             raise ValueError("max_abs_threshold must be a number, got nan")
         if self.top_k is not None and self.top_k < 0:

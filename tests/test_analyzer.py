@@ -524,7 +524,8 @@ class TestCsvAndPlotData:
         assert [(m.cols, m.bits) for m in loaded] == [(16, 4)] * len(csv_metrics)
 
     def test_csv_round_trip_is_lossless(self, csv_metrics, tmp_path):
-        walled = [replace(m, wall_count=i % 5) for i, m in enumerate(csv_metrics)]
+        walled = [replace(m, wall_count=i % 5, group_rmse={4: m.rmse / 3, 16: m.rmse})
+                  for i, m in enumerate(csv_metrics)]
         write_metrics_csv(tmp_path / "m.csv", walled)
         assert read_metrics_csv(tmp_path / "m.csv") == walled
 
@@ -592,6 +593,58 @@ class TestCsvAndPlotData:
         with pytest.raises(ValueError, match=match):
             read_metrics_csv(tmp_path / "bad.csv")
 
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            pytest.param(lambda lines: lines[3].append("0.5"), r"malformed metrics row at line 4 "
+                         r"\(ValueError\('11 cells for 10 columns'\)\)", id="cell_too_many"),
+            pytest.param(lambda lines: lines[3].pop(), r"malformed metrics row at line 4 "
+                         r"\(ValueError\('9 cells for 10 columns'\)\)", id="cell_too_few"),
+            pytest.param(lambda lines: [row.append("comment" if i == 0 else "x")
+                                        for i, row in enumerate(lines)],
+                         r"line 1 \(the header\) in .*bad\.csv: unknown columns \['comment'\]",
+                         id="comment_column"),
+            pytest.param(lambda lines: [row.insert(7, "max_abs" if i == 0 else "0.0")
+                                        for i, row in enumerate(lines)],
+                         r"line 1 \(the header\) in .*bad\.csv: repeated columns \['max_abs'\]",
+                         id="repeated_max_abs"),
+            pytest.param(lambda lines: lines[0].__setitem__(7, "rmse"),
+                         r"line 1 \(the header\) in .*bad\.csv: unknown columns \['rmse'\]; "
+                         r"missing columns \['rmse_pc'\]", id="renamed_column"),
+            pytest.param(lambda lines: lines[0].__setitem__(8, "rmse_g0"),
+                         r"unknown columns \['rmse_g0'\]", id="group_size_zero"),
+            pytest.param(lambda lines: lines[0].__setitem__(8, "rmse_g04"),
+                         r"unknown columns \['rmse_g04'\]", id="group_size_leading_zero"),
+            pytest.param(lambda lines: lines[0].__setitem__(8, "rmse_gx"),
+                         r"unknown columns \['rmse_gx'\]", id="group_size_not_a_number"),
+            pytest.param(lambda lines: lines[3].__setitem__(8, "nan"),
+                         r"line 4 \('blocks.0.v'\): max_abs and rmse_pc must be finite, as must "
+                         r"each rmse_g, got .* \{4: nan\}", id="nan_group_rmse"),
+            pytest.param(lambda lines: lines[3].__setitem__(8, "x"),
+                         r"malformed metrics row at line 4 \(ValueError",
+                         id="group_rmse_not_a_float"),
+            pytest.param(lambda lines: lines.__delitem__(slice(1, None)),
+                         r"no metrics rows in .*bad\.csv", id="header_only"),
+        ],
+    )
+    def test_header_and_cells_must_fit_the_columns(self, csv_metrics, tmp_path, edit, match):
+        """Each column is named once in the header, and each row has one cell
+        per column that its type reads."""
+        text = metrics_csv_text([replace(m, group_rmse={4: m.rmse}) for m in csv_metrics])
+        lines = [line.split(",") for line in text.splitlines()]
+        assert lines[0][8] == "rmse_g4"
+        edit(lines)
+        (tmp_path / "bad.csv").write_text("\n".join(map(",".join, lines)) + "\n")
+        with pytest.raises(ValueError, match=match):
+            read_metrics_csv(tmp_path / "bad.csv")
+
+    def test_columns_in_any_order_and_blank_lines_read_alike(self, csv_metrics, tmp_path):
+        metrics = [replace(m, group_rmse={4: m.rmse, 8: m.max_abs}) for m in csv_metrics]
+        rows = list(zip(*[line.split(",") for line in metrics_csv_text(metrics).splitlines()]))
+        lines = [",".join(row) for row in zip(*rows[::-1])]
+        (tmp_path / "m.csv").write_text("\n" + "\n\n".join(lines) + "\n")
+        assert read_metrics_csv(tmp_path / "m.csv") == metrics
+
     def test_repeated_layer_rejected_naming_both_rows(self, csv_metrics, tmp_path):
         lines = metrics_csv_text(csv_metrics).splitlines()
         (tmp_path / "bad.csv").write_text("\n".join(lines + [lines[3]]) + "\n")
@@ -609,15 +662,23 @@ class TestCsvAndPlotData:
         """Writer and reader agree: metrics for any layer names, in any
         order, read back equal and in layer-index order."""
         finite = st.floats(allow_nan=False, allow_infinity=False)
+        sizes = data.draw(st.lists(st.integers(1, 2**31), max_size=3), label="group sizes")
         metrics = [
             LayerMetrics(name=f"blocks.{b}.{kind}", cols=data.draw(st.integers(1, 2**31)),
                          bits=data.draw(st.integers(2, 8)), max_abs=data.draw(finite),
-                         rmse=data.draw(finite), wall_count=data.draw(st.integers(0, 2**31)))
+                         rmse=data.draw(finite), wall_count=data.draw(st.integers(0, 2**31)),
+                         group_rmse={g: data.draw(finite) for g in sizes})
             for b, kind in layers
         ]
         path = tmp_path_factory.mktemp("csv") / "m.csv"
         write_metrics_csv(path, metrics)
-        assert read_metrics_csv(path) == sorted(metrics, key=lambda m: m.layer_index)
+        loaded = read_metrics_csv(path)
+        assert loaded == sorted(metrics, key=lambda m: m.layer_index)
+        # Writing what was read, then reading and writing again, gives the same bytes.
+        write_metrics_csv(path, loaded)
+        written = path.read_bytes()
+        write_metrics_csv(path, read_metrics_csv(path))
+        assert path.read_bytes() == written
 
     def test_plot_data_shape(self, csv_metrics, tmp_path):
         from quantkit.analyzer import plot_data_json_text

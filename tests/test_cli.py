@@ -369,6 +369,31 @@ class TestReport:
         assert main(["report", str(csv_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            pytest.param("task,accuracy,questions,notes\nHS,0.9,10000,x\n",
+                         "malformed results row at line 1 (the header) in {}: unknown columns "
+                         "['notes']", id="notes_column"),
+            pytest.param("task,accuracy,questions\nHS,0.9,10000\nOQ,0.5,500,x\n",
+                         "malformed results row at line 3 (ValueError('4 cells for 3 columns')): "
+                         "['OQ', '0.5', '500', 'x']", id="extra_cell"),
+            pytest.param("task,accuracy,questions,task\nHS,0.9,10000,OQ\n",
+                         "malformed results row at line 1 (the header) in {}: repeated columns "
+                         "['task']", id="repeated_column"),
+            pytest.param("task,accuracy,questions\n", "no results rows in {}", id="header_only"),
+        ],
+    )
+    def test_rows_that_do_not_fit_the_columns_are_a_clean_failure(self, tmp_path, capsys, text,
+                                                                 message):
+        csv_path = tmp_path / "results.csv"
+        csv_path.write_text(text)
+        out = tmp_path / "summary.json"
+        assert main(["report", str(csv_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(csv_path)}\n"
+        assert captured.out == "" and not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_flag_exits_2(self):
@@ -580,6 +605,14 @@ class TestDamagedInputs:
             pytest.param(lambda rows: rows[3].__setitem__(3, "q"),
                          "line 4 ('blocks.0.v'): kind 'q' does not match the name "
                          "(expected 'v')", id="wrong_kind"),
+            pytest.param(lambda rows: [row.append("max_abs" if i == 0 else "0.0")
+                                       for i, row in enumerate(rows)],
+                         "r.csv: repeated columns ['max_abs']", id="repeated_max_abs"),
+            pytest.param(lambda rows: [row.append("comment" if i == 0 else "x")
+                                       for i, row in enumerate(rows)],
+                         "r.csv: unknown columns ['comment']", id="comment_column"),
+            pytest.param(lambda rows: rows[3].append("x"),
+                         "line 4 (ValueError('10 cells for 9 columns'))", id="cell_too_many"),
         ],
     )
     def test_bad_metrics_row_is_a_clean_failure(

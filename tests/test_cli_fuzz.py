@@ -1,10 +1,12 @@
 """Drawn damage to every CLI input.
 
 Hypothesis replaces one field of a valid manifest, plan or ``synth --config``
-file with a drawn JSON value, or one cell of a valid metrics or results CSV
-with drawn text, and runs the subcommands that read it through in-process
-``main``.  Each run must exit 0, or exit 1 with ``error:`` on the first line,
-no traceback and no output file; an uncaught exception fails the test.
+file with a drawn JSON value, or damages a valid metrics or results CSV (one
+cell replaced with drawn text, a column dropped, repeated or appended, or a
+cell added to or removed from one row), and runs the subcommands that read it
+through in-process ``main``.  Each run must exit 0, or exit 1 with ``error:``
+on the first line, no traceback and no output file; an uncaught exception
+fails the test.
 """
 
 import contextlib
@@ -72,24 +74,36 @@ def _rewrite_json(path, field, value):
         json.dump(obj, fh)
 
 
-def _rewrite_cell(path, row, col, text):
+# Damage to a CSV's rows at row ``row`` and column ``col``, with drawn text.
+CSV_DAMAGE = {
+    "cell": lambda rows, row, col, text: rows[row].__setitem__(col, text),
+    "drop_column": lambda rows, row, col, text: [r.pop(col) for r in rows],
+    "repeat_column": lambda rows, row, col, text: [r.insert(col, r[col]) for r in rows],
+    "append_column": lambda rows, row, col, text: [r.append(text) for r in rows],
+    "add_cell": lambda rows, row, col, text: rows[row].insert(col, text),
+    "remove_cell": lambda rows, row, col, text: rows[row].pop(col),
+}
+
+
+def _damage_csv(path, damage, row, col, text):
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
-    rows[row][col] = text
+    CSV_DAMAGE[damage](rows, row, col, text)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A 1-block, 8-dim model with walls in blocks.0.q, its metrics, a plan with
-    one per-group layer and one fallback, the quantized model, a synth config
-    and a results CSV."""
+    """A 1-block, 8-dim model with walls in blocks.0.q, its metrics with
+    group sizes 2 and 4, a plan with one per-group layer and one fallback, the
+    quantized model, a synth config and a results CSV."""
     d = tmp_path_factory.mktemp("inputs")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", "--blocks", "1", "--dim", "8", "--seed", "0", "--wall-blocks", "0",
                      "--wall-kinds", "q", "--wall-columns", "1", "--out", str(d / "m")]) == 0
-        assert main(["analyze", str(d / "m"), "--out", str(d / "r.csv")]) == 0
+        assert main(["analyze", str(d / "m"), "--group-sizes", "2,4",
+                     "--out", str(d / "r.csv")]) == 0
         assert main(["plan", str(d / "r.csv"), "--layers", "blocks.0.q", "--group-size", "3",
                      "--out", str(d / "p.json")]) == 0
         assert main(["quantize", str(d / "m"), "--plan", str(d / "p.json"),
@@ -195,27 +209,40 @@ def test_damaged_synth_config(inputs, path, value):
         _run(["synth", "--config", config, "--out", out], [out + ".manifest.json", out + ".bin"])
 
 
+csv_damage = st.sampled_from(sorted(CSV_DAMAGE))
+
+
+# Columns: layer_index,name,block,kind,cols,bits,max_abs,rmse_pc,rmse_g2,rmse_g4,wall_count
 @FUZZ
-@given(row=st.integers(0, 7), col=st.integers(0, 8), text=cell_texts)
-@example(row=1, col=4, text="-8")
-@example(row=1, col=4, text="0")
-@example(row=1, col=8, text="-1")
-@example(row=1, col=1, text=LONG_FIELD)
-def test_damaged_metrics_csv(inputs, row, col, text):
+@given(damage=csv_damage, row=st.integers(0, 7), col=st.integers(0, 10), text=cell_texts)
+@example(damage="cell", row=1, col=4, text="-8")
+@example(damage="cell", row=1, col=4, text="0")
+@example(damage="cell", row=1, col=10, text="-1")
+@example(damage="cell", row=1, col=9, text="inf")
+@example(damage="cell", row=0, col=8, text="rmse_g02")
+@example(damage="cell", row=1, col=1, text=LONG_FIELD)
+@example(damage="repeat_column", row=0, col=6, text="0.0")
+@example(damage="append_column", row=0, col=0, text="comment")
+@example(damage="add_cell", row=3, col=10, text="0")
+@example(damage="remove_cell", row=3, col=10, text="")
+def test_damaged_metrics_csv(inputs, damage, row, col, text):
     with _copy_of(inputs) as work:
         metrics = os.path.join(work, "r.csv")
-        _rewrite_cell(metrics, row, col, text)
+        _damage_csv(metrics, damage, row, col, text)
         out = os.path.join(work, "out.json")
         _run(["plan", metrics, "--group-size", "4", "--out", out], [out])
 
 
 @FUZZ
-@given(row=st.integers(0, 2), col=st.integers(0, 2), text=cell_texts)
-@example(row=1, col=0, text=LONG_FIELD)
-@example(row=1, col=2, text="1" + "0" * 400)
-def test_damaged_results_csv(inputs, row, col, text):
+@given(damage=csv_damage, row=st.integers(0, 2), col=st.integers(0, 2), text=cell_texts)
+@example(damage="cell", row=1, col=0, text=LONG_FIELD)
+@example(damage="cell", row=1, col=2, text="1" + "0" * 400)
+@example(damage="append_column", row=0, col=0, text="notes")
+@example(damage="add_cell", row=2, col=2, text="x")
+@example(damage="drop_column", row=0, col=1, text="")
+def test_damaged_results_csv(inputs, damage, row, col, text):
     with _copy_of(inputs) as work:
         results = os.path.join(work, "res.csv")
-        _rewrite_cell(results, row, col, text)
+        _damage_csv(results, damage, row, col, text)
         out = os.path.join(work, "out.json")
         _run(["report", results, "--out", out], [out])

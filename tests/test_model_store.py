@@ -611,7 +611,9 @@ class TestManifestJson:
         manifest = ModelManifest(blocks, order)
         text = model_store._manifest_text(manifest)
         assert text == json.dumps(manifest_json(manifest), sort_keys=True, indent=2) + "\n"
-        assert model_store.ModelManifest.from_json_dict(json.loads(text)) == manifest
+        again = model_store.ModelManifest.from_json_dict(json.loads(text))
+        assert again == manifest
+        assert model_store._manifest_text(again) == text  # write, read, write: the same bytes
 
 
 class TestBuildAndCheckOnce:

@@ -120,6 +120,37 @@ class TestBuildPlan:
         with pytest.raises(ValueError, match="max_abs_threshold must be a number, got nan"):
             PlanConfig(max_abs_threshold=float("nan"))
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            pytest.param(dict(top_k=2.5), "plan setting 'top_k' must be int, got 2.5",
+                         id="float_top_k"),
+            pytest.param(dict(top_k=True), "plan setting 'top_k' must be int, got True",
+                         id="bool_top_k"),
+            pytest.param(dict(explicit="blocks.0.q"),
+                         "plan setting 'explicit' must be a list of str, got 'blocks.0.q'",
+                         id="explicit_string"),
+            pytest.param(dict(explicit=("blocks.0.q", 3)),
+                         "plan setting 'explicit' must be a list of str", id="explicit_int"),
+            pytest.param(dict(max_abs_threshold="2"),
+                         "plan setting 'max_abs_threshold' must be float, got '2'",
+                         id="string_threshold"),
+            pytest.param(dict(top_k=1, group_size=16.0),
+                         "plan setting 'group_size' must be int, got 16.0", id="float_group_size"),
+            pytest.param(dict(top_k=1, group_size=True),
+                         "plan setting 'group_size' must be int, got True", id="bool_group_size"),
+        ],
+    )
+    def test_setting_of_the_wrong_kind_rejected_naming_it(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            PlanConfig(**kwargs)
+
+    def test_explicit_list_is_kept_as_a_tuple(self):
+        cfg = PlanConfig(explicit=["blocks.0.q", "blocks.1.k"])
+        assert cfg.explicit == ("blocks.0.q", "blocks.1.k")
+        assert cfg == PlanConfig(explicit=("blocks.0.q", "blocks.1.k"))
+        assert hash(cfg) == hash(PlanConfig(explicit=("blocks.0.q", "blocks.1.k")))
+
     def test_empty_metrics_rejected(self):
         with pytest.raises(ValueError):
             build_plan([], PlanConfig(max_abs_threshold=1.0))
@@ -296,6 +327,7 @@ class TestPlanConstructor:
             return
         again = QuantPlan.from_json_text(plan.to_json_text())
         assert again == plan
+        assert again.to_json_text() == plan.to_json_text()  # write, read, write: the same bytes
         assert again.fallbacks == plan.fallbacks == _fallbacks_of(plan)
 
 
