@@ -59,6 +59,7 @@ from .quantizer import (
     _row_blocks,
     _scales_from_amax,
     _scratch,
+    _trim_scratch,
 )
 
 # First-block V-matrix weight maxima observed in public checkpoints.  The
@@ -223,6 +224,7 @@ def _profile_layer(
                 counts = counts + np.greater(
                     absw, threshold, out=_scratch("mask", absw.shape, bool)).sum(axis=0)
             walls = [int(j) for j in np.nonzero(counts >= wall_cfg.row_fraction * n)[0]]
+    _trim_scratch(m)
     sse = dict(zip(sizes, sums.tolist()))
     return max_abs, walls, [sse[gr.resolved_group_size(m)] for gr in groupings]
 
@@ -232,8 +234,10 @@ def layer_max_abs(w) -> float:
     by row block."""
     src = _as_rows(w, "weight")
     read = src.read_rows
-    return float(max(_finite_max(_abs_rows(read(b.start, b.stop)), "weight")
-                     for b in _row_blocks(*src.shape)))
+    top = max(_finite_max(_abs_rows(read(b.start, b.stop)), "weight")
+              for b in _row_blocks(*src.shape))
+    _trim_scratch(src.shape[1])
+    return float(top)
 
 
 def layer_rmse(w, grouping: GroupingScheme, params: QuantParams) -> float:

@@ -160,10 +160,9 @@ def _matmul(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
         for r in range(0, n, rows):
             acc[r : r + rows] = _scaled_rows(wq.values[r : r + rows], a,
                                              w_scales[..., r : r + rows, :], depth)
-    if rows * m > _BLOCK:
-        # The cast of a block of more than _BLOCK codes is reused across the
-        # call's blocks, but not kept past it.
-        _trim_scratch("codes", 4 * _BLOCK)
+    # The cast of a block of more than _BLOCK codes is reused across the
+    # call's blocks, but not kept past it.
+    _trim_scratch(rows * m)
     acc *= aq.scales.astype(np.float64)
     return acc
 

@@ -78,6 +78,7 @@ from .quantizer import (
     _reject_unknown_keys,
     _row_blocks,
     _scratch,
+    _trim_scratch,
 )
 
 MANIFEST_VERSION = 1
@@ -495,6 +496,7 @@ class _BlobWriter:
         for b in _row_blocks(*rec.shape):
             block = np.ascontiguousarray(read(b.start, b.stop))
             written += _pwrite_all(fd, block, block.nbytes, offset + written)
+        _trim_scratch(rec.shape[1])
         scale = rec.scale_ref
         if self._manifest.scale_owner(scale) is rec:
             written += self._write(fd, self._manifest.record(scale), getattr(src, "scales", None))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from collections.abc import Mapping
 from typing import Callable, Sequence
@@ -398,26 +399,50 @@ def apply_plan(
     return qmanifest, out
 
 
+# The resident records that read_quantized_layer has checked, by id() of
+# the codes array: weak references to the codes, the scale record and the
+# TensorRecord they were checked against.  No entry keeps an array alive,
+# and an entry goes when its codes array is freed, before its id() can be
+# reused.
+_checked: dict[int, tuple[weakref.ref, weakref.ref, weakref.ref]] = {}
+
+
 def read_quantized_layer(
     manifest: ModelManifest, tensors: Mapping[str, np.ndarray], name: str
 ) -> QuantizedTensor:
     """Rebuild a QuantizedTensor from a quantized model's records.
 
     The manifest has already checked the layer's grouping and bits and the
-    scale record's shape.  The codes and scale values are disk bytes, so the
-    tensor is built through the public, checked QuantizedTensor constructor:
-    a code outside [-qmax, qmax] or a scale that is not positive and finite
-    is rejected.
+    scale record's shape.  The codes and scale values are disk bytes, so
+    they are checked on first lookup of each resident record: the tensor
+    is built through the public, checked QuantizedTensor constructor, and a
+    code outside [-qmax, qmax] or a scale that is not positive and finite
+    is rejected.  When both arrays are read-only, as ``read_model``'s are,
+    the check is remembered.  A later lookup that gets the very same two
+    arrays, still read-only, for the same TensorRecord builds the tensor
+    without the scans; anything else (a writeable array, a replaced entry,
+    another manifest, ``open_model``'s fresh array per access) is checked
+    again.  The one assumption: a read-only array is unchanged, in its
+    bytes, shape and dtype, for as long as it lives.
     """
     rec = manifest.record(name)
     if rec.aux or rec.dtype != "int8":
         raise ValueError(f"record {name!r} is not a quantized layer")
-    scales = tensors[rec.scale_ref]
-    if not rec.grouping.is_per_group:
-        scales = scales.reshape(-1)
-    return QuantizedTensor(
-        values=tensors[name], scales=scales, grouping=rec.grouping, bits=rec.bits, axis=AXIS_ROW
+    codes, scale_record = tensors[name], tensors[rec.scale_ref]
+    scales = scale_record if rec.grouping.is_per_group else scale_record.reshape(-1)
+    key = id(codes)
+    entry = _checked.get(key)
+    read_only = not (codes.flags.writeable or scale_record.flags.writeable)
+    if (entry is not None and read_only and entry[0]() is codes
+            and entry[1]() is scale_record and entry[2]() is rec):
+        return QuantizedTensor._unchecked(codes, scales, rec.grouping, rec.bits, AXIS_ROW)
+    qt = QuantizedTensor(
+        values=codes, scales=scales, grouping=rec.grouping, bits=rec.bits, axis=AXIS_ROW
     )
+    if read_only:
+        _checked[key] = (weakref.ref(codes, lambda _: _checked.pop(key, None)),
+                         weakref.ref(scale_record), weakref.ref(rec))
+    return qt
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,11 @@ quantized view's row source), and a quantized product's float32 row
 block of weight codes and batch of group products (``kernels``), come
 from ``_scratch``: one buffer per kind and thread, grown on demand and
 reused across blocks and layers, so no block-sized buffer is allocated
-per block.  A public call whose buffers outgrow a layer pass's block (a
-product whose row blocks hold more than ``_BLOCK`` codes, an activation
-of more than ``_BLOCK`` elements) drops them before it returns
-(``_trim_scratch``), so it leaves no more than a block's bytes behind.  A
+per block.  A call whose buffers outgrow a layer pass's block (a layer
+pass over rows wider than ``_BLOCK``, a product whose row blocks hold
+more than ``_BLOCK`` codes, an activation of more than ``_BLOCK``
+elements) drops them before it returns (``_trim_scratch``), so it leaves
+no more than a block's bytes per kind behind.  A
 block that an open model's row source returns lives in that scratch: it
 stays valid only until the same thread's next row read.
 
@@ -137,14 +138,29 @@ def _scratch(kind: str, shape: tuple[int, ...], dtype, reserve: int = 0) -> np.n
     return view
 
 
-def _trim_scratch(kind: str, nbytes: int) -> None:
-    """Drop this thread's buffer of ``kind`` if it holds more than ``nbytes``,
-    so that a call whose blocks outgrew that bound leaves no more behind."""
-    scratch = _thread_scratch
-    buf = scratch.buffers.get(kind)
-    if buf is not None and len(buf) > nbytes:
-        del scratch.buffers[kind]
-        scratch.views.clear()
+# One _BLOCK-element block of each scratch kind that a call can grow past a
+# block, in bytes of the kind's widest dtype: the float64 |w| and work
+# buffers, the bool sign and wall masks, an open model's float32 rows, and
+# the codes (a quantized view's int8 codes, the kernels' float32 casts).
+_BLOCK_BYTES = {kind: size * _BLOCK for kind, size in
+                {"work": 8, "w64": 8, "sign": 1, "mask": 1, "rows": 4, "codes": 4}.items()}
+
+
+def _trim_scratch(block_elements: int) -> None:
+    """End a call whose largest block held ``block_elements`` elements.  Past
+    _BLOCK, drop each of this thread's buffers that outgrew one _BLOCK block
+    of its kind, so the call leaves no more than a block per kind behind.
+    For a layer pass that is the row width: its blocks exceed _BLOCK only
+    when each is one row wider than _BLOCK.  A call with smaller blocks
+    keeps its buffers (a profile leaf's rows, at most a block and two rows)
+    for the next call."""
+    if block_elements > _BLOCK:
+        scratch = _thread_scratch
+        for kind, nbytes in _BLOCK_BYTES.items():
+            buf = scratch.buffers.get(kind)
+            if buf is not None and len(buf) > nbytes:
+                del scratch.buffers[kind]
+                scratch.views.clear()
 
 
 def _qmax(bits: int) -> int:
@@ -282,13 +298,15 @@ class QuantizedTensor:
     that every scale is positive and finite, and that every code lies in
     [-qmax, qmax] (it scans only for a bound that the codes' integer dtype
     does not already keep: int8 codes at 8 bits only for -128).  Codes and
-    scales that come from outside the library, such as a quantized model's
-    records read from disk
-    (``planner.read_quantized_layer``), always pass through it.  Only
-    ``quantize_weight`` and ``quantize_activation`` skip it, through
-    ``_unchecked``: their scales come from ``_scales_from_amax``, which
-    rejects 0 and inf, and ``_encode_into`` clamps their codes to
-    [-qmax, qmax], so the scans would find nothing.
+    scales that come from outside the library pass through it.  A quantized
+    model's records read from disk (``planner.read_quantized_layer``) are
+    checked on first lookup of each resident record: a later lookup of the
+    same read-only arrays skips the scans, through ``_unchecked``, on the
+    assumption that a read-only array does not change.
+    ``quantize_weight`` and ``quantize_activation`` skip it too: their
+    scales come from ``_scales_from_amax``, which rejects 0 and inf, and
+    ``_encode_into`` clamps their codes to [-qmax, qmax], so the scans
+    would find nothing.
     """
 
     values: np.ndarray
@@ -299,7 +317,8 @@ class QuantizedTensor:
 
     @classmethod
     def _unchecked(cls, values, scales, grouping, bits, axis) -> "QuantizedTensor":
-        """A tensor built from the library's own encoder output, without the checks."""
+        """A tensor built without the checks: from the library's own encoder
+        output, or from records that have already passed them."""
         qt = object.__new__(cls)
         qt.values, qt.scales, qt.grouping, qt.bits, qt.axis = values, scales, grouping, bits, axis
         return qt
@@ -539,6 +558,7 @@ def quantize_weight(
     q = np.empty((n, m), np.int8)
     for b in _row_blocks(n, m):
         _encode_rows(q[b], scales[b], src.read_rows(b.start, b.stop), params)
+    _trim_scratch(m)
 
     if not grouping.is_per_group:
         scales = scales.reshape(n)
@@ -576,9 +596,7 @@ def quantize_activation(a: np.ndarray, params: QuantParams) -> QuantizedTensor:
     scales, clamp = _scales_from_amax(amax, params, _finite_max(amax, "activation"))
     q = np.empty(a.shape, np.int8)
     _encode_into(q, a, absa, scales.astype(np.float64), params, clamp)
-    if a.size > _BLOCK:  # an activation larger than a layer pass's block keeps no scratch
-        _trim_scratch("work", 8 * _BLOCK)
-        _trim_scratch("sign", _BLOCK)
+    _trim_scratch(a.size)  # an activation larger than a layer pass's block keeps no scratch
     return QuantizedTensor._unchecked(q, scales, _PER_CHANNEL, params.bits, AXIS_COLUMN)
 
 

@@ -1,7 +1,10 @@
 """Mixed-grouping plan construction, application, and group-size sweeps."""
 
+import gc
 import json
 import re
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -32,6 +35,7 @@ from quantkit import (
 from quantkit import planner
 from quantkit.model_store import KIND_ORDER, blob_path, layer_name
 from quantkit.planner import read_quantized_layer, scale_record_name
+from quantkit.quantizer import QuantizedTensor
 
 P8 = QuantParams(8)
 PC = GroupingScheme.per_channel()
@@ -541,6 +545,190 @@ class TestDamagedQuantizedRecords:
         qmanifest, qtensors = reader(tmp_path / "q")
         with pytest.raises(ValueError, match=match):
             read_quantized_layer(qmanifest, qtensors, self.NAME)
+
+
+@pytest.fixture(scope="module")
+def stored_quantized(tmp_path_factory, wall_model, wall_metrics):
+    """The stem of the wall model quantized with per-group(8) wall layers."""
+    stem = tmp_path_factory.mktemp("quantized") / "q"
+    plan = build_plan(wall_metrics, PlanConfig(max_abs_threshold=2.0, group_size=8))
+    write_model(*apply_plan(*wall_model, plan), stem)
+    return stem
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Counts the checked QuantizedTensor constructions, on a fresh memo."""
+    calls = []
+    checked = QuantizedTensor.__post_init__
+
+    def counting(self):
+        calls.append(self.values.shape)  # not the tensor, which would keep its arrays alive
+        checked(self)
+
+    monkeypatch.setattr(QuantizedTensor, "__post_init__", counting)
+    monkeypatch.setattr(planner, "_checked", {})
+    return calls
+
+
+def same_tensor(a: QuantizedTensor, b: QuantizedTensor) -> bool:
+    return (a.values.tobytes() == b.values.tobytes() and a.scales.tobytes() == b.scales.tobytes()
+            and a.scales.shape == b.scales.shape and (a.grouping, a.bits, a.axis)
+            == (b.grouping, b.bits, b.axis))
+
+
+class TestCheckedOnce:
+    """read_quantized_layer checks a resident record on its first lookup and
+    trusts the very same read-only arrays after that; anything else is
+    checked again."""
+
+    PC_LAYER, PG_LAYER = "blocks.1.o", "blocks.0.q"
+
+    @pytest.mark.parametrize("name", [PC_LAYER, PG_LAYER])
+    def test_second_lookup_skips_the_scan(self, stored_quantized, checks, name):
+        qmanifest, qtensors = read_model(stored_quantized)
+        assert qmanifest.record(name).grouping.is_per_group == (name == self.PG_LAYER)
+        first = read_quantized_layer(qmanifest, qtensors, name)
+        assert len(checks) == 1
+        for _ in range(3):
+            again = read_quantized_layer(qmanifest, qtensors, name)
+            assert again.values is first.values is qtensors[name]
+            assert np.array_equal(again.scales, first.scales) and same_tensor(again, first)
+        assert len(checks) == 1
+
+    def test_replaced_entry_is_checked_again(self, stored_quantized, checks):
+        qmanifest, qtensors = read_model(stored_quantized)
+        name, sname = self.PC_LAYER, scale_record_name(self.PC_LAYER)
+        expected = read_quantized_layer(qmanifest, qtensors, name)
+        for key in (name, sname):
+            qtensors[key] = qtensors[key].copy()
+            qtensors[key].flags.writeable = False
+            before = len(checks)
+            assert same_tensor(read_quantized_layer(qmanifest, qtensors, name), expected)
+            assert same_tensor(read_quantized_layer(qmanifest, qtensors, name), expected)
+            assert len(checks) == before + 1, key  # the new pair is checked once
+        damaged = qtensors[name].copy()
+        damaged[0, 0] = -128
+        damaged.flags.writeable = False
+        qtensors[name] = damaged
+        with pytest.raises(ValueError, match="exceed qmax=127"):
+            read_quantized_layer(qmanifest, qtensors, name)
+
+    @pytest.mark.parametrize("record", ["codes", "scales"])
+    def test_writeable_array_is_checked_on_every_lookup(self, stored_quantized, checks, record):
+        qmanifest, qtensors = read_model(stored_quantized)
+        name = self.PG_LAYER
+        key = name if record == "codes" else scale_record_name(name)
+        qtensors[key] = qtensors[key].copy()
+        for _ in range(3):
+            read_quantized_layer(qmanifest, qtensors, name)
+        assert len(checks) == 3
+        assert planner._checked == {}
+
+    def test_record_made_writeable_and_damaged_is_rejected(self, stored_quantized, checks):
+        qmanifest, qtensors = read_model(stored_quantized)
+        name = self.PC_LAYER
+        read_quantized_layer(qmanifest, qtensors, name)
+        codes = qtensors[name]
+        codes.flags.writeable = True
+        codes[-1, -1] = -128
+        with pytest.raises(ValueError, match="exceed qmax=127"):
+            read_quantized_layer(qmanifest, qtensors, name)
+
+    def test_another_manifest_is_checked_again(self, stored_quantized, checks):
+        qmanifest, qtensors = read_model(stored_quantized)
+        other, _ = read_model(stored_quantized)
+        read_quantized_layer(qmanifest, qtensors, self.PG_LAYER)
+        read_quantized_layer(other, qtensors, self.PG_LAYER)
+        assert len(checks) == 2
+
+    def test_open_model_records_are_checked_on_every_lookup(self, stored_quantized, checks):
+        qmanifest, qtensors = open_model(stored_quantized)
+        kept = [read_quantized_layer(qmanifest, qtensors, self.PC_LAYER) for _ in range(3)]
+        assert len(checks) == 3
+        assert all(same_tensor(qt, kept[0]) for qt in kept)
+
+    def test_memo_is_empty_once_the_mapping_is_dropped(self, stored_quantized, checks):
+        qmanifest, qtensors = read_model(stored_quantized)
+        kept = [read_quantized_layer(qmanifest, qtensors, rec.name)
+                for rec in qmanifest.layer_records()]
+        assert len(planner._checked) == len(kept)
+        del qtensors, kept
+        gc.collect()
+        assert planner._checked == {}
+
+    def test_thread_pool_lookups_equal_serial_lookups(self, stored_quantized):
+        qmanifest, qtensors = read_model(stored_quantized)
+        names = [rec.name for rec in qmanifest.layer_records()] * 3
+        serial = [read_quantized_layer(*read_model(stored_quantized), name) for name in names]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            pooled = list(pool.map(lambda name: read_quantized_layer(qmanifest, qtensors, name),
+                                   names))
+        assert all(same_tensor(a, b) for a, b in zip(pooled, serial))
+
+
+_BITS_MODELS: dict[int, tuple] = {}
+
+
+def _quantized_at(bits: int):
+    """A one-block quantized model at ``bits``, the odd layers per-group(8)."""
+    if bits not in _BITS_MODELS:
+        manifest, tensors = generate(SynthConfig(blocks=1, dim=16, wall_blocks=(0,), seed=11))
+        plan = QuantPlan({rec.name: GroupingScheme.per_group(8) if i % 2 else PC
+                          for i, rec in enumerate(manifest.layer_records())}, 8, bits)
+        _BITS_MODELS[bits] = apply_plan(manifest, tensors, plan)
+    return _BITS_MODELS[bits]
+
+
+class TestFirstLookupRejectsDamage:
+    """The memo never lets damage through: a fresh read_model's first lookup
+    rejects one damaged code or scale exactly when it breaks the contract,
+    and an intact layer gives the same tensor on every lookup."""
+
+    @staticmethod
+    def breaks_contract(bits: int, record: str, value) -> bool:
+        if record == "codes":
+            qmax = 2 ** (bits - 1) - 1
+            return not -qmax <= int(value) <= qmax
+        return not (0.0 < float(value) < float("inf"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        bits=st.integers(2, 8),
+        layer=st.integers(0, len(KIND_ORDER) - 1),
+        record=st.sampled_from(["codes", "scales"]),
+        where=st.integers(0, 2**16),
+        code=st.integers(-128, 127),
+        scale=st.floats(width=32),
+    )
+    @example(bits=8, layer=0, record="codes", where=0, code=-128, scale=1.0)
+    @example(bits=3, layer=1, record="codes", where=5, code=-3, scale=1.0)
+    @example(bits=3, layer=1, record="codes", where=5, code=4, scale=1.0)
+    @example(bits=8, layer=2, record="scales", where=0, code=0, scale=float("nan"))
+    @example(bits=8, layer=3, record="scales", where=1, code=0, scale=-0.0)
+    @example(bits=8, layer=3, record="scales", where=1, code=0, scale=1e-45)
+    def test_first_lookup_rejects_exactly_the_contract_breaks(self, bits, layer, record, where,
+                                                              code, scale):
+        qmanifest, qtensors = _quantized_at(bits)
+        name = qmanifest.layer_records()[layer].name
+        key = name if record == "codes" else scale_record_name(name)
+        damaged = qtensors[key].copy()
+        value = np.int8(code) if record == "codes" else np.float32(scale)
+        damaged.reshape(-1)[where % damaged.size] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            write_model(qmanifest, {**qtensors, key: damaged}, f"{tmp}/q")
+            manifest2, tensors2 = read_model(f"{tmp}/q")
+        bad = self.breaks_contract(bits, record, value)
+        for _ in range(2):  # a rejected record is rejected again; an intact one is kept
+            if bad:
+                with pytest.raises(ValueError, match="exceed qmax|positive and finite"):
+                    read_quantized_layer(manifest2, tensors2, name)
+            else:
+                first = read_quantized_layer(manifest2, tensors2, name)
+                assert tensors2[key].tobytes() == damaged.tobytes()
+        if not bad:
+            second = read_quantized_layer(manifest2, tensors2, name)
+            assert second.values is first.values and same_tensor(second, first)
 
 
 class TestQuantizedView:

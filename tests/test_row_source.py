@@ -285,3 +285,83 @@ class TestRowSourceMemory:
                                                 draw_layer(n, self.M, seed=n, walls=2), grouping)
                  for n in (2048, 4096)}
         assert peaks[4096] - peaks[2048] <= (4096 - 2048) * self.M // 8, peaks
+
+
+def traced_left(call):
+    """The traced bytes that ``call()``, run on a new thread whose block
+    scratch starts empty, leaves held once it has returned, apart from
+    the arrays it returns, and the sizes of that thread's scratch buffers."""
+    left = []
+
+    def run():
+        tracemalloc.start()
+        try:
+            out = call()
+            arrays = [out.values, out.scales] if hasattr(out, "values") else []
+            left.append((tracemalloc.get_traced_memory()[0] - sum(x.nbytes for x in arrays),
+                         {kind: len(buf) for kind, buf in
+                          quantizer._thread_scratch.buffers.items()}))
+        finally:
+            tracemalloc.stop()
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=300)
+    assert not worker.is_alive() and left
+    return left[0]
+
+
+class TestWideRowScratch:
+    """A row wider than _BLOCK is a block of its own, so a layer pass's
+    scratch grows to a whole row: 2 MiB of float64 for each of |w| and the
+    work buffer at 262144 columns.  The pass drops what outgrew a block
+    before it returns, so it leaves at most one _BLOCK block per kind."""
+
+    N, M = 4, 262144
+
+    @pytest.fixture(scope="class")
+    def layer(self, tmp_path_factory):
+        w = draw_layer(self.N, self.M, seed=62, walls=2)
+        stem = tmp_path_factory.mktemp("wide_rows") / "m"
+        write_layer(stem, w, fill=1.0)
+        return w, stem
+
+    PASSES = {
+        "quantize_weight": lambda src: quantize_weight(src, PC, P8),
+        "quantize_weight_g128": lambda src: quantize_weight(src, GroupingScheme.per_group(128), P8),
+        "layer_rmse": lambda src: layer_rmse(src, PC, P8),
+        "layer_max_abs": lambda src: layer_max_abs(src),
+        "detect_walls": lambda src: detect_walls(src, WallDetectorConfig()),
+        "profile": lambda src: _profile_layer(src, [PC, GroupingScheme.per_group(64)], P8,
+                                              WallDetectorConfig()),
+    }
+
+    # Bytes per element of each scratch kind's widest dtype: float64 |w| and
+    # work, bool sign and wall masks, an open model's float32 rows, and the
+    # codes (int8 in a quantized view, float32 in the kernels).
+    ITEMSIZE = {"work": 8, "w64": 8, "sign": 1, "mask": 1, "rows": 4, "codes": 4}
+
+    def assert_one_block_per_kind(self, left, buffers):
+        budget = {kind: size * quantizer._BLOCK for kind, size in self.ITEMSIZE.items()}
+        assert all(nbytes <= budget[kind] for kind, nbytes in buffers.items()), buffers
+        assert left <= sum(budget[kind] for kind in buffers) + 64 * 1024, (left, buffers)
+
+    @pytest.mark.parametrize("source", ["array", "open_model"])
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_pass_leaves_at_most_a_block_per_kind(self, layer, source, name):
+        w, stem = layer
+        if source == "array":
+            run = lambda: self.PASSES[name](w)  # noqa: E731
+        else:
+            _, opened = open_model(stem)
+            run = lambda: self.PASSES[name](row_source(opened, LAYER))  # noqa: E731
+        left, buffers = traced_left(run)
+        self.assert_one_block_per_kind(left, buffers)
+
+    def test_streamed_quantize_leaves_at_most_a_block_per_kind(self, layer, tmp_path):
+        _, stem = layer
+        manifest, opened = open_model(stem)
+        plan = QuantPlan({rec.name: PC for rec in manifest.layer_records()}, 128, 8)
+        left, buffers = traced_left(
+            lambda: write_model(*quantized_view(manifest, opened, plan), tmp_path / "q"))
+        self.assert_one_block_per_kind(left, buffers)
