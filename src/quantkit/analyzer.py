@@ -41,6 +41,7 @@ from .model_store import (
     ModelManifest,
     TensorRecord,
     _map_in_order,
+    _require_kind,
     atomic_write_text,
     layer_index_of,
     parse_layer_name,
@@ -103,6 +104,10 @@ class WallDetectorConfig:
     row_fraction: float = DEFAULT_WALL_ROW_FRACTION
 
     def __post_init__(self):
+        for what in ("magnitude_threshold", "rms_multiplier", "row_fraction"):
+            value = getattr(self, what)
+            if value is not None:
+                _require_kind(value, float, f"wall detector {what!r}")
         if (self.magnitude_threshold is None) == (self.rms_multiplier is None):
             raise ValueError(
                 "exactly one of magnitude_threshold and rms_multiplier must be set"

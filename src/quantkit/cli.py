@@ -44,7 +44,10 @@ def cmd_synth(args) -> int:
     cfg_kwargs = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"malformed synth config JSON in {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ValueError("synth config file must hold a JSON object")
         unknown = sorted(set(loaded) - {f.name for f in dataclasses.fields(synth.SynthConfig)})

@@ -535,15 +535,19 @@ def read_model(path: str | os.PathLike) -> tuple[ModelManifest, dict[str, np.nda
 
 
 def _pread_into(fd: int, buf: np.ndarray, offset: int, name: str) -> None:
-    """Fill ``buf`` with the blob bytes at ``offset``: one read, unless the
-    buffer passes the 2 GiB read limit."""
-    done = 0
-    while done < len(buf):
-        got = os.preadv(fd, [buf[done:]], offset + done)
-        if got == 0:
-            raise ValueError(f"short read for record {name!r}: {done} of {len(buf)} "
-                             "bytes; the blob shrank after the model was opened")
-        done += got
+    """Fill the C-contiguous array ``buf`` with the blob bytes at ``offset``:
+    one read, unless it comes back short (past the 2 GiB read limit, or a
+    blob that shrank), when the rest is read through a flat byte view of
+    ``buf``.  Every blob byte that is read goes through here."""
+    done = os.preadv(fd, [buf], offset)
+    if done < buf.nbytes:
+        view = buf.reshape(-1).view(np.uint8)
+        while done < len(view):
+            got = os.preadv(fd, [view[done:]], offset + done)
+            if got == 0:
+                raise ValueError(f"short read for record {name!r}: {done} of {len(view)} "
+                                 "bytes; the blob shrank after the model was opened")
+            done += got
 
 
 class _RecordReader(Mapping):
@@ -561,9 +565,8 @@ class _RecordReader(Mapping):
 
     def __getitem__(self, name: str) -> np.ndarray:
         rec = self._manifest.record(name)
-        buf = _aligned_empty(rec.nbytes)
-        _pread_into(self._fd, buf, self._manifest.byte_offset(name), name)
-        arr = buf.view(rec.numpy_dtype).reshape(rec.shape)
+        arr = _aligned_empty(rec.nbytes).view(rec.numpy_dtype).reshape(rec.shape)
+        _pread_into(self._fd, arr, self._manifest.byte_offset(name), name)
         arr.flags.writeable = False
         return arr
 
@@ -599,9 +602,7 @@ class _RecordRows:
             raise IndexError(f"rows [{start}, {stop}) out of the {n} rows of record "
                              f"{self._name!r}")
         block = _scratch("rows", (stop - start, m), self.dtype)
-        offset = self._offset + start * self._row_nbytes
-        if os.preadv(self._fd, [block], offset) != block.nbytes:  # short, or past 2 GiB
-            _pread_into(self._fd, block.reshape(-1).view(np.uint8), offset, self._name)
+        _pread_into(self._fd, block, self._offset + start * self._row_nbytes, self._name)
         return block
 
 

@@ -413,17 +413,16 @@ def read_quantized_layer(
     """Rebuild a QuantizedTensor from a quantized model's records.
 
     The manifest has already checked the layer's grouping and bits and the
-    scale record's shape.  The codes and scale values are disk bytes, so
-    they are checked on first lookup of each resident record: the tensor
-    is built through the public, checked QuantizedTensor constructor, and a
-    code outside [-qmax, qmax] or a scale that is not positive and finite
-    is rejected.  When both arrays are read-only, as ``read_model``'s are,
-    the check is remembered.  A later lookup that gets the very same two
-    arrays, still read-only, for the same TensorRecord builds the tensor
-    without the scans; anything else (a writeable array, a replaced entry,
-    another manifest, ``open_model``'s fresh array per access) is checked
-    again.  The one assumption: a read-only array is unchanged, in its
-    bytes, shape and dtype, for as long as it lives.
+    scale record's shape.  The codes and scales are disk bytes, so a
+    resident record's first lookup builds the tensor through the checked
+    QuantizedTensor constructor.  When both arrays are read-only, as
+    ``read_model``'s are, the passed check is remembered: a later lookup of
+    the very same two arrays for the same TensorRecord skips the scans,
+    while a writeable or replaced array or another manifest is checked
+    again.  A mapping with ``row_source`` (``open_model``'s, a quantized
+    view) reads or computes a fresh array per lookup, so its lookups are
+    checked and not remembered.  The one assumption: a read-only array is
+    unchanged, in its bytes, shape and dtype, for as long as it lives.
     """
     rec = manifest.record(name)
     if rec.aux or rec.dtype != "int8":
@@ -439,7 +438,7 @@ def read_quantized_layer(
     qt = QuantizedTensor(
         values=codes, scales=scales, grouping=rec.grouping, bits=rec.bits, axis=AXIS_ROW
     )
-    if read_only:
+    if read_only and not hasattr(tensors, "row_source"):
         _checked[key] = (weakref.ref(codes, lambda _: _checked.pop(key, None)),
                          weakref.ref(scale_record), weakref.ref(rec))
     return qt

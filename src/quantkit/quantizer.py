@@ -109,14 +109,14 @@ class _ThreadScratch(threading.local):
 _thread_scratch = _ThreadScratch()
 
 
-def _scratch(kind: str, shape: tuple[int, ...], dtype, reserve: int = 0) -> np.ndarray:
+def _scratch(kind: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     """This thread's block buffer of ``kind``, as a C-ordered array of
     ``shape`` and ``dtype``.
 
-    Each thread keeps one 64-byte-aligned buffer per kind, grown to the
-    largest request, or to ``reserve`` bytes if that is more, and kept
-    until the thread ends or a call drops it (_trim_scratch): the largest
-    block's bytes, not the layer's.  A fresh 256-512 KiB temporary per block
+    Each thread keeps one 64-byte-aligned buffer per kind.  It grows only
+    to a request larger than any before, and is kept until the thread ends
+    or a call drops it (_trim_scratch): it holds the largest block's bytes,
+    not the layer's.  A fresh 256-512 KiB temporary per block
     would be an mmap, or heap growth that is trimmed again, and page-fault
     on every block.  A repeated request is one dict lookup, which keeps
     the Python work per block, and so the hand-offs of the interpreter
@@ -129,8 +129,8 @@ def _scratch(kind: str, shape: tuple[int, ...], dtype, reserve: int = 0) -> np.n
     if view is None:
         nbytes = math.prod(shape) * np.dtype(dtype).itemsize
         buf = scratch.buffers.get(kind)
-        if buf is None or len(buf) < max(nbytes, reserve):
-            buf = scratch.buffers[kind] = _aligned_empty(max(nbytes, reserve))
+        if buf is None or len(buf) < nbytes:
+            buf = scratch.buffers[kind] = _aligned_empty(nbytes)
             scratch.views.clear()  # drop the views of any smaller buffer
         if len(scratch.views) >= _SCRATCH_VIEWS:
             scratch.views.clear()
@@ -295,18 +295,9 @@ class QuantizedTensor:
     "column" for activations (scales shaped (P,)).
 
     The public constructor checks everything: axis, bits, the scale shape,
-    that every scale is positive and finite, and that every code lies in
-    [-qmax, qmax] (it scans only for a bound that the codes' integer dtype
-    does not already keep: int8 codes at 8 bits only for -128).  Codes and
-    scales that come from outside the library pass through it.  A quantized
-    model's records read from disk (``planner.read_quantized_layer``) are
-    checked on first lookup of each resident record: a later lookup of the
-    same read-only arrays skips the scans, through ``_unchecked``, on the
-    assumption that a read-only array does not change.
-    ``quantize_weight`` and ``quantize_activation`` skip it too: their
-    scales come from ``_scales_from_amax``, which rejects 0 and inf, and
-    ``_encode_into`` clamps their codes to [-qmax, qmax], so the scans
-    would find nothing.
+    that every scale is positive and finite, and that the codes are an
+    integer array whose minimum and maximum lie in [-qmax, qmax].  Codes
+    and scales that come from outside the library pass through it.
     """
 
     values: np.ndarray
@@ -318,7 +309,8 @@ class QuantizedTensor:
     @classmethod
     def _unchecked(cls, values, scales, grouping, bits, axis) -> "QuantizedTensor":
         """A tensor built without the checks: from the library's own encoder
-        output, or from records that have already passed them."""
+        output (codes clamped to [-qmax, qmax], scales positive and finite),
+        or from records that have already passed them."""
         qt = object.__new__(cls)
         qt.values, qt.scales, qt.grouping, qt.bits, qt.axis = values, scales, grouping, bits, axis
         return qt
@@ -345,22 +337,10 @@ class QuantizedTensor:
         s, q = self.scales, self.values
         if s.size and not 0.0 < float(s.min()) <= float(s.max()) < np.inf:
             raise ValueError("scale factors must be positive and finite")
-        if q.size:
-            # A bound that the codes' integer dtype already keeps is not
-            # scanned: an int8 code is never above 127, so at 8 bits only
-            # its minimum can fail.
-            dtype_min, dtype_max = _INT_RANGE.get(q.dtype, _UNBOUNDED)
-            lo = int(q.min()) if dtype_min < -qmax else -qmax
-            hi = int(q.max()) if dtype_max > qmax else qmax
-            if lo < -qmax or hi > qmax:
-                raise ValueError(f"quantized values exceed qmax={qmax}")
-
-
-# The value range of each native integer dtype, for the code check: a lookup
-# takes 0.05 us, two np.iinfo calls 1.9 us, more than the 1.3 us scan of
-# 64 x 64 int8 codes that they save.  Any other dtype is scanned both ways.
-_INT_RANGE = {np.dtype(c): (int(np.iinfo(c).min), int(np.iinfo(c).max)) for c in "bBhHiIlLqQ"}
-_UNBOUNDED = (-math.inf, math.inf)
+        if q.dtype.kind not in "iu":
+            raise ValueError(f"quantized values must be integers, got dtype {q.dtype}")
+        if q.size and not -qmax <= int(q.min()) <= int(q.max()) <= qmax:
+            raise ValueError(f"quantized values exceed qmax={qmax}")
 
 
 def _as_matrix(x: np.ndarray, what: str) -> np.ndarray:
@@ -400,10 +380,8 @@ def _as_rows(w, what: str):
 
 def _abs_rows(rows: np.ndarray) -> np.ndarray:
     """|rows| in rows' dtype in this thread's work scratch, for the passes
-    that need only |w| (layer_max_abs and the wall count).  It is sized
-    for the float64 work of the same block from the start, so a later
-    float64 request does not grow it."""
-    return np.abs(rows, out=_scratch("work", rows.shape, rows.dtype, 8 * rows.size))
+    that need only |w| (layer_max_abs and the wall count)."""
+    return np.abs(rows, out=_scratch("work", rows.shape, rows.dtype))
 
 
 def _abs64(x: np.ndarray, out: np.ndarray) -> np.ndarray:

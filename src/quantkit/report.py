@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .model_store import _require_kind
+
 # The weighted average is taken in float64, which holds counts exactly up to 2^53.
 _MAX_QUESTION_COUNT = 2**53
 
@@ -22,6 +24,9 @@ class TaskResult:
     question_count: int
 
     def __post_init__(self):
+        _require_kind(self.name, str, "task 'name'")
+        _require_kind(self.accuracy, float, f"task {self.name!r}: 'accuracy'")
+        _require_kind(self.question_count, int, f"task {self.name!r}: 'question_count'")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(
                 f"task {self.name!r}: accuracy must be in [0, 1], got {self.accuracy}"
@@ -51,13 +56,12 @@ def aggregate_accuracy(tasks: Iterable[TaskResult | Sequence]) -> EvalSummary:
     """Plain and question-count-weighted average accuracy over tasks.
 
     Accepts TaskResult objects or (name, accuracy, question_count)
-    tuples, each task name once.  avg is the arithmetic mean of the
-    accuracies; wt_avg is sum(accuracy_i * count_i) / sum(count_i).
+    tuples, each task name once; a tuple becomes a TaskResult as it is,
+    so a field of the wrong kind is an error, not converted.  avg is the
+    arithmetic mean of the accuracies; wt_avg is
+    sum(accuracy_i * count_i) / sum(count_i).
     """
-    normalized = tuple(
-        t if isinstance(t, TaskResult) else TaskResult(t[0], float(t[1]), int(t[2]))
-        for t in tasks
-    )
+    normalized = tuple(t if isinstance(t, TaskResult) else TaskResult(*t) for t in tasks)
     if not normalized:
         raise ValueError("task list must be non-empty")
     seen = set()

@@ -429,6 +429,28 @@ class TestDetectWalls:
         with pytest.raises(ValueError):
             WallDetectorConfig(row_fraction=rho)
 
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            pytest.param(lambda: WallDetectorConfig(rms_multiplier=0.0),
+                         "threshold must be positive", id="zero_multiplier"),
+            pytest.param(lambda: WallDetectorConfig.absolute(-1.0),
+                         "threshold must be positive", id="negative_threshold"),
+            pytest.param(lambda: WallDetectorConfig(row_fraction="0.5"),
+                         "wall detector 'row_fraction' must be float, got '0.5'",
+                         id="string_row_fraction"),
+            pytest.param(lambda: WallDetectorConfig.absolute("3"),
+                         "wall detector 'magnitude_threshold' must be float, got '3'",
+                         id="string_threshold"),
+            pytest.param(lambda: WallDetectorConfig(rms_multiplier=True),
+                         "wall detector 'rms_multiplier' must be float, got True",
+                         id="bool_multiplier"),
+        ],
+    )
+    def test_malformed_config_rejected(self, build, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            build()
+
 
 class TestProfileModel:
     def test_one_block_model_has_seven_entries(self):

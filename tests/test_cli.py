@@ -107,6 +107,7 @@ class TestSynthAnalyze:
         [
             ({"bogus": 2}, "unknown synth settings: ['bogus']"),
             ({"blocks": "2"}, "synth setting 'blocks' must be int, got '2'"),
+            ([{"blocks": 2}], "synth config file must hold a JSON object"),
         ],
     )
     def test_bad_synth_config_is_a_clean_failure(self, tmp_path, capsys, settings, message):
@@ -116,6 +117,17 @@ class TestSynthAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_malformed_synth_config_json_names_its_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{bad")
+        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "m")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: malformed synth config JSON in {cfg_path}: Expecting property name "
+            "enclosed in double quotes: line 1 column 2 (char 1)\n")
+        assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     SYNTH_BASE = ["--blocks", "2", "--dim", "16", "--seed", "5", "--wall-blocks", "0"]
@@ -484,6 +496,30 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert captured.err == "error: max_abs_threshold must be a number, got nan\n"
             assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            pytest.param(["synth", "--wall-blocks", "x"],
+                         "expected a comma-separated integer list, got 'x'", id="wall_blocks"),
+            pytest.param(["synth", "--wall-magnitude", "1"], "--wall-magnitude expects 'lo,hi'",
+                         id="wall_magnitude"),
+            pytest.param(["sweep", "{model}", "--sizes", ","],
+                         "--sizes must name at least one group size", id="sweep_sizes"),
+        ],
+    )
+    def test_malformed_flag_value_is_a_clean_failure(self, tmp_path, capsys, argv, message):
+        m = str(tmp_path / "m")
+        assert main(["synth", "--blocks", "1", "--dim", "8", "--seed", "0",
+                     "--wall-blocks", "0", "--out", m]) == 0
+        capsys.readouterr()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        out = str(tmp_path / "out")
+        assert main([arg.format(model=m) for arg in argv] + ["--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_validation_error_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "p.json"

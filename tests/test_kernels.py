@@ -123,6 +123,18 @@ class TestPerChannelKernel:
         with pytest.raises(ValueError, match="inner dimensions"):
             matmul_per_channel(wq, aq)
 
+    @pytest.mark.parametrize("kernel", [matmul_per_channel, matmul_per_group])
+    @pytest.mark.parametrize("swapped,match", [
+        ("weight", "weight operand must carry row-wise scales"),
+        ("activation", "activation operand must be per-channel with column-wise scales"),
+    ])
+    def test_operands_on_the_wrong_axis_rejected(self, kernel, swapped, match):
+        wq = quantize_weight(np.ones((4, 4), dtype=np.float32), GroupingScheme.per_channel(), P8)
+        aq = quantize_activation(np.ones((4, 4), dtype=np.float32), P8)
+        operands = (aq, aq) if swapped == "weight" else (wq, wq)
+        with pytest.raises(ValueError, match=match):
+            kernel(*operands)
+
     def test_rejects_per_group_weight(self):
         wq = quantize_weight(np.ones((2, 4), dtype=np.float32), GroupingScheme.per_group(2), P8)
         aq = quantize_activation(np.ones((4, 2), dtype=np.float32), P8)

@@ -96,6 +96,11 @@ class TestNaming:
     def test_parse_layer_name(self, name, expected):
         assert parse_layer_name(name) == expected
 
+    @pytest.mark.parametrize("function", [layer_name, layer_index_of])
+    def test_unknown_kind_rejected(self, function):
+        with pytest.raises(ValueError, match="unknown layer kind 'x'"):
+            function(0, "x")
+
 
 class TestManifestValidation:
     def test_duplicate_names_rejected(self):
@@ -366,6 +371,13 @@ class TestReadErrors:
         with pytest.raises(ValueError, match="malformed manifest"):
             self.read(tmp_path / "m")
 
+    def test_manifest_that_is_not_an_object(self, tmp_path):
+        manifest, tensors = tiny_model()
+        write_model(manifest, tensors, tmp_path / "m")
+        (tmp_path / "m.manifest.json").write_text("[]")
+        with pytest.raises(ValueError, match="manifest must be a JSON object"):
+            self.read(tmp_path / "m")
+
     def test_truncated_blob_names_the_record(self, tmp_path):
         manifest, tensors = tiny_model()
         write_model(manifest, tensors, tmp_path / "m")
@@ -528,6 +540,10 @@ class TestManifestJsonKinds:
                          id="bool_version"),
             pytest.param(("records", 0, "name"), None, "'name' must be str, got None",
                          id="null_name"),
+            pytest.param(("records", 0, "shape"), [0, 4],
+                         "record 'blocks.0.q': shape must be two positive integers",
+                         id="zero_shape"),
+            pytest.param(("blocks",), 0, "blocks must be positive", id="zero_blocks"),
         ],
     )
     def test_wrongly_typed_field_rejected(self, tmp_path, field, value, match):

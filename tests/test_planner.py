@@ -143,6 +143,9 @@ class TestBuildPlan:
                          "plan setting 'group_size' must be int, got 16.0", id="float_group_size"),
             pytest.param(dict(top_k=1, group_size=True),
                          "plan setting 'group_size' must be int, got True", id="bool_group_size"),
+            pytest.param(dict(top_k=-1), "top_k must be non-negative", id="negative_top_k"),
+            pytest.param(dict(top_k=1, group_size=0), "group_size must be positive",
+                         id="zero_group_size"),
         ],
     )
     def test_setting_of_the_wrong_kind_rejected_naming_it(self, kwargs, message):
@@ -556,6 +559,14 @@ def stored_quantized(tmp_path_factory, wall_model, wall_metrics):
     return stem
 
 
+@pytest.mark.parametrize("name", ["blocks.0.q", "blocks.0.q.scales"])
+def test_read_quantized_layer_needs_a_quantized_layer(stored_quantized, wall_model, name):
+    # An fp32 layer of the source model, and a scale record of the quantized one.
+    manifest, tensors = wall_model if name == "blocks.0.q" else read_model(stored_quantized)
+    with pytest.raises(ValueError, match=f"record {name!r} is not a quantized layer"):
+        read_quantized_layer(manifest, tensors, name)
+
+
 @pytest.fixture
 def checks(monkeypatch):
     """Counts the checked QuantizedTensor constructions, on a fresh memo."""
@@ -647,6 +658,7 @@ class TestCheckedOnce:
         kept = [read_quantized_layer(qmanifest, qtensors, self.PC_LAYER) for _ in range(3)]
         assert len(checks) == 3
         assert all(same_tensor(qt, kept[0]) for qt in kept)
+        assert planner._checked == {}  # a fresh array per lookup: no entry could ever hit
 
     def test_memo_is_empty_once_the_mapping_is_dropped(self, stored_quantized, checks):
         qmanifest, qtensors = read_model(stored_quantized)

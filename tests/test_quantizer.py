@@ -60,6 +60,24 @@ class TestGroupingScheme:
         with pytest.raises(ValueError):
             GroupingScheme("per_channel", 4)
 
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            pytest.param(lambda: GroupingScheme("per_row"), "unknown grouping mode 'per_row'",
+                         id="unknown_mode"),
+            pytest.param(lambda: GroupingScheme.from_json({"mode": "per_row"}),
+                         "unknown grouping mode 'per_row'", id="unknown_mode_json"),
+            pytest.param(lambda: GroupingScheme.from_json({"mode": "per_channel", "group_size": 4}),
+                         "per-channel descriptor must not carry a group size",
+                         id="per_channel_json_with_size"),
+            pytest.param(lambda: GroupingScheme.from_json({"group_size": 4}),
+                         "malformed grouping descriptor", id="no_mode_json"),
+        ],
+    )
+    def test_malformed_scheme_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     @pytest.mark.parametrize("size", [0, -1, None, 2.5, True])
     def test_per_group_needs_positive_int(self, size):
         with pytest.raises(ValueError):
@@ -73,6 +91,11 @@ class TestGroupingScheme:
     def test_fit_group_size(self, m, g, expected):
         assert fit_group_size(m, g) == expected
         assert m % fit_group_size(m, g) == 0
+
+    @pytest.mark.parametrize("m,g", [(0, 4), (4, 0)])
+    def test_fit_group_size_needs_positive_sizes(self, m, g):
+        with pytest.raises(ValueError, match="must be positive"):
+            fit_group_size(m, g)
 
 
 def quantize_row(values, grouping=GroupingScheme.per_channel()):
@@ -540,6 +563,37 @@ class TestQuantizedTensorInvariants:
             axis="row",
         )
         assert qt.values.tolist() == [codes]
+
+    @pytest.mark.parametrize("codes", [np.array([[0.5, 1.7]]), np.array([[np.nan, 1.0]]),
+                                       np.array([[True, False]])],
+                             ids=["float64", "nan", "bool"])
+    def test_codes_that_are_not_integers_rejected(self, codes):
+        # Float "codes" within [-qmax, qmax] would give a product that is not
+        # an exact sum of integers: [[0.5, 1.7]] times ones was 2.20000018.
+        with pytest.raises(ValueError, match=f"must be integers, got dtype {codes.dtype}$"):
+            QuantizedTensor(
+                values=codes,
+                scales=np.ones(1, dtype=np.float32),
+                grouping=GroupingScheme.per_channel(),
+                bits=8,
+                axis="row",
+            )
+
+    @pytest.mark.parametrize(
+        "changes,match",
+        [
+            pytest.param(dict(axis="diagonal"), "unknown axis 'diagonal'", id="unknown_axis"),
+            pytest.param(dict(values=np.zeros(4, np.int8)), "must be 2-D", id="1d_values"),
+            pytest.param(dict(axis="column", grouping=GroupingScheme.per_group(2),
+                              scales=np.ones(4, np.float32)),
+                         "column-wise tensors are per-channel only", id="per_group_column"),
+        ],
+    )
+    def test_malformed_tensor_rejected(self, changes, match):
+        fields = dict(values=np.zeros((2, 4), np.int8), scales=np.ones(2, np.float32),
+                      grouping=GroupingScheme.per_channel(), bits=8, axis="row")
+        with pytest.raises(ValueError, match=match):
+            QuantizedTensor(**{**fields, **changes})
 
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_symmetric_endpoints_accepted(self, bits):

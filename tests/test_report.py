@@ -1,5 +1,7 @@
 """Accuracy aggregation tests."""
 
+import re
+
 import pytest
 
 from quantkit import TaskResult, aggregate_accuracy
@@ -51,3 +53,21 @@ class TestAggregateAccuracy:
     def test_repeated_task_rejected(self):
         with pytest.raises(ValueError, match="task 'hs' is listed more than once"):
             aggregate_accuracy([("hs", 0.9, 100), ("hs", 0.9, 100), ("arc", 0.1, 100)])
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            pytest.param(("a", 0.5, 2.5), "task 'a': 'question_count' must be int, got 2.5",
+                         id="float_count"),
+            pytest.param(("a", 0.5, True), "task 'a': 'question_count' must be int, got True",
+                         id="bool_count"),
+            pytest.param(("a", "0.5", 2), "task 'a': 'accuracy' must be float, got '0.5'",
+                         id="string_accuracy"),
+            pytest.param((7, 0.5, 2), "task 'name' must be str, got 7", id="int_name"),
+        ],
+    )
+    def test_field_of_the_wrong_kind_rejected(self, fields, message):
+        # A tuple task is built as it is: a count of 2.5 is an error, not 2.
+        for build in (lambda: TaskResult(*fields), lambda: aggregate_accuracy([fields])):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build()

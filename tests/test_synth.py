@@ -41,6 +41,7 @@ class TestConfigValidation:
             {"base_std": 1e300},
             {"wall_magnitude": (50.0, 1e300)},
             {"wall_magnitude": (50.0, float("inf"))},
+            {"blocks": 0},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -260,6 +261,10 @@ class TestInjectWalls:
     def test_float64_matrix_takes_a_range_past_float32_max(self):
         out = inject_walls(np.zeros((4, 4)), [2], (1e39, 1e40), seed=0)
         assert np.isfinite(out).all() and np.abs(out[:, 2]).min() >= 1e39
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError, match="expected a 2-D weight matrix"):
+            inject_walls(np.zeros(4, dtype=np.float32), [1], (50.0, 100.0), seed=0)
 
     def test_integer_matrix_rejected(self):
         with pytest.raises(ValueError, match="floating-point"):
