@@ -210,26 +210,28 @@ def _profile_layer(
             sums[-1] = np.add.reduce(np.square(a64.reshape(-1)[span], out=part))
         return sums
 
-    sums = _pairwise(0, n * m, leaf)
-    max_abs = float(max(maxima))
-    walls = None
-    if wall_cfg is not None:
-        if rms_threshold:
-            threshold = wall_cfg.rms_multiplier * float(np.sqrt(sums[-1] / (n * m)))
-        else:
-            threshold = float(wall_cfg.magnitude_threshold)
-        walls = []
-        # The count compares |x| in the rows' dtype (a float32 layer against
-        # the threshold rounded to float32); max_abs, which that dtype holds
-        # exactly, compared the same way tells whether any element can count.
-        if np.greater(np.array(max_abs, dtype=src.dtype), threshold):
-            counts = 0
-            for b in _row_blocks(n, m):
-                absw = _abs_rows(read(b.start, b.stop))
-                counts = counts + np.greater(
-                    absw, threshold, out=_scratch("mask", absw.shape, bool)).sum(axis=0)
-            walls = [int(j) for j in np.nonzero(counts >= wall_cfg.row_fraction * n)[0]]
-    _trim_scratch(m)
+    try:
+        sums = _pairwise(0, n * m, leaf)
+        max_abs = float(max(maxima))
+        walls = None
+        if wall_cfg is not None:
+            if rms_threshold:
+                threshold = wall_cfg.rms_multiplier * float(np.sqrt(sums[-1] / (n * m)))
+            else:
+                threshold = float(wall_cfg.magnitude_threshold)
+            walls = []
+            # The count compares |x| in the rows' dtype (a float32 layer against
+            # the threshold rounded to float32); max_abs, which that dtype holds
+            # exactly, compared the same way tells whether any element can count.
+            if np.greater(np.array(max_abs, dtype=src.dtype), threshold):
+                counts = 0
+                for b in _row_blocks(n, m):
+                    absw = _abs_rows(read(b.start, b.stop))
+                    counts = counts + np.greater(
+                        absw, threshold, out=_scratch("mask", absw.shape, bool)).sum(axis=0)
+                walls = [int(j) for j in np.nonzero(counts >= wall_cfg.row_fraction * n)[0]]
+    finally:
+        _trim_scratch()
     sse = dict(zip(sizes, sums.tolist()))
     return max_abs, walls, [sse[gr.resolved_group_size(m)] for gr in groupings]
 
@@ -239,9 +241,11 @@ def layer_max_abs(w) -> float:
     by row block."""
     src = _as_rows(w, "weight")
     read = src.read_rows
-    top = max(_finite_max(_abs_rows(read(b.start, b.stop)), "weight")
-              for b in _row_blocks(*src.shape))
-    _trim_scratch(src.shape[1])
+    try:
+        top = max(_finite_max(_abs_rows(read(b.start, b.stop)), "weight")
+                  for b in _row_blocks(*src.shape))
+    finally:
+        _trim_scratch()
     return float(top)
 
 

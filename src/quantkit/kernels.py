@@ -10,12 +10,11 @@ a cast of the whole weight would take four bytes per code and be read
 back from memory.  The 64-row floor keeps a wide weight's blocks from
 shrinking to one or two rows, each a product for which BLAS repacks the
 whole activation.  A weight of at most 64 rows or ``_BLOCK`` codes is one
-block.  A call whose blocks hold more than ``_BLOCK`` codes (M > 1024, or
-a wide weight of at most 64 rows) drops the cast's buffer before it
-returns, so no call leaves more than ``_BLOCK`` float32 of it behind: one
-64 x 65536 product once left 16 MiB per thread.  An output row depends
-only on its own row's codes, and each of its elements goes through the
-same exact steps, so the blocking changes no bit.
+block.  A call that grew a buffer past one block (blocks of more than
+``_BLOCK`` codes: M > 1024, or a wide weight of at most 64 rows) drops
+this thread's scratch when it ends, whether it returns or raises.  An
+output row depends only on its own row's codes, and each of its elements
+goes through the same exact steps, so the blocking changes no bit.
 
 Every partial sum of a product over ``depth`` inner columns is an
 integer no larger than depth * qmax_w * qmax_a, and a float32 significand
@@ -151,18 +150,17 @@ def _matmul(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
     if groups != 1:
         a = a.reshape(groups, wq.grouping.group_size, p)
         w_scales = w_scales.T[:, :, None]
-    if n <= _MIN_ROWS or n * m <= _BLOCK:  # one block, the rows as they are
-        rows = n
-        acc = _scaled_rows(wq.values, a, w_scales, depth)
-    else:
-        rows = max(_MIN_ROWS, _BLOCK // m)
-        acc = np.empty((n, p), dtype=np.float64)
-        for r in range(0, n, rows):
-            acc[r : r + rows] = _scaled_rows(wq.values[r : r + rows], a,
-                                             w_scales[..., r : r + rows, :], depth)
-    # The cast of a block of more than _BLOCK codes is reused across the
-    # call's blocks, but not kept past it.
-    _trim_scratch(rows * m)
+    try:
+        if n <= _MIN_ROWS or n * m <= _BLOCK:  # one block, the rows as they are
+            acc = _scaled_rows(wq.values, a, w_scales, depth)
+        else:
+            rows = max(_MIN_ROWS, _BLOCK // m)
+            acc = np.empty((n, p), dtype=np.float64)
+            for r in range(0, n, rows):
+                acc[r : r + rows] = _scaled_rows(wq.values[r : r + rows], a,
+                                                 w_scales[..., r : r + rows, :], depth)
+    finally:
+        _trim_scratch()
     acc *= aq.scales.astype(np.float64)
     return acc
 

@@ -493,10 +493,12 @@ class _BlobWriter:
         read = _as_rows(src, rec.name).read_rows
         offset = self._manifest.byte_offset(rec.name)
         written = 0
-        for b in _row_blocks(*rec.shape):
-            block = np.ascontiguousarray(read(b.start, b.stop))
-            written += _pwrite_all(fd, block, block.nbytes, offset + written)
-        _trim_scratch(rec.shape[1])
+        try:
+            for b in _row_blocks(*rec.shape):
+                block = np.ascontiguousarray(read(b.start, b.stop))
+                written += _pwrite_all(fd, block, block.nbytes, offset + written)
+        finally:
+            _trim_scratch()
         scale = rec.scale_ref
         if self._manifest.scale_owner(scale) is rec:
             written += self._write(fd, self._manifest.record(scale), getattr(src, "scales", None))

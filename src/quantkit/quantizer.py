@@ -36,13 +36,13 @@ quantized view's row source), and a quantized product's float32 row
 block of weight codes and batch of group products (``kernels``), come
 from ``_scratch``: one buffer per kind and thread, grown on demand and
 reused across blocks and layers, so no block-sized buffer is allocated
-per block.  A call whose buffers outgrow a layer pass's block (a layer
-pass over rows wider than ``_BLOCK``, a product whose row blocks hold
-more than ``_BLOCK`` codes, an activation of more than ``_BLOCK``
-elements) drops them before it returns (``_trim_scratch``), so it leaves
-no more than a block's bytes per kind behind.  A
-block that an open model's row source returns lives in that scratch: it
-stays valid only until the same thread's next row read.
+per block.  A call that grew a buffer past one block (a layer pass over
+rows wider than ``_BLOCK``, a product whose row blocks hold more than
+``_BLOCK`` codes, an activation of more than ``_BLOCK`` elements) drops
+this thread's scratch when it ends, whether it returns or raises
+(``_trim_scratch``).  A block that an open model's row source returns
+lives in that scratch: it stays valid only until the same thread's next
+row read.
 
 An activation is quantized column-wise in the same way, from one ``|a|``:
 its column maxima, folded for a tall activation (``_column_max``), are
@@ -98,12 +98,13 @@ def _aligned_empty(nbytes: int) -> np.ndarray:
 
 
 class _ThreadScratch(threading.local):
-    """One thread's block buffers: one per kind, and the array views of
-    them handed out so far, by (kind, shape, dtype)."""
+    """One thread's block buffers: one per kind, the array views of them
+    handed out so far, by (kind, shape, dtype), and ``outgrown`` (_scratch)."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
         self.views: dict[tuple, np.ndarray] = {}
+        self.outgrown = False
 
 
 _thread_scratch = _ThreadScratch()
@@ -115,10 +116,12 @@ def _scratch(kind: str, shape: tuple[int, ...], dtype) -> np.ndarray:
 
     Each thread keeps one 64-byte-aligned buffer per kind.  It grows only
     to a request larger than any before, and is kept until the thread ends
-    or a call drops it (_trim_scratch): it holds the largest block's bytes,
-    not the layer's.  A fresh 256-512 KiB temporary per block
-    would be an mmap, or heap growth that is trimmed again, and page-fault
-    on every block.  A repeated request is one dict lookup, which keeps
+    or a call drops it: growing it for a request of more than _BLOCK
+    elements sets ``outgrown``, and a call that grew a buffer past one
+    block drops this thread's scratch when it ends, whether it returns or
+    raises (_trim_scratch).  A fresh 256-512 KiB temporary per block would
+    be an mmap, or heap growth that is trimmed again, and page-fault on
+    every block.  A repeated request is one dict lookup, which keeps
     the Python work per block, and so the hand-offs of the interpreter
     lock between threads, small.  The contents are the caller's to fill;
     the thread's next request for the same kind reuses them.
@@ -132,35 +135,23 @@ def _scratch(kind: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         if buf is None or len(buf) < nbytes:
             buf = scratch.buffers[kind] = _aligned_empty(nbytes)
             scratch.views.clear()  # drop the views of any smaller buffer
+            scratch.outgrown |= math.prod(shape) > _BLOCK
         if len(scratch.views) >= _SCRATCH_VIEWS:
             scratch.views.clear()
         view = scratch.views[key] = buf[:nbytes].view(dtype).reshape(shape)
     return view
 
 
-# One _BLOCK-element block of each scratch kind that a call can grow past a
-# block, in bytes of the kind's widest dtype: the float64 |w| and work
-# buffers, the bool sign and wall masks, an open model's float32 rows, and
-# the codes (a quantized view's int8 codes, the kernels' float32 casts).
-_BLOCK_BYTES = {kind: size * _BLOCK for kind, size in
-                {"work": 8, "w64": 8, "sign": 1, "mask": 1, "rows": 4, "codes": 4}.items()}
-
-
-def _trim_scratch(block_elements: int) -> None:
-    """End a call whose largest block held ``block_elements`` elements.  Past
-    _BLOCK, drop each of this thread's buffers that outgrew one _BLOCK block
-    of its kind, so the call leaves no more than a block per kind behind.
-    For a layer pass that is the row width: its blocks exceed _BLOCK only
-    when each is one row wider than _BLOCK.  A call with smaller blocks
-    keeps its buffers (a profile leaf's rows, at most a block and two rows)
-    for the next call."""
-    if block_elements > _BLOCK:
-        scratch = _thread_scratch
-        for kind, nbytes in _BLOCK_BYTES.items():
-            buf = scratch.buffers.get(kind)
-            if buf is not None and len(buf) > nbytes:
-                del scratch.buffers[kind]
-                scratch.views.clear()
+def _trim_scratch() -> None:
+    """Run in a ``finally`` by each call that takes block scratch: a call
+    that grew a buffer past one block (_scratch) drops this thread's
+    scratch when it ends, whether it returns or raises.  Any other call
+    keeps the buffers for the next one."""
+    scratch = _thread_scratch
+    if scratch.outgrown:
+        scratch.buffers.clear()
+        scratch.views.clear()
+        scratch.outgrown = False
 
 
 def _qmax(bits: int) -> int:
@@ -380,8 +371,12 @@ def _as_rows(w, what: str):
 
 def _abs_rows(rows: np.ndarray) -> np.ndarray:
     """|rows| in rows' dtype in this thread's work scratch, for the passes
-    that need only |w| (layer_max_abs and the wall count)."""
-    return np.abs(rows, out=_scratch("work", rows.shape, rows.dtype))
+    that need only |w| (layer_max_abs and the wall count).  An integer
+    minimum, which np.abs wraps to itself, is rejected as in _abs64."""
+    out = np.abs(rows, out=_scratch("work", rows.shape, rows.dtype))
+    if rows.dtype.kind == "i" and out.min() < 0:
+        raise ValueError("scale factors must be positive and finite")
+    return out
 
 
 def _abs64(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -534,9 +529,11 @@ def quantize_weight(
     grouping.validate_for(m)
     scales = np.empty((n, m // grouping.resolved_group_size(m)), np.float32)
     q = np.empty((n, m), np.int8)
-    for b in _row_blocks(n, m):
-        _encode_rows(q[b], scales[b], src.read_rows(b.start, b.stop), params)
-    _trim_scratch(m)
+    try:
+        for b in _row_blocks(n, m):
+            _encode_rows(q[b], scales[b], src.read_rows(b.start, b.stop), params)
+    finally:
+        _trim_scratch()
 
     if not grouping.is_per_group:
         scales = scales.reshape(n)
@@ -569,12 +566,14 @@ def quantize_activation(a: np.ndarray, params: QuantParams) -> QuantizedTensor:
     are encoded from that same |a| straight into the int8 result.
     """
     a = _as_matrix(a, "activation")
-    absa = _abs64(a, _scratch("work", a.shape, np.float64))
-    amax = _column_max(absa)
-    scales, clamp = _scales_from_amax(amax, params, _finite_max(amax, "activation"))
-    q = np.empty(a.shape, np.int8)
-    _encode_into(q, a, absa, scales.astype(np.float64), params, clamp)
-    _trim_scratch(a.size)  # an activation larger than a layer pass's block keeps no scratch
+    try:
+        absa = _abs64(a, _scratch("work", a.shape, np.float64))
+        amax = _column_max(absa)
+        scales, clamp = _scales_from_amax(amax, params, _finite_max(amax, "activation"))
+        q = np.empty(a.shape, np.int8)
+        _encode_into(q, a, absa, scales.astype(np.float64), params, clamp)
+    finally:
+        _trim_scratch()
     return QuantizedTensor._unchecked(q, scales, _PER_CHANNEL, params.bits, AXIS_COLUMN)
 
 

@@ -30,6 +30,7 @@ from .model_store import (
     _require_kind,
     layer_name,
 )
+from .quantizer import _F32_MAX
 
 WALL_KIND_UNIVERSE = ("q", "k", "v", "up", "gate")
 
@@ -42,7 +43,6 @@ DEFAULT_WALL_MAGNITUDE = (50.0, 100.0)
 
 # Every weight must be finite in float32.  Generator.normal never draws past
 # 14 standard deviations, so base_std may reach float32 max / 16.
-_F32_MAX = float(np.finfo(np.float32).max)
 _MAX_BASE_STD = _F32_MAX / 16
 
 

@@ -86,6 +86,17 @@ class TestLayerMaxAbs:
         with pytest.raises(ValueError):
             layer_max_abs(w)
 
+    @pytest.mark.parametrize("w", [np.array([[-128, 5]], np.int8),
+                                   np.array([[-32768, 1]], np.int16)], ids=["int8", "int16"])
+    def test_integer_minimum_rejected_like_every_pass(self, w):
+        # np.abs wraps the minimum to itself, which left it out of the maximum
+        # (5.0 and 1.0); every pass rejects it with the same text.
+        passes = [layer_max_abs, lambda w: quantize_weight(w, PC, P8),
+                  lambda w: layer_rmse(w, PC, P8), lambda w: detect_walls(w, WallDetectorConfig())]
+        for run in passes:
+            with pytest.raises(ValueError, match="scale factors must be positive and finite"):
+                run(w)
+
 
 class TestLayerRmse:
     def test_exactly_representable_tensor_has_zero_error(self):

@@ -558,6 +558,33 @@ class TestScratchLeftBehind:
         assert aq.values.tobytes() == expected.values.tobytes()
         assert left < 64 * 1024
 
+    def test_failed_activation_keeps_no_scratch(self, operands):
+        # An Inf in the last element fails the call once |a| fills 32 MiB of
+        # float64 scratch.  Neither the failed call nor a later small call on
+        # the same thread keeps it.
+        w, _ = operands
+        bad = w.copy()
+        bad[-1, -1] = np.inf
+        small = np.ascontiguousarray(w[:, :32])
+        held = []
+
+        def run():
+            with pytest.raises(ValueError, match="activation contains NaN or Inf"):
+                quantize_activation(bad, P8)
+            held.append(tracemalloc.get_traced_memory()[0])
+            aq = quantize_activation(small, P8)
+            held.append(tracemalloc.get_traced_memory()[0] - aq.values.nbytes - aq.scales.nbytes)
+
+        tracemalloc.start()
+        try:
+            worker = threading.Thread(target=run)
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            tracemalloc.stop()
+        assert not worker.is_alive() and len(held) == 2
+        assert max(held) < 64 * 1024, held
+
 
 class TestNoNegativeZero:
     """The float64 accumulator starts at +0.0, so a zero output is +0.0 even

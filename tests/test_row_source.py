@@ -365,3 +365,56 @@ class TestWideRowScratch:
         left, buffers = traced_left(
             lambda: write_model(*quantized_view(manifest, opened, plan), tmp_path / "q"))
         self.assert_one_block_per_kind(left, buffers)
+
+
+def traced_left_by_error(call):
+    """traced_left of a ``call()`` that must raise ValueError."""
+    raised = []
+
+    def expect_error():
+        try:
+            call()
+        except ValueError:
+            raised.append(True)
+
+    left = traced_left(expect_error)
+    assert raised
+    return left
+
+
+class TestFailedCallLeavesNoScratch:
+    """A pass that raises drops what outgrew a block too: a layer shaped
+    like TestWideRowScratch's with a NaN in its last row fails in its last
+    block, after every buffer has grown to a whole row."""
+
+    N, M = TestWideRowScratch.N, TestWideRowScratch.M
+    PASSES = TestWideRowScratch.PASSES
+    ITEMSIZE = TestWideRowScratch.ITEMSIZE
+    assert_one_block_per_kind = TestWideRowScratch.assert_one_block_per_kind
+
+    @pytest.fixture(scope="class")
+    def layer(self, tmp_path_factory):
+        w = draw_layer(self.N, self.M, seed=63, walls=2)
+        w[-1, -1] = np.nan
+        stem = tmp_path_factory.mktemp("wide_nan_rows") / "m"
+        write_layer(stem, w, fill=1.0)
+        return w, stem
+
+    @pytest.mark.parametrize("source", ["array", "open_model"])
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_failed_pass_leaves_at_most_a_block_per_kind(self, layer, source, name):
+        w, stem = layer
+        if source == "array":
+            run = lambda: self.PASSES[name](w)  # noqa: E731
+        else:
+            _, opened = open_model(stem)
+            run = lambda: self.PASSES[name](row_source(opened, LAYER))  # noqa: E731
+        self.assert_one_block_per_kind(*traced_left_by_error(run))
+
+    def test_failed_streamed_quantize_leaves_at_most_a_block_per_kind(self, layer, tmp_path):
+        # QUANTKIT_THREADS is unset, so the write runs on the measured thread.
+        _, stem = layer
+        manifest, opened = open_model(stem)
+        plan = QuantPlan({rec.name: PC for rec in manifest.layer_records()}, 128, 8)
+        self.assert_one_block_per_kind(*traced_left_by_error(
+            lambda: write_model(*quantized_view(manifest, opened, plan), tmp_path / "q")))
