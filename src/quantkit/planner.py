@@ -7,17 +7,17 @@ plan is a total assignment of one grouping scheme per layer and is
 serializable to JSON for reproducible application.
 
 Applying a plan needs no calibration data and treats each layer on its
-own, so it is one pass: ``quantized_view`` checks the plan and derives the
-quantized manifest from it before any layer is read, then quantizes a
-layer when it is looked up, or gives its codes as a row source that
-encodes each block as it is read.  Each row block is read once: that read
-gives the block's scales and its codes, whose magnitudes come from the
-same ``|w|`` (see ``quantizer``), and the source keeps the layer's scales
-as it goes.  ``model_store.write_model`` writes that view through the row
-sources, holding one row block per thread, and writes a layer's scale
-record (``ModelManifest.scale_owner``) after its last block;
-``apply_plan`` keeps every record, quantizing the layers on the
-QUANTKIT_THREADS pool and laying them out in record order.
+own, so it is one pass: ``quantized_view`` checks the plan and derives
+the quantized manifest from it before any layer is read, then quantizes
+a layer when it is looked up, or gives its codes as a row source.  Both
+go through the one block encoder, ``quantizer._CodeRows``: each row
+block is read once, and that read gives the block's scales and its
+codes, whose magnitudes come from the same ``|w|``; the row source keeps
+the layer's scales as it goes.  ``model_store.write_model`` writes that
+view through the row sources, holding one row block per thread, and
+writes a layer's scale record (``ModelManifest.scale_owner``) after its
+last block; ``apply_plan`` keeps every record, quantizing the layers on
+the QUANTKIT_THREADS pool and laying them out in record order.
 """
 
 from __future__ import annotations
@@ -52,10 +52,8 @@ from .quantizer import (
     QuantParams,
     QuantizedTensor,
     AXIS_ROW,
-    _as_rows,
-    _encode_rows,
+    _CodeRows,
     _reject_unknown_keys,
-    _scratch,
     fit_group_size,
     quantize_weight,
 )
@@ -248,36 +246,14 @@ def scale_record_name(name: str) -> str:
     return name + ".scales"
 
 
-class _CodeRows:
-    """A layer's int8 codes as a row source: each block of rows is read
-    once from the fp32 source and quantized (``quantizer._encode_rows``)
-    into this thread's ``codes`` scratch, valid until the thread's next
-    code read, and into its rows of ``scales``.  So ``scales``, the
-    layer's (N, M/g) float32 scales, is complete once every row has been
-    read.  An error names the layer."""
-
-    dtype = np.dtype(np.int8)
-
-    def __init__(self, name: str, src, groups: int, params: QuantParams):
-        self.shape = src.shape
-        self.scales = np.empty((src.shape[0], groups), np.float32)
-        self._name, self._src, self._params = name, src, params
-
-    def read_rows(self, start: int, stop: int) -> np.ndarray:
-        rows = self._src.read_rows(start, stop)
-        codes = _scratch("codes", rows.shape, np.int8)
-        try:
-            return _encode_rows(codes, self.scales[start:stop], rows, self._params)
-        except ValueError as exc:
-            raise ValueError(f"layer {self._name!r}: {exc}") from None
-
-
 class _QuantizedView(Mapping):
     """Name -> array mapping over a quantized model that quantizes a layer
     when it, or its scale record (``scale_owner``), is looked up, or,
     through ``row_source``, gives its codes one row block at a time, each
-    block read once.  The view keeps nothing: every lookup quantizes its
-    layer, and a layer's row source carries the layer's scales itself."""
+    block read once; both run the one block encoder,
+    ``quantizer._CodeRows``.  The view keeps nothing: every lookup
+    quantizes its layer, and a layer's row source carries the layer's
+    scales itself."""
 
     def __init__(self, qmanifest: ModelManifest, tensors: Mapping[str, np.ndarray],
                  params: QuantParams):
@@ -293,21 +269,14 @@ class _QuantizedView(Mapping):
         return qt.values, qt.scales.reshape(rec.shape[0], -1)
 
     def row_source(self, name: str):
-        """The named record as a row source.  A layer's is its codes
-        (``_CodeRows``), which quantizes each row block as it is read and
-        fills the layer's ``scales`` as it goes.  Any other record is the
-        lookup's array, or the source model's row source for an aux record
-        it passes through."""
+        """The named record as a row source.  A layer's is its codes from the
+        one block encoder, ``quantizer._CodeRows``, which fills the layer's
+        ``scales`` as its blocks are read.  An aux record's is the source
+        model's (``write_model`` takes a scale record from its layer's)."""
         rec = self._manifest.record(name)
         if rec.aux:
-            owned = self._manifest.scale_owner(name) is not None
-            return self[name] if owned else row_source(self._tensors, name)
-        try:
-            src = _as_rows(row_source(self._tensors, name), "weight")
-        except ValueError as exc:
-            raise ValueError(f"layer {name!r}: {exc}") from None
-        groups = self._manifest.record(rec.scale_ref).shape[1]
-        return _CodeRows(name, src, groups, self._params)
+            return row_source(self._tensors, name)
+        return _CodeRows(row_source(self._tensors, name), rec.grouping, self._params, name)
 
     def __getitem__(self, name: str) -> np.ndarray:
         layer = self._manifest.scale_owner(name) or self._manifest.record(name)

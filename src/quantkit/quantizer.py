@@ -17,22 +17,27 @@ read, so a source may hand out each block in one buffer that its next
 read overwrites.  A pass never writes into the rows a source returns:
 an in-memory matrix hands out views of the caller's array.
 
-Each row block is read once.  That one read gives ``|w|``, the group
-maxima, which are also the finiteness check, the block's scales (both
-groupings scale by row, so a block's scales depend only on its rows) and,
-from the same ``|w|``, its code magnitudes: ``min(floor(|x|/s + 0.5),
-qmax)``.  IEEE division is sign-symmetric, so ``|x|/s`` is ``|x/s|`` to
-the bit, and no pass does signed arithmetic: the int8 paths apply x's
-sign to the cast magnitudes with int8 operations, and the float path
-(``analyzer._profile_layer``) squares ``|x| - mag*s``, which is
-``(x - q*s)**2`` to the bit.  An error is raised by the first failing
+Every weight is encoded by one block encoder, ``_CodeRows``:
+``quantize_weight`` runs it into its int8 result, and a quantized view's
+row source (``planner``) is one.  Each row block is read once.  That one
+read gives ``|w|``, the group maxima, which are also the finiteness
+check, the block's scales (both groupings scale by row, so a block's
+scales depend only on its rows) and, from the same ``|w|``, its code
+magnitudes: ``min(floor(|x|/s + 0.5), qmax)``.  IEEE division is
+sign-symmetric, so ``|x|/s`` is ``|x/s|`` to the bit, and no pass does
+signed arithmetic: the int8 paths apply x's sign to the cast magnitudes
+with int8 operations, and the float path (``analyzer._profile_layer``)
+squares ``|x| - mag*s``, which is ``(x - q*s)**2`` to the bit.  A signed
+integer input that holds its dtype's minimum, which np.abs wraps to
+itself, is rejected by every pass with one text
+(``_reject_integer_minimum``).  An error is raised by the first failing
 block; no caller sees a partly quantized layer, because
 ``quantize_weight`` returns nothing when it raises and a file write
 removes its temp file.
 
 A pass's block temporaries (the float64 ``|w|``, the float64 work buffer,
-the sign mask, an open model's row buffer, and the int8 code buffer of a
-quantized view's row source), and a quantized product's float32 row
+the sign mask, an open model's row buffer, and the int8 code buffer of
+``_CodeRows.read_rows``), and a quantized product's float32 row
 block of weight codes and batch of group products (``kernels``), come
 from ``_scratch``: one buffer per kind and thread, grown on demand and
 reused across blocks and layers, so no block-sized buffer is allocated
@@ -369,27 +374,28 @@ def _as_rows(w, what: str):
     return _ArrayRows(_as_matrix(w, what))
 
 
+def _reject_integer_minimum(x: np.ndarray) -> None:
+    """Every pass's check before it takes |x|: a signed integer x must not
+    hold its dtype's minimum, which np.abs in that dtype wraps to itself."""
+    if x.dtype.kind == "i" and x.min() == (lo := np.iinfo(x.dtype).min):
+        raise ValueError(f"input holds {lo}, the minimum of {x.dtype}, which has no "
+                         f"{x.dtype} magnitude")
+
+
 def _abs_rows(rows: np.ndarray) -> np.ndarray:
     """|rows| in rows' dtype in this thread's work scratch, for the passes
-    that need only |w| (layer_max_abs and the wall count).  An integer
-    minimum, which np.abs wraps to itself, is rejected as in _abs64."""
-    out = np.abs(rows, out=_scratch("work", rows.shape, rows.dtype))
-    if rows.dtype.kind == "i" and out.min() < 0:
-        raise ValueError("scale factors must be positive and finite")
-    return out
+    that need only |w| (layer_max_abs and the wall count)."""
+    _reject_integer_minimum(rows)
+    return np.abs(rows, out=_scratch("work", rows.shape, rows.dtype))
 
 
 def _abs64(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """|x| into the float64 ``out``: x cast, then its magnitudes, which is
     |x| to the bit for any float x, with no cast buffers in the float64
-    work that follows.  An integer x that holds its dtype's minimum is
-    rejected: np.abs in that dtype wraps it to itself, which gave its group
-    a negative or wrong scale."""
+    work that follows."""
+    _reject_integer_minimum(x)
     np.copyto(out, x)
-    np.abs(out, out=out)
-    if x.dtype.kind == "i" and out.max() > np.iinfo(x.dtype).max:
-        raise ValueError("scale factors must be positive and finite")
-    return out
+    return np.abs(out, out=out)
 
 
 def _group_maxima(absx: np.ndarray, g: int) -> np.ndarray:
@@ -493,20 +499,47 @@ def _encode_into(codes: np.ndarray, x: np.ndarray, absx: np.ndarray, scales: np.
     return np.subtract(codes, m, out=codes)
 
 
-def _encode_rows(codes: np.ndarray, scales: np.ndarray, rows: np.ndarray,
-                 params: QuantParams) -> np.ndarray:
-    """Quantize one block of rows (k, M) from its one read: |rows| in
-    float64 in this thread's work scratch, the group maxima, which are
-    also the finiteness check, the block's float32 scales into ``scales``
-    (k, M/g), and the int8 codes into ``codes`` (k, M), encoded from the
-    same |rows|.  The rows themselves are only read."""
-    x = rows.reshape(len(rows), scales.shape[1], -1)
-    absx = _abs64(x, _scratch("work", x.shape, np.float64))
-    amax = _group_maxima(absx, x.shape[2])
-    scales[...], clamp = _scales_from_amax(amax, params, _finite_max(amax, "weight"))
-    _encode_into(codes.reshape(x.shape), x, absx, scales.astype(np.float64)[:, :, None], params,
-                 clamp)
-    return codes
+class _CodeRows:
+    """The one block encoder: a weight's int8 codes as a row source.  Each
+    block is read once from ``src`` and encoded from that read: |w| in
+    float64 work scratch, the group maxima (also the finiteness check), the
+    block's float32 scales into its rows of ``scales`` (N, M/g), and the
+    codes from the same |w|, into this thread's ``codes`` scratch
+    (``read_rows``, valid until the thread's next code read) or the
+    caller's array (``encode``).  With a ``name``, an error names the layer."""
+
+    dtype = np.dtype(np.int8)
+
+    def __init__(self, src, grouping: GroupingScheme, params: QuantParams, name=None):
+        self._name, self._params = name, params
+        try:
+            self._src = _as_rows(src, "weight")
+            n, m = self.shape = self._src.shape
+            grouping.validate_for(m)
+        except ValueError as exc:
+            raise self._named(exc) from None
+        self.scales = np.empty((n, m // grouping.resolved_group_size(m)), np.float32)
+
+    def _named(self, exc: ValueError) -> ValueError:
+        return exc if self._name is None else ValueError(f"layer {self._name!r}: {exc}")
+
+    def read_rows(self, start: int, stop: int) -> np.ndarray:
+        return self.encode(_scratch("codes", (stop - start, self.shape[1]), np.int8), start, stop)
+
+    def encode(self, codes: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Rows [start, stop)'s codes into ``codes`` (k, M); the rows are only read."""
+        scales = self.scales[start:stop]
+        try:
+            rows = self._src.read_rows(start, stop)
+            x = rows.reshape(len(rows), scales.shape[1], -1)
+            absx = _abs64(x, _scratch("work", x.shape, np.float64))
+            amax = _group_maxima(absx, x.shape[2])
+            scales[...], clamp = _scales_from_amax(amax, self._params, _finite_max(amax, "weight"))
+            _encode_into(codes.reshape(x.shape), x, absx, scales.astype(np.float64)[:, :, None],
+                         self._params, clamp)
+        except ValueError as exc:
+            raise self._named(exc) from None
+        return codes
 
 
 def quantize_weight(
@@ -518,25 +551,19 @@ def quantize_weight(
     Per-channel yields one scale per row; per-group(g) partitions each row
     into M/g contiguous column groups (g must divide M) with one scale
     each.  Per-group with g = M produces the same codes and scale values
-    as per-channel.  One pass reads the rows block by block, and each
-    block's one read gives its scales and its int8 codes (_encode_rows):
-    the code magnitudes come from the |w| the group maxima were taken
-    from, and the sign is applied with int8 operations.  The first failing
-    block is the error, and then nothing is returned.
+    as per-channel.  The one block encoder, ``_CodeRows``, encodes the rows
+    block by block straight into the int8 result.  The first failing block
+    is the error, and then nothing is returned.
     """
-    src = _as_rows(w, "weight")
+    src = _CodeRows(w, grouping, params)
     n, m = src.shape
-    grouping.validate_for(m)
-    scales = np.empty((n, m // grouping.resolved_group_size(m)), np.float32)
     q = np.empty((n, m), np.int8)
     try:
         for b in _row_blocks(n, m):
-            _encode_rows(q[b], scales[b], src.read_rows(b.start, b.stop), params)
+            src.encode(q[b], b.start, b.stop)
     finally:
         _trim_scratch()
-
-    if not grouping.is_per_group:
-        scales = scales.reshape(n)
+    scales = src.scales if grouping.is_per_group else src.scales.reshape(n)
     return QuantizedTensor._unchecked(q, scales, grouping, params.bits, AXIS_ROW)
 
 

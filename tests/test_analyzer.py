@@ -24,6 +24,7 @@ from quantkit import (
     layer_max_abs,
     layer_rmse,
     profile_model,
+    quantize_activation,
     quantize_weight,
 )
 from quantkit import quantizer
@@ -92,9 +93,12 @@ class TestLayerMaxAbs:
         # np.abs wraps the minimum to itself, which left it out of the maximum
         # (5.0 and 1.0); every pass rejects it with the same text.
         passes = [layer_max_abs, lambda w: quantize_weight(w, PC, P8),
-                  lambda w: layer_rmse(w, PC, P8), lambda w: detect_walls(w, WallDetectorConfig())]
+                  lambda w: layer_rmse(w, PC, P8), lambda w: detect_walls(w, WallDetectorConfig()),
+                  lambda w: quantize_activation(w, P8)]
+        text = (f"input holds {np.iinfo(w.dtype).min}, the minimum of {w.dtype}, "
+                f"which has no {w.dtype} magnitude")
         for run in passes:
-            with pytest.raises(ValueError, match="scale factors must be positive and finite"):
+            with pytest.raises(ValueError, match=text):
                 run(w)
 
 

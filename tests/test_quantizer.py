@@ -637,7 +637,8 @@ class TestLibraryTensorsPassThePublicCheck:
     def test_integer_minimum_column_still_rejected(self):
         # np.abs(-128) wraps to -128 in int8, which would give a negative scale.
         a = np.full((3, 2), -128, dtype=np.int8)
-        with pytest.raises(ValueError, match="positive and finite"):
+        with pytest.raises(ValueError, match="input holds -128, the minimum of int8, which has no "
+                                             "int8 magnitude"):
             quantize_activation(a, P8)
 
 

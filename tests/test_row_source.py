@@ -21,6 +21,7 @@ from quantkit import (
     QuantPlan,
     TensorRecord,
     WallDetectorConfig,
+    apply_plan,
     detect_walls,
     inject_walls,
     layer_max_abs,
@@ -46,6 +47,11 @@ WALL_CONFIGS = [
     WallDetectorConfig(rms_multiplier=2.0, row_fraction=0.5),
     WallDetectorConfig.absolute(5.0, row_fraction=0.25),
 ]
+
+
+def pc_plan(manifest):
+    """An 8-bit plan that keeps every layer of ``manifest`` per-channel."""
+    return QuantPlan({r.name: PC for r in manifest.layer_records()}, 8, 8)
 
 
 def block_budget(budget):
@@ -178,7 +184,7 @@ class TestReadErrorsThroughRows:
         write_layer(tmp_path / "m", w, fill=1.0)
         manifest, opened = open_model(tmp_path / "m")
         match = rf"layer '{LAYER}': weight contains NaN or Inf"
-        plan = QuantPlan({r.name: PC for r in manifest.layer_records()}, 8, 8)
+        plan = pc_plan(manifest)
         with block_budget(budget):
             with pytest.raises(ValueError, match=match):
                 profile_model(manifest, opened, P8)
@@ -188,7 +194,13 @@ class TestReadErrorsThroughRows:
                 write_model(*quantized_view(manifest, opened, plan), tmp_path / "q")
         assert not os.path.exists(blob_path(tmp_path / "q"))
 
-    def test_blob_shrunk_after_open_is_a_short_read(self, tmp_path):
+    @pytest.mark.parametrize("run", [
+        lambda manifest, opened, out: profile_model(manifest, opened, P8),
+        lambda manifest, opened, out: apply_plan(manifest, opened, pc_plan(manifest)),
+        lambda manifest, opened, out: write_model(
+            *quantized_view(manifest, opened, pc_plan(manifest)), out),
+    ], ids=["profile", "apply", "write"])
+    def test_blob_shrunk_after_open_is_a_short_read(self, tmp_path, run):
         manifest = write_layer(tmp_path / "m", draw_layer(40, 130, seed=4))
         manifest, opened = open_model(tmp_path / "m")
         src = row_source(opened, LAYER)
@@ -197,7 +209,7 @@ class TestReadErrorsThroughRows:
         with pytest.raises(ValueError, match=rf"short read for record '{LAYER}'"):
             src.read_rows(25, 35)
         with pytest.raises(ValueError, match=rf"layer '{LAYER}': short read for record '{LAYER}'"):
-            profile_model(manifest, opened, P8)
+            run(manifest, opened, tmp_path / "q")
 
     def test_row_source_keeps_the_blob_open(self, tmp_path):
         w = draw_layer(8, 16, seed=5)
