@@ -13,6 +13,13 @@ the planner's sweep get from ``model_store.row_source`` and read block by
 block.  So a pass holds one block of rows and this thread's block scratch,
 not the fp32 layer.
 
+The profile (``_profile_layer``) pays once per leaf for all of a layer's
+group sizes, not once per size: one chain of group maxima for every size
+(``quantizer._maxima_chain``), one scale pass over all of them, and the
+squared errors of as many sizes at once as fit in one block.  Its leaves
+are split until the whole rows that hold one hold at most a block, so a
+layer whose rows do not tile a block keeps its scratch for the next one.
+
 A layer's block, kind and layer index come from its name alone:
 ``LayerMetrics`` parses them once, when built, and reading a metrics CSV
 checks its ``layer_index``, ``block`` and ``kind`` cells against them.
@@ -47,6 +54,7 @@ from .model_store import (
     parse_layer_name,
     row_source,
 )
+from . import quantizer
 from .quantizer import GroupingScheme, QuantParams
 from .quantizer import (
     _abs64,
@@ -54,8 +62,8 @@ from .quantizer import (
     _as_rows,
     _check_bits,
     _finite_max,
-    _group_maxima,
     _magnitudes_into,
+    _maxima_chain,
     _pairwise,
     _row_blocks,
     _scales_from_amax,
@@ -163,10 +171,27 @@ def _profile_layer(
 
     The flat layer is walked in leaves of at most _BLOCK elements, split as
     np.sum splits it (_pairwise), so every sum equals np.sum over the whole
-    layer.  A leaf reads the whole rows that hold its range and takes |w|
-    once: group maxima are reduced from it once per size, from the largest
-    computed divisor size, and every grouping and the wall RMS share one
-    float64 copy of it and one work buffer, both in this thread's scratch.
+    layer; a leaf is split further until the whole rows that hold it hold
+    at most a block, unless its rows are wider than half a block.  A leaf
+    reads those rows and takes |w| once, into one float64 copy, and pays
+    once for all its group sizes, not once per size:
+
+    - one maxima chain: every size's (k, M/g) maxima, one block after
+      another in this thread's ``amax`` scratch (in a buffer of its own if
+      they hold more than a block), each reduced from the largest computed
+      size that divides it (quantizer._maxima_chain);
+    - one scale pass over that buffer (quantizer._scales_from_amax) and one
+      float64 cast.  A raised error names what a pass size by size names;
+      the clamp flag is every size's flag or-ed, which is harmless, because
+      a normal scale never needs the clamp (quantizer._NORMAL);
+    - stacks of S sizes with S*k*M <= _BLOCK, each one divide, +0.5,
+      floor, multiply, subtract and square chain over the (S, k, M)
+      ``work`` scratch and one np.add.reduce along its rows' ranges.  A
+      stack of several sizes writes their scales out to (S, k, M) in the
+      ``scales`` scratch; a size alone in its stack takes its (k, M/g, 1)
+      scales by broadcast, with no copy.  In a full-block leaf, as in a
+      1024 x 1024 layer, every stack holds one size.
+
     No step is signed: a grouping's error is |x| - mag*s with the code
     magnitudes mag of |x| (quantizer._magnitudes_into), whose square is
     (x - q*s)**2 to the bit, and the wall RMS sums |x|**2.  Wall columns
@@ -179,6 +204,7 @@ def _profile_layer(
     for grouping in groupings:
         grouping.validate_for(m)
     sizes = sorted({grouping.resolved_group_size(m) for grouping in groupings})
+    width = sum(m // g for g in sizes)  # maxima per row, over every size
     rms_threshold = wall_cfg is not None and wall_cfg.magnitude_threshold is None
     read = src.read_rows
     maxima = []
@@ -186,32 +212,55 @@ def _profile_layer(
     def leaf(lo: int, hi: int) -> np.ndarray:
         first = lo // m
         rows = read(first, -(-hi // m))
+        k = len(rows)
         span = slice(lo - first * m, hi - first * m)  # the leaf's range within its rows
         a64 = _abs64(rows, _scratch("w64", rows.shape, np.float64))
-        k = len(rows)
-        amax: dict[int, np.ndarray] = {}
-        for g in sizes:
-            base = max((f for f in amax if g % f == 0), default=None)
-            amax[g] = (_group_maxima(a64, g) if base is None
-                       else _group_maxima(amax[base], g // base))
+        # Group size 1 gives a block of maxima on its own: a fuller chain is
+        # allocated per leaf, so it does not drop the scratch (_trim_scratch).
+        chain = (_scratch("amax", (k * width,), np.float64) if k * width <= quantizer._BLOCK
+                 else np.empty(k * width))
+        amax = _maxima_chain(a64, sizes, chain)
         # The finest maxima cover every element, so a NaN or Inf shows in them.
         maxima.append(_finite_max(amax[sizes[0]] if sizes else a64, "weight"))
-        buf = _scratch("work", rows.shape, np.float64)
-        part = buf.reshape(-1)[span]
         sums = np.empty(len(sizes) + rms_threshold)
-        for i, g in enumerate(sizes):
-            scales, clamp = _scales_from_amax(amax[g], params, maxima[-1])
-            scales = scales.astype(np.float64)[:, :, None]
-            x = a64.reshape(k, m // g, g)
-            err = _magnitudes_into(buf.reshape(x.shape), x, scales, params, clamp)
-            np.subtract(x, np.multiply(err, scales, out=err), out=err)  # mag -> |error| in place
-            sums[i] = np.add.reduce(np.square(part, out=part))
+        if sizes:
+            try:
+                scales, clamp = _scales_from_amax(chain, params, maxima[-1])
+            except ValueError:
+                for block in amax.values():  # the finest failing size's text, as size by size
+                    _scales_from_amax(block, params, maxima[-1])
+                raise
+            scales = scales.astype(np.float64)
+            per = max(1, quantizer._BLOCK // (k * m))  # sizes per stack
+            at = 0
+            for i in range(0, len(sizes), per):
+                stack = sizes[i:i + per]
+                blocks = []  # each size's (k, M/g, 1) scales
+                for g in stack:
+                    blocks.append(scales[at:at + k * (m // g)].reshape(k, m // g, 1))
+                    at += k * (m // g)
+                err = _scratch("work", (len(stack), k, m), np.float64)
+                if len(stack) == 1:  # broadcast, with no copy
+                    (g,) = stack
+                    x = a64.reshape(1, k, m // g, g)
+                    s = blocks[0][None]
+                    err = err.reshape(x.shape)
+                else:
+                    x = a64
+                    s = _scratch("scales", err.shape, np.float64)
+                    for j, (g, block) in enumerate(zip(stack, blocks)):
+                        np.copyto(s[j].reshape(k, m // g, g), block)
+                _magnitudes_into(err, x, s, params, clamp)
+                np.subtract(x, np.multiply(err, s, out=err), out=err)  # mag -> |error| in place
+                part = err.reshape(len(stack), -1)[:, span]
+                sums[i:i + len(stack)] = np.add.reduce(np.square(part, out=part), axis=1)
         if rms_threshold:
+            part = _scratch("work", (k * m,), np.float64)[span]
             sums[-1] = np.add.reduce(np.square(a64.reshape(-1)[span], out=part))
         return sums
 
     try:
-        sums = _pairwise(0, n * m, leaf)
+        sums = _pairwise(0, n * m, leaf, m)
         max_abs = float(max(maxima))
         walls = None
         if wall_cfg is not None:

@@ -36,16 +36,17 @@ block; no caller sees a partly quantized layer, because
 removes its temp file.
 
 A pass's block temporaries (the float64 ``|w|``, the float64 work buffer,
-the sign mask, an open model's row buffer, and the int8 code buffer of
+a profile's chain of group maxima and its written-out scales, the sign
+mask, an open model's row buffer, and the int8 code buffer of
 ``_CodeRows.read_rows``), and a quantized product's float32 row
 block of weight codes and batch of group products (``kernels``), come
 from ``_scratch``: one buffer per kind and thread, grown on demand and
 reused across blocks and layers, so no block-sized buffer is allocated
 per block.  A call that grew a buffer past one block (a layer pass over
-rows wider than ``_BLOCK``, a product whose row blocks hold more than
-``_BLOCK`` codes, an activation of more than ``_BLOCK`` elements) drops
-this thread's scratch when it ends, whether it returns or raises
-(``_trim_scratch``).  A block that an open model's row source returns
+rows wider than ``_BLOCK``, a profile over rows wider than half of it,
+a product whose row blocks hold more than ``_BLOCK`` codes, an
+activation of more than ``_BLOCK`` elements) drops this thread's scratch when it ends, whether it returns
+or raises (``_trim_scratch``).  A block that an open model's row source returns
 lives in that scratch: it stays valid only until the same thread's next
 row read.
 
@@ -74,9 +75,10 @@ _MAX_BITS = 8
 
 # Elements per block of a layer pass.  A block's working set (its float32
 # rows, the float64 |w| and the float64 work buffer in a profile, about
-# 1.25 MiB; the rows, the float64 |w| that the work is done in, the sign
-# mask and the int8 codes in a quantize, about 0.9 MiB) stays inside a
-# 2 MiB per-core L2 cache, and bounds a pass's memory per thread.
+# 1.25 MiB, and up to 0.5 MiB more of a stack's written-out scales; the
+# rows, the float64 |w| that the work is done in, the sign mask and the
+# int8 codes in a quantize, about 0.9 MiB) stays inside a 2 MiB per-core
+# L2 cache, and bounds a pass's memory per thread.
 _BLOCK = 1 << 16
 # numpy's PW_BLOCKSIZE: np.sum splits no range of up to 128 elements, so a
 # smaller block would split where np.sum does not (see _pairwise).
@@ -398,17 +400,56 @@ def _abs64(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.abs(out, out=out)
 
 
-def _group_maxima(absx: np.ndarray, g: int) -> np.ndarray:
+def _group_maxima(absx: np.ndarray, g: int, out: np.ndarray | None = None) -> np.ndarray:
     """The maxima of each row's groups of ``g`` consecutive elements of the
-    C-ordered (k, ...) array ``absx``, as (k, M/g).  One contiguous
-    reduction per group (np.maximum.reduceat) took 1.2-3x less time than
-    max over a (k, M/g, g) view for every g > 1 on a 64 x 1024 block; at
-    g = 1 each element is its own maximum."""
+    C-ordered (k, ...) array ``absx``, as (k, M/g), written into ``out``
+    (k * M/g contiguous elements) when given.  The one core of every group
+    maximum: the block encoder's, and each step of a profile's chain, which
+    reduces a coarser size from a finer one that divides it.
+
+    A step of g <= 8 over at least 32 * g groups is g - 1 strided
+    np.maximum calls over the columns of the (M/g, g) view, one call for a
+    pair.  Any other step is one contiguous reduction per group
+    (np.maximum.reduceat).  That is where the cut-over was measured
+    (in-process, one thread, float64, best of 5 x 500 calls): over 256
+    groups, g = 8 took 4.3 us strided against 7.6 us reduceat, and g = 2
+    1.0 against 4.9; over 64 groups, g = 8 took 4.1 against 2.7; over 4096
+    groups, g = 16 took 60 against 110, but over 256 groups 9.3 against
+    8.0.  Both propagate NaN, so a NaN or Inf in ``absx`` shows in every
+    maximum of its group.  At g = 1 each element is its own maximum."""
     k = len(absx)
-    if g == 1:
-        return absx.reshape(k, -1).copy()
     flat = absx.reshape(-1)
-    return np.maximum.reduceat(flat, np.arange(0, flat.size, g)).reshape(k, -1)
+    if out is None:
+        out = np.empty(flat.size // g, flat.dtype)
+    if g == 1:
+        np.copyto(out, flat)
+    elif g <= 8 and out.size >= 32 * g:
+        cols = flat.reshape(-1, g)
+        np.maximum(cols[:, 0], cols[:, 1], out=out)
+        for j in range(2, g):
+            np.maximum(out, cols[:, j], out=out)
+    else:
+        np.maximum.reduceat(flat, np.arange(0, flat.size, g), out=out)
+    return out.reshape(k, -1)
+
+
+def _maxima_chain(absx: np.ndarray, sizes, out: np.ndarray) -> dict[int, np.ndarray]:
+    """Every size's group maxima of the C-ordered (k, M) ``absx``, for the
+    ascending ``sizes``, as (k, M/g) blocks one after another in ``out``
+    (k * sum(M/g) elements), by size.  Each is reduced (_group_maxima) from
+    the largest size before it that divides it, else from ``absx``.  The
+    first block, the finest, covers every element, so a NaN or Inf shows
+    in it."""
+    k, m = absx.shape
+    amax: dict[int, np.ndarray] = {}
+    at = 0
+    for g in sizes:
+        base = max((f for f in amax if g % f == 0), default=None)
+        block = out[at:at + k * (m // g)]
+        at += block.size
+        amax[g] = (_group_maxima(absx, g, block) if base is None
+                   else _group_maxima(amax[base], g // base, block))
+    return amax
 
 
 def _row_blocks(n: int, m: int) -> list[slice]:
@@ -418,17 +459,25 @@ def _row_blocks(n: int, m: int) -> list[slice]:
     return [slice(r, min(r + step, n)) for r in range(0, n, step)]
 
 
-def _pairwise(lo: int, hi: int, leaf) -> np.ndarray:
+def _pairwise(lo: int, hi: int, leaf, row: int = 1) -> np.ndarray:
     """Sum of leaf(a, b) over leaves [a, b) that tile [lo, hi), split the way
     np.add.reduce splits a contiguous float64 sum (pairwise, at half the
     length rounded down to a multiple of 8), into leaves of at most _BLOCK
     elements.  When each leaf returns np.sum over its range, the total is
-    np.sum over [lo, hi), to the bit."""
+    np.sum over [lo, hi), to the bit.
+
+    A range is also split while the whole rows of ``row`` elements that
+    hold it hold more than _BLOCK elements, so a pass that reads a leaf's
+    whole rows reads at most a block.  np.add.reduce splits every range of
+    more than 128 elements the same way, so the sum is unchanged.  For rows
+    of at most half a block that ends at leaves of more than a sixth of a
+    block; in wider rows a leaf holds up to _BLOCK elements of its rows."""
     n = hi - lo
-    if n <= _BLOCK:
+    if n <= _BLOCK and (row > _BLOCK // 2 or n <= 128
+                        or (-(-hi // row) - lo // row) * row <= _BLOCK):
         return leaf(lo, hi)
     half = n // 2 - (n // 2) % 8
-    return _pairwise(lo, lo + half, leaf) + _pairwise(lo + half, hi, leaf)
+    return _pairwise(lo, lo + half, leaf, row) + _pairwise(lo + half, hi, leaf, row)
 
 
 def _scales_from_amax(amax: np.ndarray, params: QuantParams, top) -> tuple[np.ndarray, bool]:

@@ -1,6 +1,7 @@
 """Layer profiling tests: max-abs, RMSE against the scalar oracle, walls."""
 
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -36,7 +37,7 @@ from quantkit.analyzer import (
     read_metrics_csv,
     write_metrics_csv,
 )
-from quantkit.quantizer import _pairwise
+from quantkit.quantizer import _finite_max, _maxima_chain, _pairwise
 
 from edge_values import KINDS, edge_weight
 from oracles import scalar_rmse, whole_layer_profile
@@ -148,7 +149,10 @@ WALL_CONFIGS = [
 
 # Small block budgets put many leaves in a test-sized layer, leaves that
 # split rows and leaves inside one row; None keeps the library's budget.
-BUDGETS = [None, 128, 256, 1000]
+# At 4096 a test layer's leaf stacks several group sizes and writes their
+# scales out; at 192 most leaves hold more than half a block of rows, so
+# each size is alone in its stack and takes its scales by broadcast.
+BUDGETS = [None, 128, 256, 1000, 4096, 192]
 
 
 def block_budget(budget):
@@ -290,6 +294,40 @@ class TestFusedProfileCore:
             with pytest.raises(ValueError, match="weight contains NaN or Inf"):
                 detect_walls(w, WallDetectorConfig())
 
+    def test_underflow_names_the_finest_failing_size(self):
+        """Non-nested sizes 6 and 8 both underflow, with different maxima:
+        the one scale pass names the size-6 maximum, as a pass size by
+        size does, not the larger size-8 one."""
+        unit = 2.0**-149
+        w = np.full((2, 24), 0.5, dtype=np.float32)
+        w[0, :8] = 0.0
+        w[0, 2] = 30 * unit  # the top of 6-group 0 and, under 40 units, of 8-group 0 ...
+        w[0, 7] = 40 * unit  # ... whose top this is; its 6-group holds 0.5 at column 8
+        six, eight = GroupingScheme.per_group(6), GroupingScheme.per_group(8)
+        for schemes in ([six, eight], [eight, six, PC]):
+            with pytest.raises(ValueError, match=re.escape(f"{30 * unit!r} underflows")):
+                _profile_layer(w, schemes, P8)
+        with pytest.raises(ValueError, match=re.escape(f"{40 * unit!r} underflows")):
+            _profile_layer(w, [eight], P8)
+
+    def test_a_block_of_maxima_keeps_the_scratch(self):
+        """Group size 1 on a full-block leaf: its maxima alone fill the block,
+        so the chain takes a buffer of its own and the thread keeps its
+        block scratch for the next layer."""
+        w = np.random.default_rng(14).normal(0, 0.5, (64, 64)).astype(np.float32)
+        kept = []
+
+        def profile_on_a_fresh_thread():
+            _profile_layer(w, [PC, GroupingScheme.per_group(1)], P8)
+            kept.extend(quantizer._thread_scratch.buffers)
+
+        with block_budget(4096):
+            thread = threading.Thread(target=profile_on_a_fresh_thread)
+            thread.start()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert {"w64", "work"} <= set(kept) and "amax" not in kept
+
     def test_memory_layout_does_not_change_the_profile(self):
         rng = np.random.default_rng(12)
         w = rng.normal(0, 0.02, (40, 96)).astype(np.float32)
@@ -343,6 +381,89 @@ class TestPairwise:
         with block_budget(budget):
             got = _pairwise(0, n, lambda lo, hi: np.sum(x[lo:hi]))
         assert np.float64(got).tobytes() == np.sum(x).tobytes()
+
+
+def chain_sizes(m, data):
+    """Ascending group sizes for an M-column block: nested (8, 16, 32 of 32),
+    non-nested (6, 8 of 24), g = 1 and g = M among random divisor subsets."""
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    return sorted(set(data.draw(st.lists(st.sampled_from(divisors), min_size=1, max_size=6))))
+
+
+def chain_of(a, sizes):
+    """_maxima_chain of ``a`` into a buffer of exactly its length."""
+    k, m = a.shape
+    return _maxima_chain(a, sizes, np.empty(k * sum(m // g for g in sizes)))
+
+
+class TestMaximaChain:
+    """The profile's one maxima chain: every size's maxima in one buffer,
+    each reduced from a finer size, strided or by reduceat."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        k=st.integers(1, 80),
+        m=st.sampled_from([1, 24, 32, 48, 64]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_each_size_equals_the_reshaped_max(self, k, m, seed, data):
+        sizes = chain_sizes(m, data)
+        a = np.abs(np.random.default_rng(seed).normal(size=(k, m)))
+        amax = chain_of(a, sizes)
+        assert list(amax) == sizes
+        for g in sizes:
+            assert amax[g].tobytes() == a.reshape(k, m // g, g).max(axis=2).tobytes()
+
+    @pytest.mark.parametrize("k, m, sizes", [(80, 32, [8, 16, 32]), (80, 24, [6, 8, 24]),
+                                             (80, 24, [1, 24]), (3, 32, [8, 16, 32])])
+    def test_nested_non_nested_and_extreme_sizes(self, k, m, sizes):
+        a = np.abs(np.random.default_rng(k + m).normal(size=(k, m)))
+        amax = chain_of(a, sizes)
+        for g in sizes:
+            assert amax[g].tobytes() == a.reshape(k, m // g, g).max(axis=2).tobytes()
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        k=st.integers(1, 80),
+        m=st.sampled_from([24, 32, 64]),
+        bad=st.sampled_from([np.nan, np.inf]),
+        where=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_non_finite_shows_in_the_finest_maxima(self, k, m, bad, where, data):
+        # The profile's finiteness check reads the finest block only.
+        sizes = chain_sizes(m, data)
+        a = np.ones((k, m))
+        a.reshape(-1)[where % a.size] = bad
+        finest = chain_of(a, sizes)[sizes[0]]
+        assert not np.isfinite(finest.max())
+        with pytest.raises(ValueError, match="weight contains NaN or Inf"):
+            _finite_max(finest, "weight")
+
+
+class TestStackedReduce:
+    """A stack's sums: np.add.reduce along the rows of a strided (S, L)
+    view equals np.add.reduce over each row, to the bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stack=st.integers(1, 4),
+        base=st.sampled_from([8, 128, 1024, 1 << 16]),
+        times=st.integers(1, 3),
+        offset=st.integers(-9, 9),
+        lead=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_sum_as_one_dimensional_sums(self, stack, base, times, offset, lead, seed):
+        length = max(1, min(base * times + offset, 1 << 16))
+        rng = np.random.default_rng(seed)
+        rows = lead + length + int(rng.integers(0, 300))
+        # Magnitudes over 16 decades: any other order of additions shows.
+        x = rng.normal(size=(stack, rows)) * 10.0 ** rng.integers(-8, 8, (stack, rows))
+        part = x[:, lead:lead + length]
+        got = np.add.reduce(part, axis=1)
+        assert got.tobytes() == np.array([np.add.reduce(row) for row in part]).tobytes()
 
 
 class TestDetectWalls:

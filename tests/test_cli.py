@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import quantkit
+from quantkit import analyzer, quantizer
 from quantkit import (
     GroupingScheme,
     QuantParams,
@@ -717,6 +718,52 @@ class TestQuantizeMemory:
             tracemalloc.start()
             try:
                 assert main(["quantize", m, "--plan", p, "--out", mq + "-again"]) == 0
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] <= 1.5 * peaks[2], peaks
+
+
+class TestAnalyzeKeepsItsScratch:
+    """A 362 x 362 layer's rows do not tile 2^16-element leaves.  A leaf is
+    split until the whole rows that hold it hold at most a block, so no
+    profile outgrows its block scratch, and every layer reuses the buffers
+    the first one grew."""
+
+    def analyze(self, tmp_path, blocks):
+        m = str(tmp_path / f"m{blocks}")
+        assert main(["synth", "--blocks", str(blocks), "--dim", "362", "--seed", "7",
+                     "--wall-blocks", "0", "--out", m]) == 0
+        return lambda: main(["analyze", m, "--out", str(tmp_path / f"r{blocks}.csv"),
+                             "--group-sizes", "2,181"])
+
+    def test_buffers_are_the_same_objects_from_layer_to_layer(self, tmp_path, monkeypatch):
+        # QUANTKIT_THREADS is unset, so every layer runs on this thread.
+        run = self.analyze(tmp_path, 4)
+        kept = []
+        profile = analyzer._profile_layer
+
+        def profile_and_look(*args, **kwargs):
+            result = profile(*args, **kwargs)
+            kept.append(dict(quantizer._thread_scratch.buffers))
+            return result
+
+        monkeypatch.setattr(analyzer, "_profile_layer", profile_and_look)
+        assert run() == 0
+        assert len(kept) == 28
+        assert {"w64", "amax", "work"} <= kept[1].keys()
+        for later in kept[2:]:
+            assert later.keys() == kept[1].keys()
+            assert all(later[kind] is kept[1][kind] for kind in later)
+
+    def test_peak_does_not_grow_with_the_model(self, tmp_path):
+        peaks = {}
+        for blocks in (2, 8):
+            run = self.analyze(tmp_path, blocks)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert run() == 0
                 peaks[blocks] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
