@@ -18,7 +18,8 @@ group sizes, not once per size: one chain of group maxima for every size
 (``quantizer._maxima_chain``), one scale pass over all of them, and the
 squared errors of as many sizes at once as fit in one block.  Its leaves
 are split until the whole rows that hold one hold at most a block, so a
-layer whose rows do not tile a block keeps its scratch for the next one.
+layer whose rows do not tile a block still works in the thread's kept
+block scratch (``quantizer._scratch``).
 
 A layer's block, kind and layer index come from its name alone:
 ``LayerMetrics`` parses them once, when built, and reading a metrics CSV
@@ -68,7 +69,6 @@ from .quantizer import (
     _row_blocks,
     _scales_from_amax,
     _scratch,
-    _trim_scratch,
 )
 
 # First-block V-matrix weight maxima observed in public checkpoints.  The
@@ -177,9 +177,10 @@ def _profile_layer(
     once for all its group sizes, not once per size:
 
     - one maxima chain: every size's (k, M/g) maxima, one block after
-      another in this thread's ``amax`` scratch (in a buffer of its own if
-      they hold more than a block), each reduced from the largest computed
-      size that divides it (quantizer._maxima_chain);
+      another in this thread's ``amax`` scratch (an array of the leaf's
+      own if they hold more than a block, as every scratch request is),
+      each reduced from the largest computed size that divides it
+      (quantizer._maxima_chain);
     - one scale pass over that buffer (quantizer._scales_from_amax) and one
       float64 cast.  A raised error names what a pass size by size names;
       the clamp flag is every size's flag or-ed, which is harmless, because
@@ -215,10 +216,7 @@ def _profile_layer(
         k = len(rows)
         span = slice(lo - first * m, hi - first * m)  # the leaf's range within its rows
         a64 = _abs64(rows, _scratch("w64", rows.shape, np.float64))
-        # Group size 1 gives a block of maxima on its own: a fuller chain is
-        # allocated per leaf, so it does not drop the scratch (_trim_scratch).
-        chain = (_scratch("amax", (k * width,), np.float64) if k * width <= quantizer._BLOCK
-                 else np.empty(k * width))
+        chain = _scratch("amax", (k * width,), np.float64)
         amax = _maxima_chain(a64, sizes, chain)
         # The finest maxima cover every element, so a NaN or Inf shows in them.
         maxima.append(_finite_max(amax[sizes[0]] if sizes else a64, "weight"))
@@ -259,28 +257,25 @@ def _profile_layer(
             sums[-1] = np.add.reduce(np.square(a64.reshape(-1)[span], out=part))
         return sums
 
-    try:
-        sums = _pairwise(0, n * m, leaf, m)
-        max_abs = float(max(maxima))
-        walls = None
-        if wall_cfg is not None:
-            if rms_threshold:
-                threshold = wall_cfg.rms_multiplier * float(np.sqrt(sums[-1] / (n * m)))
-            else:
-                threshold = float(wall_cfg.magnitude_threshold)
-            walls = []
-            # The count compares |x| in the rows' dtype (a float32 layer against
-            # the threshold rounded to float32); max_abs, which that dtype holds
-            # exactly, compared the same way tells whether any element can count.
-            if np.greater(np.array(max_abs, dtype=src.dtype), threshold):
-                counts = 0
-                for b in _row_blocks(n, m):
-                    absw = _abs_rows(read(b.start, b.stop))
-                    counts = counts + np.greater(
-                        absw, threshold, out=_scratch("mask", absw.shape, bool)).sum(axis=0)
-                walls = [int(j) for j in np.nonzero(counts >= wall_cfg.row_fraction * n)[0]]
-    finally:
-        _trim_scratch()
+    sums = _pairwise(0, n * m, leaf, m)
+    max_abs = float(max(maxima))
+    walls = None
+    if wall_cfg is not None:
+        if rms_threshold:
+            threshold = wall_cfg.rms_multiplier * float(np.sqrt(sums[-1] / (n * m)))
+        else:
+            threshold = float(wall_cfg.magnitude_threshold)
+        walls = []
+        # The count compares |x| in the rows' dtype (a float32 layer against
+        # the threshold rounded to float32); max_abs, which that dtype holds
+        # exactly, compared the same way tells whether any element can count.
+        if np.greater(np.array(max_abs, dtype=src.dtype), threshold):
+            counts = 0
+            for b in _row_blocks(n, m):
+                absw = _abs_rows(read(b.start, b.stop))
+                counts = counts + np.greater(
+                    absw, threshold, out=_scratch("mask", absw.shape, bool)).sum(axis=0)
+            walls = [int(j) for j in np.nonzero(counts >= wall_cfg.row_fraction * n)[0]]
     sse = dict(zip(sizes, sums.tolist()))
     return max_abs, walls, [sse[gr.resolved_group_size(m)] for gr in groupings]
 
@@ -290,11 +285,8 @@ def layer_max_abs(w) -> float:
     by row block."""
     src = _as_rows(w, "weight")
     read = src.read_rows
-    try:
-        top = max(_finite_max(_abs_rows(read(b.start, b.stop)), "weight")
-                  for b in _row_blocks(*src.shape))
-    finally:
-        _trim_scratch()
+    top = max(_finite_max(_abs_rows(read(b.start, b.stop)), "weight")
+              for b in _row_blocks(*src.shape))
     return float(top)
 
 

@@ -1,20 +1,20 @@
 """Quantized matrix multiplication with an exact core.
 
 The weight is multiplied one block of k rows at a time.  A block's int8
-codes are cast into this thread's float32 block scratch
-(``quantizer._scratch``) and multiplied with float32 BLAS while they sit
-in cache, and the block's scaled product fills its k rows of the float64
-output.  A block has ``max(_MIN_ROWS, _BLOCK // M)`` rows, so the scratch
-holds at most max(_BLOCK, 64 * M) float32 per thread during a call, where
-a cast of the whole weight would take four bytes per code and be read
-back from memory.  The 64-row floor keeps a wide weight's blocks from
+codes are cast into one float32 buffer of a block's rows, taken once per
+call from ``quantizer._scratch``, and multiplied with float32 BLAS while
+they sit in cache, and the block's scaled product fills its k rows of the
+float64 output.  A block has ``max(_MIN_ROWS, _BLOCK // M)`` rows, so the
+buffer holds at most max(_BLOCK, 64 * M) float32 during a call, where a
+cast of the whole weight would take four bytes per code and be read back
+from memory.  The 64-row floor keeps a wide weight's blocks from
 shrinking to one or two rows, each a product for which BLAS repacks the
 whole activation.  A weight of at most 64 rows or ``_BLOCK`` codes is one
-block.  A call that grew a buffer past one block (blocks of more than
-``_BLOCK`` codes: M > 1024, or a wide weight of at most 64 rows) drops
-this thread's scratch when it ends, whether it returns or raises.  An
-output row depends only on its own row's codes, and each of its elements
-goes through the same exact steps, so the blocking changes no bit.
+block.  A buffer of at most ``_BLOCK`` codes is this thread's kept block
+scratch; a larger one (M > 1024, or a wide weight of at most 64 rows) is
+the call's own, freed when it ends.  An output row depends only on its
+own row's codes, and each of its elements goes through the same exact
+steps, so the blocking changes no bit.
 
 Every partial sum of a product over ``depth`` inner columns is an
 integer no larger than depth * qmax_w * qmax_a, and a float32 significand
@@ -29,11 +29,12 @@ than that depth is multiplied in chunks at the same column edges in
 every group, and the chunk products are summed exactly in float64.  A
 batch holds ``max(1, _BLOCK // (k * P))`` groups, so its float32 products
 take at most ``quantizer._BLOCK`` elements (one group's, if that is
-more), and a batch that fits lives in the block scratch too rather than
-in fresh memory per call.  The batch's integer products are cast once to
-float64 (an exact cast), rescaled in place by their groups' weight
-scales, and added one group at a time into a float64 accumulator, in
-ascending group order; the column scales are then applied in place.
+more), and lives in the block scratch too rather than in fresh memory per
+call (one group's products of more than a block are the call's own).
+The batch's integer products are cast once to float64 (an exact cast),
+rescaled in place by their groups' weight scales, and added one group at
+a time into a float64 accumulator, in ascending group order; the column
+scales are then applied in place.
 Per-channel is the one-group case, one plain product with the same
 steps, so a per-group weight with g = M gives the same bits as
 per-channel.  No step multiplies float32 by float64, which numpy would do
@@ -45,8 +46,6 @@ quantizing the operands.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .quantizer import (
@@ -56,7 +55,6 @@ from .quantizer import (
     QuantizedTensor,
     _qmax,
     _scratch,
-    _trim_scratch,
 )
 
 # Every integer of magnitude up to 2^24 is exact in float32.
@@ -96,12 +94,13 @@ def _exact_product(w: np.ndarray, a: np.ndarray, depth: int) -> np.ndarray:
 def _add_groups(acc: np.ndarray, w: np.ndarray, a: np.ndarray, w_scales: np.ndarray,
                 depth: int) -> None:
     """Add the scaled products of a batch of groups (stacked operands) into
-    ``acc``, one group at a time in ascending order.  A batch of at most
-    _BLOCK products within one chunk is computed in this thread's scratch:
-    a fresh 256-768 KiB temporary per call would be an mmap, or heap growth
-    that is trimmed again, and page-fault on every call."""
+    ``acc``, one group at a time in ascending order.  A batch within one
+    chunk is computed in scratch (quantizer._scratch), which keeps a batch
+    of at most _BLOCK products for the next call: a fresh 256-768 KiB
+    temporary per call would be an mmap, or heap growth that is trimmed
+    again, and page-fault on every call."""
     shape = (w.shape[0], w.shape[1], a.shape[2])
-    if math.prod(shape) <= _BLOCK and w.shape[2] <= depth:
+    if w.shape[2] <= depth:
         parts = _scratch("parts", shape, np.float64)
         parts[...] = np.matmul(w, a, out=_scratch("parts32", shape, np.float32))
     else:
@@ -111,15 +110,14 @@ def _add_groups(acc: np.ndarray, w: np.ndarray, a: np.ndarray, w_scales: np.ndar
         acc += part
 
 
-def _scaled_rows(codes: np.ndarray, a: np.ndarray, w_scales: np.ndarray,
+def _scaled_rows(codes: np.ndarray, w: np.ndarray, a: np.ndarray, w_scales: np.ndarray,
                  depth: int) -> np.ndarray:
     """The float64 product of a block of k weight rows (int8 ``codes``) and
     the activation cast ``a``, each group's exact product scaled by its
     weight scale and added onto +0.0 in ascending group order.  ``a`` is
     (M, P) per-channel, with (k, 1) weight scales, or the (G, g, P) group
-    view, with (G, k, 1) scales.  The codes are cast into this thread's
-    block scratch, where the product reads them from cache."""
-    w = _scratch("codes", codes.shape, np.float32)
+    view, with (G, k, 1) scales.  The codes are cast into the float32 (k, M)
+    ``w``, where the product reads them from cache."""
     w[...] = codes
     if a.ndim == 2:
         part = _exact_product(w, a, depth).astype(np.float64, copy=False)
@@ -150,17 +148,16 @@ def _matmul(wq: QuantizedTensor, aq: QuantizedTensor) -> np.ndarray:
     if groups != 1:
         a = a.reshape(groups, wq.grouping.group_size, p)
         w_scales = w_scales.T[:, :, None]
-    try:
-        if n <= _MIN_ROWS or n * m <= _BLOCK:  # one block, the rows as they are
-            acc = _scaled_rows(wq.values, a, w_scales, depth)
-        else:
-            rows = max(_MIN_ROWS, _BLOCK // m)
-            acc = np.empty((n, p), dtype=np.float64)
-            for r in range(0, n, rows):
-                acc[r : r + rows] = _scaled_rows(wq.values[r : r + rows], a,
-                                                 w_scales[..., r : r + rows, :], depth)
-    finally:
-        _trim_scratch()
+    rows = n if n <= _MIN_ROWS or n * m <= _BLOCK else max(_MIN_ROWS, _BLOCK // m)
+    cast = _scratch("codes", (rows, m), np.float32)  # one per call, sliced per block
+    if rows == n:  # one block, the rows as they are
+        acc = _scaled_rows(wq.values, cast, a, w_scales, depth)
+    else:
+        acc = np.empty((n, p), dtype=np.float64)
+        for r in range(0, n, rows):
+            codes = wq.values[r : r + rows]
+            acc[r : r + rows] = _scaled_rows(codes, cast[: len(codes)], a,
+                                             w_scales[..., r : r + rows, :], depth)
     acc *= aq.scales.astype(np.float64)
     return acc
 

@@ -37,8 +37,11 @@ less: ``row_source`` gives them a record of an open model as a row source
 (see ``quantizer``), whose ``read_rows`` reads whole rows with one
 positional read.  A record's rows lie next to each other in the blob, so
 rows [start, stop) are one byte range.  They land in the calling thread's
-64-byte-aligned row scratch, reused by every row read of that thread, so
-a block stays valid only until the thread's next row read.
+64-byte-aligned row scratch (``quantizer._scratch``), reused by every row
+read of that thread, so a block stays valid only until the thread's next
+row read.  A block of more than one scratch block (rows wider than
+``quantizer._BLOCK`` elements) is read into an array of its own instead,
+so a thread keeps at most one block of rows.
 
 One writer turns records into a blob.  ``write_model`` writes each record
 at its place in the blob's temp file (``ModelManifest.byte_offset``) with
@@ -78,7 +81,6 @@ from .quantizer import (
     _reject_unknown_keys,
     _row_blocks,
     _scratch,
-    _trim_scratch,
 )
 
 MANIFEST_VERSION = 1
@@ -493,12 +495,9 @@ class _BlobWriter:
         read = _as_rows(src, rec.name).read_rows
         offset = self._manifest.byte_offset(rec.name)
         written = 0
-        try:
-            for b in _row_blocks(*rec.shape):
-                block = np.ascontiguousarray(read(b.start, b.stop))
-                written += _pwrite_all(fd, block, block.nbytes, offset + written)
-        finally:
-            _trim_scratch()
+        for b in _row_blocks(*rec.shape):
+            block = np.ascontiguousarray(read(b.start, b.stop))
+            written += _pwrite_all(fd, block, block.nbytes, offset + written)
         scale = rec.scale_ref
         if self._manifest.scale_owner(scale) is rec:
             written += self._write(fd, self._manifest.record(scale), getattr(src, "scales", None))
@@ -586,7 +585,9 @@ class _RecordRows:
     """One record of an open blob as a row source.  The record's place, row
     size and dtype are worked out once, so a block read is one positional
     read into a cached scratch view.  Blocks land in the calling thread's
-    row scratch: each stays valid only until that thread's next row read."""
+    row scratch, which holds at most one block (a larger block is an array
+    of its own, quantizer._scratch): each stays valid only until that
+    thread's next row read."""
 
     def __init__(self, reader: _RecordReader, name: str):
         rec = reader._manifest.record(name)

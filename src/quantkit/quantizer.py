@@ -38,15 +38,13 @@ removes its temp file.
 A pass's block temporaries (the float64 ``|w|``, the float64 work buffer,
 a profile's chain of group maxima and its written-out scales, the sign
 mask, an open model's row buffer, and the int8 code buffer of
-``_CodeRows.read_rows``), and a quantized product's float32 row
-block of weight codes and batch of group products (``kernels``), come
-from ``_scratch``: one buffer per kind and thread, grown on demand and
-reused across blocks and layers, so no block-sized buffer is allocated
-per block.  A call that grew a buffer past one block (a layer pass over
-rows wider than ``_BLOCK``, a profile over rows wider than half of it,
-a product whose row blocks hold more than ``_BLOCK`` codes, an
-activation of more than ``_BLOCK`` elements) drops this thread's scratch when it ends, whether it returns
-or raises (``_trim_scratch``).  A block that an open model's row source returns
+``_CodeRows.read_rows``), and a quantized product's float32 cast of
+weight codes and batch of group products (``kernels``), come from
+``_scratch``, under one rule: each thread keeps at most one block
+(``_BLOCK`` elements) per kind, reused across blocks and layers, so no
+block-sized buffer is allocated per block; a larger request (rows wider
+than a block, an activation of more than a block) is the caller's own
+array, freed with it.  A block that an open model's row source returns
 lives in that scratch: it stays valid only until the same thread's next
 row read.
 
@@ -105,13 +103,12 @@ def _aligned_empty(nbytes: int) -> np.ndarray:
 
 
 class _ThreadScratch(threading.local):
-    """One thread's block buffers: one per kind, the array views of them
-    handed out so far, by (kind, shape, dtype), and ``outgrown`` (_scratch)."""
+    """One thread's block buffers, one per kind, and the array views of them
+    handed out so far, by (kind, shape, dtype)."""
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
         self.views: dict[tuple, np.ndarray] = {}
-        self.outgrown = False
 
 
 _thread_scratch = _ThreadScratch()
@@ -119,16 +116,16 @@ _thread_scratch = _ThreadScratch()
 
 def _scratch(kind: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     """This thread's block buffer of ``kind``, as a C-ordered array of
-    ``shape`` and ``dtype``.
+    ``shape`` and ``dtype``, or, for a request of more than _BLOCK
+    elements, a new array of the caller's own.
 
-    Each thread keeps one 64-byte-aligned buffer per kind.  It grows only
-    to a request larger than any before, and is kept until the thread ends
-    or a call drops it: growing it for a request of more than _BLOCK
-    elements sets ``outgrown``, and a call that grew a buffer past one
-    block drops this thread's scratch when it ends, whether it returns or
-    raises (_trim_scratch).  A fresh 256-512 KiB temporary per block would
-    be an mmap, or heap growth that is trimmed again, and page-fault on
-    every block.  A repeated request is one dict lookup, which keeps
+    Each thread keeps one 64-byte-aligned buffer per kind, of at most one
+    block: it grows only to a request larger than any before, and is kept
+    until the thread ends.  A larger request gets a fresh 64-byte-aligned
+    array, freed with it, so no call, returning or raising, leaves more
+    than a block per kind behind.  A fresh 256-512 KiB temporary per block
+    would be an mmap, or heap growth that is trimmed again, and page-fault
+    on every block.  A repeated request is one dict lookup, which keeps
     the Python work per block, and so the hand-offs of the interpreter
     lock between threads, small.  The contents are the caller's to fill;
     the thread's next request for the same kind reuses them.
@@ -137,28 +134,18 @@ def _scratch(kind: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     key = (kind, shape, dtype)
     view = scratch.views.get(key)
     if view is None:
-        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        size = math.prod(shape)
+        nbytes = size * np.dtype(dtype).itemsize
+        if size > _BLOCK:
+            return _aligned_empty(nbytes).view(dtype).reshape(shape)
         buf = scratch.buffers.get(kind)
         if buf is None or len(buf) < nbytes:
             buf = scratch.buffers[kind] = _aligned_empty(nbytes)
             scratch.views.clear()  # drop the views of any smaller buffer
-            scratch.outgrown |= math.prod(shape) > _BLOCK
         if len(scratch.views) >= _SCRATCH_VIEWS:
             scratch.views.clear()
         view = scratch.views[key] = buf[:nbytes].view(dtype).reshape(shape)
     return view
-
-
-def _trim_scratch() -> None:
-    """Run in a ``finally`` by each call that takes block scratch: a call
-    that grew a buffer past one block (_scratch) drops this thread's
-    scratch when it ends, whether it returns or raises.  Any other call
-    keeps the buffers for the next one."""
-    scratch = _thread_scratch
-    if scratch.outgrown:
-        scratch.buffers.clear()
-        scratch.views.clear()
-        scratch.outgrown = False
 
 
 def _qmax(bits: int) -> int:
@@ -607,11 +594,8 @@ def quantize_weight(
     src = _CodeRows(w, grouping, params)
     n, m = src.shape
     q = np.empty((n, m), np.int8)
-    try:
-        for b in _row_blocks(n, m):
-            src.encode(q[b], b.start, b.stop)
-    finally:
-        _trim_scratch()
+    for b in _row_blocks(n, m):
+        src.encode(q[b], b.start, b.stop)
     scales = src.scales if grouping.is_per_group else src.scales.reshape(n)
     return QuantizedTensor._unchecked(q, scales, grouping, params.bits, AXIS_ROW)
 
@@ -642,14 +626,11 @@ def quantize_activation(a: np.ndarray, params: QuantParams) -> QuantizedTensor:
     are encoded from that same |a| straight into the int8 result.
     """
     a = _as_matrix(a, "activation")
-    try:
-        absa = _abs64(a, _scratch("work", a.shape, np.float64))
-        amax = _column_max(absa)
-        scales, clamp = _scales_from_amax(amax, params, _finite_max(amax, "activation"))
-        q = np.empty(a.shape, np.int8)
-        _encode_into(q, a, absa, scales.astype(np.float64), params, clamp)
-    finally:
-        _trim_scratch()
+    absa = _abs64(a, _scratch("work", a.shape, np.float64))
+    amax = _column_max(absa)
+    scales, clamp = _scales_from_amax(amax, params, _finite_max(amax, "activation"))
+    q = np.empty(a.shape, np.int8)
+    _encode_into(q, a, absa, scales.astype(np.float64), params, clamp)
     return QuantizedTensor._unchecked(q, scales, _PER_CHANNEL, params.bits, AXIS_COLUMN)
 
 

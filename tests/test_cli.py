@@ -727,8 +727,8 @@ class TestQuantizeMemory:
 class TestAnalyzeKeepsItsScratch:
     """A 362 x 362 layer's rows do not tile 2^16-element leaves.  A leaf is
     split until the whole rows that hold it hold at most a block, so no
-    profile outgrows its block scratch, and every layer reuses the buffers
-    the first one grew."""
+    profile asks for more than a block of scratch, and every layer reuses
+    the buffers the first one grew."""
 
     def analyze(self, tmp_path, blocks):
         m = str(tmp_path / f"m{blocks}")

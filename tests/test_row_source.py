@@ -27,14 +27,17 @@ from quantkit import (
     layer_max_abs,
     layer_name,
     layer_rmse,
+    matmul_per_channel,
+    matmul_per_group,
     open_model,
     profile_model,
+    quantize_activation,
     quantize_weight,
     quantized_view,
     sweep_group_size,
     write_model,
 )
-from quantkit import quantizer
+from quantkit import analyzer, kernels, model_store, quantizer
 from quantkit.analyzer import _profile_layer
 from quantkit.model_store import blob_path, row_source
 
@@ -324,10 +327,10 @@ def traced_left(call):
 
 
 class TestWideRowScratch:
-    """A row wider than _BLOCK is a block of its own, so a layer pass's
-    scratch grows to a whole row: 2 MiB of float64 for each of |w| and the
-    work buffer at 262144 columns.  The pass drops what outgrew a block
-    before it returns, so it leaves at most one _BLOCK block per kind."""
+    """A row wider than _BLOCK is a block of its own, so a layer pass asks
+    for a whole row of scratch: 2 MiB of float64 for each of |w| and the
+    work buffer at 262144 columns.  A request of more than a block is the
+    pass's own array, so the pass leaves at most one _BLOCK block per kind."""
 
     N, M = 4, 262144
 
@@ -348,10 +351,11 @@ class TestWideRowScratch:
                                               WallDetectorConfig()),
     }
 
-    # Bytes per element of each scratch kind's widest dtype: float64 |w| and
-    # work, bool sign and wall masks, an open model's float32 rows, and the
-    # codes (int8 in a quantized view, float32 in the kernels).
-    ITEMSIZE = {"work": 8, "w64": 8, "sign": 1, "mask": 1, "rows": 4, "codes": 4}
+    # Bytes per element of each scratch kind's widest dtype: float64 |w|,
+    # work and a profile's maxima chain, bool sign and wall masks, an open
+    # model's float32 rows, and the codes (int8 in a quantized view, float32
+    # in the kernels).
+    ITEMSIZE = {"work": 8, "w64": 8, "amax": 8, "sign": 1, "mask": 1, "rows": 4, "codes": 4}
 
     def assert_one_block_per_kind(self, left, buffers):
         budget = {kind: size * quantizer._BLOCK for kind, size in self.ITEMSIZE.items()}
@@ -395,9 +399,9 @@ def traced_left_by_error(call):
 
 
 class TestFailedCallLeavesNoScratch:
-    """A pass that raises drops what outgrew a block too: a layer shaped
-    like TestWideRowScratch's with a NaN in its last row fails in its last
-    block, after every buffer has grown to a whole row."""
+    """A pass that raises leaves at most a block per kind too: a layer
+    shaped like TestWideRowScratch's with a NaN in its last row fails in
+    its last block, after every pass has asked for whole rows of scratch."""
 
     N, M = TestWideRowScratch.N, TestWideRowScratch.M
     PASSES = TestWideRowScratch.PASSES
@@ -430,3 +434,50 @@ class TestFailedCallLeavesNoScratch:
         plan = QuantPlan({rec.name: PC for rec in manifest.layer_records()}, 128, 8)
         self.assert_one_block_per_kind(*traced_left_by_error(
             lambda: write_model(*quantized_view(manifest, opened, plan), tmp_path / "q")))
+
+
+class TestWorkloadTraffic:
+    """Every layer pass on the layer shapes of the benchmark's workloads
+    (``desk`` 64 x 64 at per-channel and g = 8, 16 and 32; ``forward``
+    256 x 256 at g = 32; ``wide`` 1024 x 1024 at g = 128) asks
+    ``quantizer._scratch`` for at most a block, so the workloads run in
+    each thread's kept scratch and never in memory of their own."""
+
+    @pytest.fixture
+    def requests(self, monkeypatch):
+        seen = []
+        scratch = quantizer._scratch
+
+        def spy(kind, shape, dtype):
+            seen.append((kind, int(np.prod(shape))))
+            return scratch(kind, shape, dtype)
+
+        for module in (quantizer, analyzer, model_store, kernels):
+            monkeypatch.setattr(module, "_scratch", spy)
+        return seen
+
+    @pytest.mark.parametrize("n, p, sizes", [(64, 32, (8, 16, 32)), (256, 32, (32,)),
+                                              (1024, 8, (128,))])
+    def test_no_pass_asks_for_more_than_a_block(self, tmp_path, requests, n, p, sizes):
+        w = draw_layer(n, n, seed=n)
+        w[:, 3] = 50.0
+        a = np.random.default_rng(n).normal(0, 1, (n, p)).astype(np.float32)
+        manifest = write_layer(tmp_path / "m", w, fill=1.0)
+        _, opened = open_model(tmp_path / "m")
+        src = row_source(opened, LAYER)
+        schemes = [PC, *map(GroupingScheme.per_group, sizes)]
+
+        _profile_layer(src, schemes, P8, WallDetectorConfig())
+        assert detect_walls(src, WallDetectorConfig.absolute(10.0)) == [3]
+        layer_max_abs(src)
+        aq = quantize_activation(a, P8)
+        for scheme in schemes:
+            wq = quantize_weight(src, scheme, P8)
+            (matmul_per_group if scheme.is_per_group else matmul_per_channel)(wq, aq)
+            plan = QuantPlan({rec.name: scheme if rec.name == LAYER else PC
+                              for rec in manifest.layer_records()}, sizes[0], 8)
+            write_model(*quantized_view(manifest, opened, plan), tmp_path / "q")
+
+        kinds = {kind for kind, _ in requests}
+        assert {"w64", "amax", "work", "mask", "rows", "sign", "codes", "parts"} <= kinds
+        assert max(size for _, size in requests) <= quantizer._BLOCK
